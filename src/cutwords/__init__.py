@@ -38,8 +38,6 @@ from .entropy import (
     identity_residual,
     marginal_rel_entropy,
     psi_bracket_series,
-    psi_entropy_bracket,
-    psi_rel_entropy_bracket,
     rel_entropy,
     spec_rel_entropy,
 )

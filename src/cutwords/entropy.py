@@ -1,5 +1,10 @@
 """Relative entropy, exact entropy rates, and two-sided letter-process brackets.
 
+`psi_bracket_series` is the one bracket function: it turns one forward pass
+of `psi.entropy_series` into the entropy-rate sandwich of the concatenated
+letter process and, as its affine image, the bracket for the per-letter
+relative entropy w.r.t. the product letter law.
+
 Conventions: nats everywhere, 0 log 0 = 0, and absolute-continuity
 failures return math.inf (checked before entering any arithmetic that
 combines quantities).
@@ -18,12 +23,7 @@ from scipy.special import xlogy
 from .errors import InputError
 from .interval import Interval
 from .laws import LetterLaw, ReferenceLaw, WordProcessLaw, mean_length
-from .psi import (
-    conditional_entropy_series,
-    hidden_chain,
-    pattern_entropy_series,
-    psi_marginal_chain,
-)
+from .psi import entropy_series, hidden_chain
 
 BRACKET_TOL = 1e-10
 
@@ -121,62 +121,30 @@ class EntropyBracket:
         return self.upper - self.lower
 
 
-def psi_entropy_bracket(Q: WordProcessLaw, L: int, alphabet=None) -> EntropyBracket:
-    """Sandwich for the entropy rate of the concatenated letter process.
-
-    Lower: next-letter entropy conditioned on the L-prefix and the hidden
-    state at time 1; upper: next-letter entropy conditioned on the prefix
-    alone.  Both converge to the entropy rate as L grows.
-    """
-    chain = hidden_chain(Q, alphabet)
-    h = pattern_entropy_series(chain, L + 1)
-    upper = h[L + 1] - h[L]
-    lower = conditional_entropy_series(chain, L)[L]
-    return EntropyBracket(lower=min(lower, upper), upper=upper, depth_used=L)
-
-
-def psi_rel_entropy_bracket(Q: WordProcessLaw, nu: LetterLaw, L: int) -> EntropyBracket:
-    """Bracket for the per-letter relative entropy of the concatenation law
-    w.r.t. the product letter law.
-
-    Lower: h(pi_L | nu^L)/L (non-decreasing in L); upper: -(conditional
-    entropy given prefix and starting hidden state) - E[log nu(X_1)]
-    (non-increasing in L).
-    """
-    chain = hidden_chain(Q, alphabet=nu.alphabet.symbols)
-    table = psi_marginal_chain(chain, L)
-    h_rel_L = 0.0
-    for pat, p in table.items():
-        if p > 0:
-            h_rel_L += p * (math.log(p) - sum(nu.log_prob(c) for c in pat))
-    lower = max(h_rel_L, 0.0) / L
-    h_cond = conditional_entropy_series(chain, L)[L]
-    upper = -h_cond - expected_log_nu(Q, nu)
-    return EntropyBracket(lower=min(lower, upper + BRACKET_TOL), upper=max(lower, upper), depth_used=L)
-
-
 def psi_bracket_series(Q: WordProcessLaw, nu: LetterLaw, L_max: int):
-    """Per-depth (entropy sandwich, relative-entropy bracket) for L = 1..L_max,
-    from a single forward pass per DP kind."""
-    chain = hidden_chain(Q, alphabet=nu.alphabet.symbols)
-    h = pattern_entropy_series(chain, L_max + 1)
-    cond = conditional_entropy_series(chain, L_max)
+    """Per-depth (entropy sandwich, relative-entropy bracket) for
+    L = 1..L_max, from one forward pass.
+
+    Entropy rate of the concatenated letter process: lower side the
+    next-letter entropy given the L-prefix and the hidden state at time 1,
+    upper side the next-letter entropy given the prefix alone (Birch;
+    Cover & Thomas, Thm 4.5.1).  The per-letter relative entropy w.r.t.
+    nu^N is -h(psi) - E[log nu(X_1)], so its bracket is the affine image of
+    the sandwich: both sides are monotone in L, and the lower side is at
+    least the Cesaro average h(pi_L | nu^L)/L.
+    """
+    h, cond = entropy_series(hidden_chain(Q, alphabet=nu.alphabet.symbols), L_max)
     e_log_nu = expected_log_nu(Q, nu)
-    # Per-letter mean log nu of depth-L patterns equals L * sum over the
-    # single-letter marginal, by stationarity; accumulate via marginals.
-    table = psi_marginal_chain(chain, 1)
-    mean_log_nu_1 = sum(p * nu.log_prob(c) for c, p in table.items())
     ent_brackets = []
     rel_brackets = []
     for L in range(1, L_max + 1):
-        ent = EntropyBracket(lower=min(cond[L], h[L + 1] - h[L]), upper=h[L + 1] - h[L], depth_used=L)
-        rel_lower = max((-h[L] - L * mean_log_nu_1), 0.0) / L
-        rel_upper = -cond[L] - e_log_nu
-        rel = EntropyBracket(
-            lower=min(rel_lower, rel_upper + BRACKET_TOL),
-            upper=max(rel_lower, rel_upper),
-            depth_used=L,
-        )
+        upper = h[L + 1] - h[L]
+        # Outward rounding: the sides are differences of long entropy sums,
+        # so pad them by an fp-error allowance at the scale of the summands.
+        slack = 64.0 * np.finfo(float).eps * max(1.0, h[L + 1], abs(e_log_nu))
+        ent = EntropyBracket(lower=min(cond[L], upper) - slack, upper=upper + slack, depth_used=L)
+        rel = EntropyBracket(lower=max(-ent.upper - e_log_nu, 0.0),
+                             upper=-ent.lower - e_log_nu, depth_used=L)
         ent_brackets.append(ent)
         rel_brackets.append(rel)
     return ent_brackets, rel_brackets
@@ -211,7 +179,7 @@ def identity_residual(Q: WordProcessLaw, ref: ReferenceLaw, L: int,
     e_log_rho = expected_log_rho(Q, ref)
     e_log_nu = expected_log_nu(Q, ref.nu)
     if sandwich is None:
-        sandwich = psi_entropy_bracket(Q, L, alphabet=ref.nu.alphabet.symbols)
+        sandwich = psi_bracket_series(Q, ref.nu, L)[0][-1]
 
     def residual(h_psi: float) -> float:
         rel = -h_psi - e_log_nu
@@ -260,15 +228,14 @@ class EntropyReport:
 
 
 def entropy_report(Q: WordProcessLaw, ref: ReferenceLaw, L: int) -> EntropyReport:
-    ent = psi_entropy_bracket(Q, L, alphabet=ref.nu.alphabet.symbols)
-    rel = psi_rel_entropy_bracket(Q, ref.nu, L)
+    ent, rel = psi_bracket_series(Q, ref.nu, L)
     return EntropyReport(
         h_q=entropy_rate(Q),
         h_rel=spec_rel_entropy(Q, ref),
         m_q=mean_length(Q),
-        psi_bracket=rel,
-        psi_entropy=ent,
-        h_tau_given_k=h_tau_given_k(Q, ent),
+        psi_bracket=rel[-1],
+        psi_entropy=ent[-1],
+        h_tau_given_k=h_tau_given_k(Q, ent[-1]),
         e_log_rho=expected_log_rho(Q, ref),
         e_log_nu=expected_log_nu(Q, ref.nu),
         depth=L,

@@ -2,9 +2,11 @@
 
 The concatenation of a word process, with the origin placed uniformly at
 random inside the (length-biased) first word, is a function of a hidden
-Markov chain on states (word, offset).  All tables here are computed by
-forward dynamic programming over that chain and are exact up to floating
-point.
+Markov chain on states (word, offset).  Two forward dynamic programs run
+over that chain, both exact up to floating point: `entropy_series`, one
+vectorized pass giving both sides of the entropy-rate sandwich, and the
+pattern-table DP behind `psi_marginal`/`r_nu_test`, which also serves the
+tests as an independent oracle for the entropy pass.
 """
 
 from __future__ import annotations
@@ -161,32 +163,14 @@ def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
     return psi_marginal_chain(hidden_chain(Q, alphabet), L)
 
 
-def pattern_entropy_series(chain: HiddenChain, L: int) -> list:
-    """h(pi_t) for t = 0..L in one forward pass (nats)."""
-    _check_budget(chain, L)
-    chain = minimize_chain(chain)
-    masks = _emit_masks(chain)
-    cur = {"": chain.init}
-    out = [0.0]
-    for _ in range(L):
-        nxt = {}
-        for pat, vec in cur.items():
-            for e, mask in enumerate(masks):
-                w = vec * mask
-                if w.sum() <= 0.0:
-                    continue
-                nxt[pat + chain.alphabet[e]] = w @ chain.trans
-        cur = nxt
-        p = np.array([v.sum() for v in cur.values()])
-        out.append(float(-xlogy(p, p).sum()))
-    return out
+def entropy_series(chain: HiddenChain, L: int):
+    """Both sides of the entropy-rate sandwich in one forward pass (nats).
 
-
-def conditional_entropy_series(chain: HiddenChain, L: int) -> list:
-    """H(X_{t+1} | X_1..X_t, S_1) for t = 0..L in one forward pass.
-
-    Tracks, per pattern, the matrix M[s1, s] = P(pattern, S_{t+1}=s | S_1=s1)
-    so row sums give the pattern law conditioned on the starting state.
+    Returns (h, cond) with h[t] = h(pi_t) for t = 0..L+1 and
+    cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  Tracks, per
+    pattern, the matrix M[s1, s] = P(pattern, S_{t+1}=s | S_1=s1), so row
+    sums give the pattern law conditioned on the starting state and their
+    average over the start law gives the pattern law itself.
     """
     _check_budget(chain, L + 1)
     chain = minimize_chain(chain)
@@ -197,14 +181,18 @@ def conditional_entropy_series(chain: HiddenChain, L: int) -> list:
     starts = np.nonzero(chain.init > 0.0)[0]
     init = chain.init[starts]
     mats = np.eye(n)[starts][None, :, :]  # (patterns, s1, s)
+    h = [0.0]
     h_given_start = [np.zeros(len(starts))]  # H(X_1..X_t | S_1 = s1)
     for _ in range(L + 1):
         mats = np.concatenate([mats[:, :, m] @ chain.trans[m] for m in masks], axis=0)
         probs = mats.sum(axis=2)  # (patterns, s1)
         keep = probs.sum(axis=1) > 0.0
-        mats = mats[keep]
-        h_given_start.append(-xlogy(probs[keep], probs[keep]).sum(axis=0))
-    return [float(init @ (h_given_start[t + 1] - h_given_start[t])) for t in range(L + 1)]
+        mats, probs = mats[keep], probs[keep]
+        p = probs @ init
+        h.append(float(-xlogy(p, p).sum()))
+        h_given_start.append(-xlogy(probs, probs).sum(axis=0))
+    cond = [float(init @ (h_given_start[t + 1] - h_given_start[t])) for t in range(L + 1)]
+    return h, cond
 
 
 def r_nu_test(Q: WordProcessLaw, nu: LetterLaw, L_max: int, tol: float = 1e-9):

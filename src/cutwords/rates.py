@@ -11,7 +11,7 @@ from typing import Optional
 
 from .errors import InfeasibleError, InputError
 from .interval import INF_INTERVAL, Interval, point
-from .entropy import psi_rel_entropy_bracket, rel_entropy, spec_rel_entropy
+from .entropy import EntropyBracket, psi_bracket_series, rel_entropy, spec_rel_entropy
 from .laws import ReferenceLaw, WordProcessLaw, iid_law, mean_length, truncate_process
 from .psi import r_nu_test
 
@@ -99,9 +99,7 @@ def ann_rate(Q: WordProcessLaw, ref: ReferenceLaw) -> float:
     return spec_rel_entropy(Q, ref)
 
 
-def fin_rate(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> Interval:
-    """Quenched rate on finite-mean laws, as a bracket at depth L:
-    H_rel + (alpha - 1) * m_Q * [psi relative-entropy bracket]."""
+def _check_fin_rate_input(Q: WordProcessLaw, alpha: float):
     if not (1.0 < alpha < math.inf):
         raise InputError("fin_rate needs alpha in (1, inf); use boundary_rate otherwise")
     if not Q.exact_truncation:
@@ -109,27 +107,41 @@ def fin_rate(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> Inte
             "law is an inexact lumped truncation (sampler only); "
             "rate evaluation requires the image measure"
         )
-    h_rel = spec_rel_entropy(Q, ref)
+
+
+def _quenched(h_rel: float, c: float, b: EntropyBracket) -> Interval:
+    """h_rel + c * [psi relative-entropy bracket], rounded outward so exact
+    zeros of the rate stay inside the bracket."""
     if math.isinf(h_rel):
         return INF_INTERVAL
-    b = psi_rel_entropy_bracket(Q, ref.nu, L)
-    c = (alpha - 1.0) * mean_length(Q)
     iv = b.as_interval().scale(c).shift(h_rel)
-    # Outward fp rounding so exact zeros of the rate stay inside the bracket.
     slack = 64.0 * sys.float_info.epsilon * max(1.0, abs(h_rel), c * abs(b.upper))
     return Interval(iv.lo - slack, iv.hi + slack)
 
 
+def fin_rate(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> Interval:
+    """Quenched rate on finite-mean laws, as a bracket at depth L:
+    H_rel + (alpha - 1) * m_Q * [psi relative-entropy bracket]."""
+    _check_fin_rate_input(Q, alpha)
+    h_rel = spec_rel_entropy(Q, ref)
+    if math.isinf(h_rel):
+        return INF_INTERVAL
+    b = psi_bracket_series(Q, ref.nu, L)[1][-1]
+    return _quenched(h_rel, (alpha - 1.0) * mean_length(Q), b)
+
+
 def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int,
                     ladder: Optional[tuple] = None) -> RateResult:
+    _check_fin_rate_input(Q, alpha)
     h_rel = spec_rel_entropy(Q, ref)
-    b = psi_rel_entropy_bracket(Q, ref.nu, L)
+    b = psi_bracket_series(Q, ref.nu, L)[1][-1]
+    m_q = mean_length(Q)
     return RateResult(
         annealed=h_rel,
-        quenched=fin_rate(Q, ref, alpha, L),
+        quenched=_quenched(h_rel, (alpha - 1.0) * m_q, b),
         alpha=alpha,
         h_rel=h_rel,
-        m_q=mean_length(Q),
+        m_q=m_q,
         psi_lower=b.lower,
         psi_upper=b.upper,
         depth=L,

@@ -13,8 +13,6 @@ from cutwords.entropy import (
     identity_residual,
     marginal_rel_entropy,
     psi_bracket_series,
-    psi_entropy_bracket,
-    psi_rel_entropy_bracket,
     rel_entropy,
     spec_rel_entropy,
 )
@@ -27,6 +25,7 @@ from cutwords.laws import (
     renewal_from_atoms,
     truncate_process,
 )
+from cutwords.psi import psi_marginal
 
 
 def test_rel_entropy_basics():
@@ -70,38 +69,55 @@ def test_closed_form_example():
     assert expected_log_rho(Q, ref) == pytest.approx(math.log(0.5))
     assert expected_log_nu(Q, nu) == pytest.approx(math.log(0.5))
     # concatenation is all zeros: entropy 0, relative entropy log 2 per letter
-    b = psi_entropy_bracket(Q, 6, alphabet="01")
+    ent, rel = psi_bracket_series(Q, nu, 6)
+    b = ent[-1]
     assert b.lower == pytest.approx(0.0, abs=1e-12)
     assert b.upper == pytest.approx(0.0, abs=1e-12)
-    rb = psi_rel_entropy_bracket(Q, nu, 6)
+    rb = rel[-1]
     assert rb.lower == pytest.approx(math.log(2), abs=1e-12)
     assert rb.upper == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_bracket_is_two_sided(ref_default, nu_ab):
     Q = iid_law({"a": 0.3, "ab": 0.3, "bb": 0.4})
+    _, rel = psi_bracket_series(Q, nu_ab, 6)
     for L in (2, 4, 6):
-        b = psi_rel_entropy_bracket(Q, nu_ab, L)
+        b = rel[L - 1]
         assert b.lower <= b.upper + 1e-12
+        # the Birch lower side is at least the Cesaro bound h(pi_L | nu^L)/L
+        cesaro = sum(p * (math.log(p) - sum(nu_ab.log_prob(c) for c in pat))
+                     for pat, p in psi_marginal(Q, L, alphabet="ab").items() if p > 0) / L
+        assert b.lower >= cesaro - 1e-12
 
 
 def test_bracket_series_matches_single_depth(nu_ab):
     Q = iid_law({"a": 0.4, "ba": 0.6})
+    # prefix consistency: depth L of a longer series is the series at L
     ent, rel = psi_bracket_series(Q, nu_ab, 6)
     for L in (1, 3, 6):
-        b = psi_rel_entropy_bracket(Q, nu_ab, L)
-        assert rel[L - 1].lower == pytest.approx(b.lower, abs=1e-12)
-        assert rel[L - 1].upper == pytest.approx(b.upper, abs=1e-12)
-        e = psi_entropy_bracket(Q, L, alphabet="ab")
-        assert ent[L - 1].lower == pytest.approx(e.lower, abs=1e-12)
-        assert ent[L - 1].upper == pytest.approx(e.upper, abs=1e-12)
+        ent_L, rel_L = psi_bracket_series(Q, nu_ab, L)
+        assert rel[L - 1] == rel_L[-1]
+        assert ent[L - 1] == ent_L[-1]
+
+
+@pytest.mark.parametrize("probs", [{"a": 0.3, "bb": 0.7}, {"a": 0.2, "ba": 0.5, "bb": 0.3}])
+def test_rel_bracket_contains_prefix_code_closed_form(nu_ab, probs):
+    # a prefix code parses uniquely, so h(psi) = H(Q)/m_Q and the upper
+    # side of the bracket is exact: outward rounding must keep it inside
+    Q = iid_law(probs)
+    h_psi = entropy_rate(Q) / mean_length(Q)
+    exact = -h_psi - expected_log_nu(Q, nu_ab)
+    ent, rel = psi_bracket_series(Q, nu_ab, 12)
+    for e, r in zip(ent, rel):
+        assert e.lower <= h_psi <= e.upper, e
+        assert r.lower <= exact <= r.upper, r
 
 
 def test_h_tau_given_k_deterministic_lengths(nu_ab):
     # all words length 2 with distinct letters: lengths are a function of
     # the word sequence, so H_{tau|K} = 0
     Q = iid_law({"ab": 0.5, "ba": 0.5})
-    ent = psi_entropy_bracket(Q, 8, alphabet="ab")
+    ent = psi_bracket_series(Q, nu_ab, 8)[0][-1]
     iv = h_tau_given_k(Q, ent)
     assert iv.contains(0.0, slack=1e-9)
     assert iv.lo >= 0.0
@@ -134,12 +150,12 @@ def test_marginal_rel_entropy_monotone_markov(ref_default):
 def test_truncation_continuity(ref_default, nu_ab):
     # bracket of the truncated law approaches the bracket of Q as tr grows
     Q = iid_law({"a": 0.25, "abb": 0.35, "bbab": 0.4})
-    full = psi_rel_entropy_bracket(Q, nu_ab, 8)
-    last = psi_rel_entropy_bracket(truncate_process(Q, 12), nu_ab, 8)
+    full = psi_bracket_series(Q, nu_ab, 8)[1][-1]
+    last = psi_bracket_series(truncate_process(Q, 12), nu_ab, 8)[1][-1]
     assert last.lower == pytest.approx(full.lower, abs=1e-9)
     assert last.upper == pytest.approx(full.upper, abs=1e-9)
     # widths shrink (weakly) along the truncation ladder tail
     prev_gap = None
     for tr in (1, 2, 3, 4):
-        b = psi_rel_entropy_bracket(truncate_process(Q, tr), nu_ab, 8)
+        b = psi_bracket_series(truncate_process(Q, tr), nu_ab, 8)[1][-1]
         assert b.lower <= b.upper + 1e-12

@@ -5,11 +5,11 @@ import pytest
 
 from cutwords.errors import SizeBudgetError
 from cutwords.laws import LetterLaw, iid_law, markov_law, sample_path
+from cutwords.entropy import entropy
 from cutwords.psi import (
-    conditional_entropy_series,
+    entropy_series,
     hidden_chain,
     minimize_chain,
-    pattern_entropy_series,
     psi_marginal,
     r_nu_test,
 )
@@ -30,11 +30,10 @@ def test_minimize_chain_preserves_series():
     assert mc.n_states < ch.n_states
     assert np.allclose(mc.init @ mc.trans, mc.init, atol=1e-12)
     # both chains describe the same letter process
-    a = pattern_entropy_series(ch, 6)
-    b = pattern_entropy_series(mc, 6)
+    a, c = entropy_series(ch, 5)
+    b, d = entropy_series(mc, 5)
+    assert len(a) == 7 and len(c) == 6
     assert a == pytest.approx(b, abs=1e-12)
-    c = conditional_entropy_series(ch, 5)
-    d = conditional_entropy_series(mc, 5)
     assert c == pytest.approx(d, abs=1e-12)
 
 
@@ -96,17 +95,31 @@ def test_psi_marginal_against_long_simulation(nu_ab, rho_default):
 def test_entropy_series_shapes():
     Q = iid_law({"a": 0.5, "b": 0.5})
     ch = hidden_chain(Q, alphabet="ab")
-    h = pattern_entropy_series(ch, 4)
+    h, cond = entropy_series(ch, 3)
+    assert len(h) == 5 and len(cond) == 4
     assert h[0] == 0.0
     # i.i.d. uniform letters: h(pi_t) = t log 2
     for t in range(5):
         assert h[t] == pytest.approx(t * math.log(2), abs=1e-12)
-    cond = conditional_entropy_series(ch, 3)
     # the start state pins down the first letter; afterwards letters are
     # fresh fair coins
     assert cond[0] == pytest.approx(0.0, abs=1e-12)
     for v in cond[1:]:
         assert v == pytest.approx(math.log(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("Q, alphabet", [
+    (iid_law({"a": 0.3, "ab": 0.3, "bb": 0.4}), "ab"),
+    (iid_law({"a": 0.2, "cb": 0.3, "bac": 0.25, "cc": 0.25}), "abc"),
+    (markov_law(("a", "ba", "bb"),
+                np.array([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.3, 0.3, 0.4]])), "ab"),
+])
+def test_entropy_series_matches_pattern_tables(Q, alphabet):
+    # the dict pattern-table DP is an independent oracle for the
+    # vectorized unconditional series
+    h, _ = entropy_series(hidden_chain(Q, alphabet=alphabet), 7)
+    for t in range(1, 9):
+        assert h[t] == pytest.approx(entropy(psi_marginal(Q, t, alphabet=alphabet)), abs=1e-12)
 
 
 def test_r_nu_test_verdicts(nu_ab, ref_default):
@@ -120,4 +133,4 @@ def test_pattern_budget():
     Q = iid_law({"a": 0.5, "b": 0.5})
     ch = hidden_chain(Q, alphabet="ab")
     with pytest.raises(SizeBudgetError):
-        pattern_entropy_series(ch, 40)
+        entropy_series(ch, 40)
