@@ -31,15 +31,11 @@ class RunConfig:
     command: str
     params: dict
     seed: int = DEFAULT_SEED
-    threads: int = 1
     out: str | None = None
     fmt: str = "csv"
     log_base: str = "nat"
 
     def to_json(self) -> dict:
-        # threads is an execution detail with no effect on results, so it
-        # stays out of artifacts: reruns with different worker counts must
-        # produce identical bytes.
         return {
             "command": self.command,
             "params": self.params,
@@ -246,11 +242,11 @@ def cmd_core_lemma(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
     alpha, pp, T = p["alpha"], p["p"], p["horizon"]
     lower, upper = corelemma.phi_bounds(alpha, pp)
+    if not p["n_list"] or min(p["n_list"]) < 1:
+        raise InputError("--n must list levels N >= 1")
     omega = corelemma.bernoulli_omega(pp, T, rc.seed)
-    rows = []
-    for n in p["n_list"]:
-        log_sn = corelemma.s_n_eval(omega, alpha, n, T)
-        rows.append((n, log_sn, -log_sn / n))
+    logs = corelemma.s_n_levels(omega[None, :], alpha, max(p["n_list"]), T)[:, 0]
+    rows = [(n, float(logs[n - 1]), -float(logs[n - 1]) / n) for n in p["n_list"]]
     _emit(rc, {"phi_lower": lower, "phi_upper": upper,
                "series": [{"N": n, "log_S_N": ls, "rate": r} for n, ls, r in rows]},
           header=["N", "log_S_N", "rate"], rows=rows)
@@ -299,7 +295,6 @@ def build_parser() -> CliParser:
         sp.add_argument("--config", default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--format", choices=["csv", "json"], default=None)
         sp.add_argument("--log-base", choices=["nat", "bit"], default="nat")
 
@@ -408,13 +403,12 @@ def resolve_config(args: argparse.Namespace) -> tuple:
         params[name] = val
     seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     fmt = args.format if args.format is not None else cfg.get("format", "csv")
-    if getattr(args, "threads", 1) < 1:
-        raise InputError("threads must be a positive integer")
+    if params.get("depth") is not None and params["depth"] < 1:
+        raise InputError(f"depth must be >= 1, got {params['depth']}")
     rc = RunConfig(
         command=args.command,
         params=params,
         seed=int(seed),
-        threads=args.threads,
         out=args.out,
         fmt=fmt,
         log_base=args.log_base,

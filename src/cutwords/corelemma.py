@@ -2,15 +2,17 @@
 tail bound.
 
 S_N(omega) sums, over N-tuples of marked positions, the product of the
-power-law weights of consecutive gaps.  The DP here evaluates it exactly
-(up to fp) with log-domain rescaling, and the fractional-moment bound on
-its a.s. decay rate is maximized numerically.
+power-law weights of consecutive gaps.  One batched FFT kernel,
+`s_n_levels`, evaluates log S_n for n = 1..N on a block of mark rows
+exactly (up to fp), rescaling each row by its own S_n between levels; the
+single-row `s_n_eval` and the Monte Carlo `s_n_mean_check` are thin
+callers.  The fractional-moment bound on the a.s. decay rate is maximized
+numerically.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,8 @@ from scipy.special import zeta
 from .errors import InputError
 from .laws import RenewalLaw
 
-_DIRECT_LIMIT = 512
+# Trials per mean-check kernel call: bounds the (rows, nfft) FFT buffers.
+MEAN_CHECK_BLOCK = 256
 
 
 def zeta_partial(s: float, T: int) -> float:
@@ -33,8 +36,8 @@ def zeta_partial(s: float, T: int) -> float:
 def bernoulli_omega(p: float, T: int, seed: int, trial: int = 0) -> np.ndarray:
     """Deterministic Bernoulli(p) mark sequence omega_1..omega_T.
 
-    Counter-based keying by (seed, trial) makes trials independent of
-    any worker partitioning.
+    Counter-based keying by (seed, trial) makes trials independent of how
+    they are grouped into blocks.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
     out = np.empty(T)
@@ -42,76 +45,48 @@ def bernoulli_omega(p: float, T: int, seed: int, trial: int = 0) -> np.ndarray:
     return out
 
 
-def _kernel_fft(alpha: float, T: int, nfft: int):
-    k = np.zeros(nfft)
-    d = np.arange(1, T + 1, dtype=float)
-    k[1 : T + 1] = d ** (-alpha)
-    return scipy.fft.rfft(k)
+def s_n_levels(omega_rows: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
+    """log S_n for n = 1..N over the first T positions of each mark row.
 
-
-def _nfft(T: int) -> int:
-    # Circular wraparound with n >= 2T only aliases onto index 0, which is
-    # masked by omega_0 = 0, so outputs at 1..T stay exact.
-    return scipy.fft.next_fast_len(2 * T)
+    omega_rows has shape (rows, T') and the horizon is min(T, T'); the
+    result has shape (N, rows) and is exactly -inf at levels above a row's
+    mark count.  Each level is one
+    FFT convolution over a (rows, nfft) buffer; before the next level each
+    row is divided by its own S_n, so deep levels stay representable.
+    """
+    omega = np.asarray(omega_rows, dtype=float)[:, :T]
+    rows, T = omega.shape
+    if N < 1 or T < N:
+        raise InputError("need horizon T >= N >= 1")
+    # Circular wraparound with nfft >= 2T only aliases onto index 0, which
+    # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
+    nfft = scipy.fft.next_fast_len(2 * T)
+    kernel = np.zeros(nfft)
+    kernel[1 : T + 1] = np.arange(1, T + 1, dtype=float) ** (-alpha)
+    kf = scipy.fft.rfft(kernel)
+    buf = np.zeros((rows, nfft))
+    f = buf[:, 1 : T + 1]
+    np.multiply(omega, kernel[1 : T + 1], out=f)
+    logs = np.empty((N, rows))
+    with np.errstate(divide="ignore"):
+        for n in range(N):
+            if n:
+                f /= np.where(s > 0.0, s, 1.0)[:, None]
+                conv = scipy.fft.irfft(scipy.fft.rfft(buf, axis=1) * kf, n=nfft, axis=1)
+                np.maximum(conv[:, 1 : T + 1], 0.0, out=f)
+                del conv  # free it before the next level's transform
+                f *= omega
+            s = f.sum(axis=1)
+            logs[n] = np.log(s)
+    logs = np.cumsum(logs, axis=0)
+    logs[np.arange(1, N + 1)[:, None] > np.count_nonzero(omega, axis=1)] = -math.inf
+    return logs
 
 
 def s_n_eval(omega: np.ndarray, alpha: float, N: int, T: int) -> float:
     """log S_N for the first T positions of omega; -inf when fewer than N
     marks exist in the horizon."""
-    omega = np.asarray(omega, dtype=float)[:T]
-    T = len(omega)
-    if N < 1 or T < N:
-        raise InputError("need horizon T >= N >= 1")
-    if omega.sum() < N:
-        return -math.inf
-    w = np.zeros(T + 1)
-    w[1:] = omega
-    if T <= _DIRECT_LIMIT:
-        return _s_n_direct(w, alpha, N, T)
-    return _s_n_fft(w, alpha, N, T)
-
-
-def _s_n_direct(w: np.ndarray, alpha: float, N: int, T: int) -> float:
-    js = np.arange(T + 1, dtype=float)
-    f = np.zeros(T + 1)
-    f[1:] = w[1:] * js[1:] ** (-alpha)
-    logscale = 0.0
-    for _ in range(1, N):
-        g = np.zeros(T + 1)
-        for j in range(1, T + 1):
-            if w[j] == 0.0:
-                continue
-            prev = f[1:j]
-            if prev.any():
-                gaps = (j - np.arange(1, j, dtype=float)) ** (-alpha)
-                g[j] = float(prev @ gaps)
-        f = g
-        m = f.max()
-        if m <= 0.0:
-            return -math.inf
-        f /= m
-        logscale += math.log(m)
-    total = f.sum()
-    return math.log(total) + logscale if total > 0 else -math.inf
-
-
-def _s_n_fft(w: np.ndarray, alpha: float, N: int, T: int, workers: int = 1) -> float:
-    nfft = _nfft(T)
-    kf = _kernel_fft(alpha, T, nfft)
-    js = np.arange(T + 1, dtype=float)
-    f = np.zeros(T + 1)
-    f[1:] = w[1:] * js[1:] ** (-alpha)
-    logscale = 0.0
-    for _ in range(1, N):
-        conv = scipy.fft.irfft(scipy.fft.rfft(f, n=nfft, workers=workers) * kf, n=nfft, workers=workers)
-        f = w * np.maximum(conv[: T + 1], 0.0)
-        m = f.max()
-        if m <= 0.0:
-            return -math.inf
-        f /= m
-        logscale += math.log(m)
-    total = f.sum()
-    return math.log(total) + logscale if total > 0 else -math.inf
+    return float(s_n_levels(np.asarray(omega, dtype=float)[None, :T], alpha, N, T)[-1, 0])
 
 
 def phi_bounds(alpha: float, p: float):
@@ -162,50 +137,22 @@ class MeanCheckResult:
         return all(lv.ok for lv in self.levels)
 
 
-def _mean_check_block(args):
-    alpha, p, N, T, seed, lo, hi, nfft, kf, workers = args
-    b = hi - lo
-    omega = np.empty((b, T + 1))
-    omega[:, 0] = 0.0
-    for i in range(b):
-        omega[i, 1:] = bernoulli_omega(p, T, seed, trial=lo + i)
-    js = np.arange(T + 1, dtype=float)
-    pw = np.zeros(T + 1)
-    pw[1:] = js[1:] ** (-alpha)
-    buf = np.zeros((b, nfft))
-    np.multiply(omega, pw, out=buf[:, : T + 1])
-    sums = [buf[:, : T + 1].sum(axis=1)]
-    for _ in range(1, N):
-        conv = scipy.fft.irfft(
-            scipy.fft.rfft(buf, axis=1, workers=workers) * kf, n=nfft, axis=1, workers=workers
-        )
-        head = conv[:, : T + 1]
-        np.maximum(head, 0.0, out=head)
-        np.multiply(head, omega, out=buf[:, : T + 1])
-        sums.append(buf[:, : T + 1].sum(axis=1))
-    return np.stack(sums)  # (N, block)
-
-
-def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: int,
-                   threads: int = 1, block: int = 256) -> MeanCheckResult:
+def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: int) -> MeanCheckResult:
     """Monte Carlo mean of S_n for n = 1..N against the exact target
     (p * zeta_T(alpha))^n with the horizon-truncated zeta sum.
 
-    Per-trial RNG is keyed by (seed, trial index); blocks are reduced in
-    fixed index order, so the result is invariant across thread counts.
+    Per-trial RNG is keyed by (seed, trial index) and each trial's S_n
+    depends only on its own marks, so the result does not depend on how
+    trials are blocked.
     """
-    nfft = _nfft(T)
-    kf = _kernel_fft(alpha, T, nfft)
-    blocks = [(lo, min(lo + block, trials)) for lo in range(0, trials, block)]
-    jobs = [(alpha, p, N, T, seed, lo, hi, nfft, kf, 1) for lo, hi in blocks]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            parts = list(ex.map(_mean_check_block, jobs))
-    else:
-        parts = [_mean_check_block(j) for j in jobs]
-    values = np.concatenate(parts, axis=1)  # (N, trials)
+    values = np.empty((N, trials))
+    for lo in range(0, trials, MEAN_CHECK_BLOCK):
+        hi = min(lo + MEAN_CHECK_BLOCK, trials)
+        # Built inside the call, so each block's marks are freed before the next.
+        values[:, lo:hi] = np.exp(s_n_levels(
+            np.stack([bernoulli_omega(p, T, seed, trial=t) for t in range(lo, hi)]), alpha, N, T))
 
-    zt = float(np.sum(np.arange(1, T + 1, dtype=float) ** (-alpha)))
+    zt = zeta_partial(alpha, T)
     levels = []
     for n in range(1, N + 1):
         v = values[n - 1]

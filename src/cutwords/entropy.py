@@ -133,6 +133,8 @@ def psi_bracket_series(Q: WordProcessLaw, nu: LetterLaw, L_max: int):
     the sandwich: both sides are monotone in L, and the lower side is at
     least the Cesaro average h(pi_L | nu^L)/L.
     """
+    if L_max < 1:
+        raise InputError(f"bracket depth must be >= 1, got {L_max}")
     h, cond = entropy_series(hidden_chain(Q, alphabet=nu.alphabet.symbols), L_max)
     e_log_nu = expected_log_nu(Q, nu)
     ent_brackets = []

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import SizeBudgetError
+from .errors import InputError, SizeBudgetError
 from .laws import LetterLaw, WordProcessLaw, mean_length
 
 PATTERN_BUDGET = 2**22
@@ -153,6 +153,8 @@ def _forward(chain: HiddenChain, L: int):
 
 
 def psi_marginal_chain(chain: HiddenChain, L: int) -> dict:
+    if L < 1:
+        raise InputError(f"pattern depth must be >= 1, got {L}")
     _check_budget(chain, L)
     return {pat: float(vec.sum()) for pat, vec in sorted(_forward(chain, L).items())}
 

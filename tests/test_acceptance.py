@@ -296,15 +296,14 @@ def test_criterion_11_determinism(tmp_path):
     n_checked = 0
     for cmd, extra in runs.items():
         outs = []
-        for tag, threads in (("r1", "1"), ("r2", "1"), ("r3", "4")):
+        for tag in ("r1", "r2", "r3"):
             out = tmp_path / f"{cmd}-{tag}.json"
             argv = [cmd, "--config", str(cfg_path), "--seed", str(DEFAULT_SEED),
-                    "--threads", threads, "--format", "json",
-                    "--out", str(out)] + extra
+                    "--format", "json", "--out", str(out)] + extra
             assert cli_main(argv) == 0, f"{cmd} failed"
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2], f"{cmd} artifacts differ across reruns/threads"
+        assert outs[0] == outs[1] == outs[2], f"{cmd} artifacts differ across reruns"
         n_checked += 1
     dt = time.perf_counter() - t0
     report(11, True, f"{n_checked} experiment artifacts byte-identical across "
-           f"reruns and --threads in {{1,4}} under fixed seed", dt)
+           f"3 reruns under fixed seed", dt)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cutwords.cli import DEFAULT_SEED, main
+from cutwords.corelemma import bernoulli_omega, s_n_eval
 
 BASE_CFG = {
     "letter_law": {"alphabet": "ab", "probs": [0.5, 0.5]},
@@ -75,17 +76,18 @@ def test_artifact_reruns_byte_identical(cfg_path, tmp_path):
     assert meta_a["config"]["seed"] == 7
 
 
-def test_artifact_thread_count_invariant(cfg_path, tmp_path):
-    a = tmp_path / "t1.csv"
-    b = tmp_path / "t4.csv"
-    argv = ["core-lemma", "--config", cfg_path, "--alpha", "2.0", "--p", "0.2",
-            "--n", "1,2", "--horizon", "500"]
-    assert run(argv + ["--threads", "1", "--out", str(a)]) == 0
-    assert run(argv + ["--threads", "4", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    meta_a = json.loads((tmp_path / "t1.csv.meta.json").read_text())
-    meta_b = json.loads((tmp_path / "t4.csv.meta.json").read_text())
-    assert meta_a == meta_b  # worker count stays out of artifacts
+def test_core_lemma_levels_match_s_n_eval(cfg_path, tmp_path):
+    # one kernel pass up to max(--n) gives each level exactly
+    out = tmp_path / "cl.json"
+    code = run(["core-lemma", "--config", cfg_path, "--alpha", "2.0", "--p", "0.2",
+                "--n", "3,1", "--horizon", "500", "--seed", "7", "--format", "json",
+                "--out", str(out)])
+    assert code == 0
+    series = json.loads(out.read_text())["series"]
+    omega = bernoulli_omega(0.2, 500, 7)
+    assert [e["N"] for e in series] == [3, 1]
+    for e in series:
+        assert e["log_S_N"] == s_n_eval(omega, 2.0, e["N"], 500)
 
 
 def test_flag_overrides_config(tmp_path, capsys):
@@ -126,9 +128,17 @@ def test_both_formats(cfg_path, tmp_path):
     assert meta["config"]["command"] == "psi"
 
 
-def test_invalid_threads(cfg_path, capsys):
-    code = run(["psi", "--config", cfg_path, "--depth", "2", "--threads", "0"])
+@pytest.mark.parametrize("argv", [
+    ["rate", "--alpha", "infinity", "--depth", "0"],
+    ["psi", "--depth", "0"],
+    ["entropy", "--depth", "0"],
+    ["rate", "--alpha", "2.0", "--depth", "0"],
+    ["ladder", "--alpha", "2.0", "--tr", "2,3", "--depth", "-1"],
+], ids=["rate-infinity", "psi", "entropy", "rate-finite", "ladder"])
+def test_depth_below_one_rejected(cfg_path, capsys, argv):
+    code = run(argv + ["--config", cfg_path])
     assert code == 1
+    assert "depth" in capsys.readouterr().err
 
 
 def test_quench_enum_roundtrip(cfg_path, capsys):

@@ -10,6 +10,7 @@ from cutwords.corelemma import (
     conv_tail_check,
     phi_bounds,
     s_n_eval,
+    s_n_levels,
     s_n_mean_check,
     zeta_partial,
 )
@@ -83,8 +84,7 @@ def test_s_n_matches_brute_force_T12():
 
 
 def test_s_n_fft_path_matches_direct():
-    # T above the direct-evaluation threshold exercises the FFT path;
-    # compare against the brute force on the same omega truncated
+    # a longer horizon against the explicit quadratic sum over mark pairs
     om = bernoulli_omega(0.4, 600, seed=9)
     v_fft = s_n_eval(om, 2.0, 2, 600)
     # direct quadratic evaluation
@@ -128,12 +128,26 @@ def test_phi_bounds_ordering():
         phi_bounds(2.0, 1.5)
 
 
-def test_mean_check_small_run_and_thread_invariance():
-    r1 = s_n_mean_check(2.0, 0.2, 2, 2000, 600, seed=3, threads=1)
-    r4 = s_n_mean_check(2.0, 0.2, 2, 2000, 600, seed=3, threads=4)
-    for a, b in zip(r1.levels, r4.levels):
-        assert a.mc_mean == b.mc_mean  # bitwise identical reduction
-        assert a.ci_half_width == b.ci_half_width
+def test_mean_check_small_run_and_row_independence():
+    # a batch, including a row with fewer marks than N, gives each row's
+    # own levels, exactly -inf above the short row's mark count
+    T, N = 600, 4
+    rows = np.stack([bernoulli_omega(0.2, T, seed=3, trial=t) for t in range(3)])
+    rows[1] = 0.0
+    rows[1, [9, 399]] = 1.0
+    logs = s_n_levels(rows, 2.0, N, T)
+    assert logs.shape == (N, 3)
+    for i in range(3):
+        for n in range(1, N + 1):
+            assert logs[n - 1, i] == s_n_eval(rows[i], 2.0, n, T)
+    assert (logs[2:, 1] == -math.inf).all()
+    assert logs[1, 1] == pytest.approx(math.log(10.0**-2 * 390.0**-2), rel=1e-12)
+    # the blocked mean check equals the trial-by-trial mean
+    r1 = s_n_mean_check(2.0, 0.2, 2, 2000, 600, seed=3)
+    per_trial = [[math.exp(s_n_eval(bernoulli_omega(0.2, 2000, 3, trial=t), 2.0, n, 2000))
+                  for t in range(600)] for n in (1, 2)]
+    for lv, vals in zip(r1.levels, per_trial):
+        assert lv.mc_mean == pytest.approx(math.fsum(vals) / 600, rel=1e-12)
     assert r1.ok
 
 

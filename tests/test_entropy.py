@@ -16,6 +16,7 @@ from cutwords.entropy import (
     rel_entropy,
     spec_rel_entropy,
 )
+from cutwords.errors import InputError
 from cutwords.laws import (
     LetterLaw,
     ReferenceLaw,
@@ -33,6 +34,15 @@ def test_rel_entropy_basics():
     assert rel_entropy({"a": 1.0}, {"a": 0.25, "b": 0.75}) == pytest.approx(math.log(4))
     assert math.isinf(rel_entropy({"a": 0.5, "c": 0.5}, {"a": 1.0}))
     assert first_violating_atom({"a": 0.5, "c": 0.5}, {"a": 1.0}) == "c"
+
+
+@pytest.mark.parametrize("L", [0, -1])
+def test_depth_below_one_rejected(nu_ab, L):
+    Q = iid_law({"a": 0.5, "bb": 0.5})
+    with pytest.raises(InputError, match="depth"):
+        psi_bracket_series(Q, nu_ab, L)
+    with pytest.raises(InputError, match="depth"):
+        psi_marginal(Q, L)
 
 
 def test_entropy_values():

@@ -3,17 +3,23 @@ import re
 import subprocess
 import sys
 
+from cutwords.corelemma import phi_bounds
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_rate_bracket_sweep_smoke():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "rate_bracket_sweep.py"), "--depths", "2,4"],
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     ).stdout
+
+
+def test_rate_bracket_sweep_smoke():
+    out = run_script("rate_bracket_sweep.py", "--depths", "2,4")
     annealed = [float(x) for x in re.findall(r"annealed rate = (\S+)", out)]
     rows = re.findall(r"^\s+(\d+)\s+(\S+)\s+(\S+)\s+\S+$", out, flags=re.M)
     assert len(annealed) == 3 and len(rows) == 6
@@ -21,3 +27,13 @@ def test_rate_bracket_sweep_smoke():
         assert float(lo) <= float(hi)
     # the renewal law in the annealed part follows alpha
     assert len(set(annealed)) == len(annealed)
+
+
+def test_core_lemma_decay_smoke():
+    out = run_script("core_lemma_decay.py", "--T", "2000", "--N", "5", "--trials", "3",
+                     "--ps", "0.1,0.03")
+    rows = re.findall(r"^\s+(\S+)\s+(\S+)\s+\S+\s+\S+\s+\S+\s+\S+$", out, flags=re.M)
+    assert [float(p) for p, _ in rows] == [0.1, 0.03]
+    for p, median in rows:
+        lo, hi = phi_bounds(2.0, float(p))
+        assert lo - 0.3 <= float(median) <= hi + 0.3
