@@ -1,6 +1,8 @@
 """Simulation and verification experiments: ergodic convergence of the
-empirical word process, exact quenched probabilities by cut-point DP,
-quenched-vs-annealed slope series, and the waiting-time experiment."""
+empirical word process, exact quenched probabilities by one array
+cut-point DP (a rho-convolution along the position axis with shifted count
+axes, for 1- and 2-word constraints alike), quenched-vs-annealed slope
+series read from one DP pass per medium, and the waiting-time experiment."""
 
 from __future__ import annotations
 
@@ -8,7 +10,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional
 
 import numpy as np
 
@@ -74,17 +75,104 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     return float(np.max(np.abs(freq - np.kron(ref_vec, ref_vec))))
 
 
-def _split_constraints(nbhd: Neighbourhood):
-    l1, l2 = [], []
-    for c in nbhd.constraints:
-        (l1 if len(c.pattern) == 1 else l2).append(c)
-    return l1, l2
-
-
 def _count_bounds(c, N: int):
     lo = math.ceil(c.low * N - 1e-9)
     hi = math.floor(c.high * N + 1e-9)
     return lo, hi
+
+
+def _cut_dp(X: str, rho: RenewalLaw, N_list, nbhd: Neighbourhood, Jmax: int,
+            state_budget: int) -> list:
+    """P(R_N in nbhd | X) for every N in N_list, from one forward pass.
+
+    The state after i words is an array over (position j, one count axis
+    per constraint, first-word class, last-word class); a word class is the
+    index of a tracked word or "other", and the two class axes have size 1
+    when no constraint is a 2-word pattern.  Each word adds rho(d) times the
+    state shifted by d along the position axis, for every increment d <= Jmax
+    in supp(rho); where X[j:j+d] is tracked, the affected count axes shift by
+    one as well.  The wrap-around pair (last, first) and the count bounds are
+    applied when a level is read.  Level N is read from the cells a pass to N
+    can reach, so it does not depend on how far the pass goes.
+    """
+    incs = [d for d in rho.support if d <= Jmax]
+    if not incs:
+        raise InputError(f"no renewal atoms within Jmax={Jmax}")
+    if min(N_list) < 1:
+        raise InputError(f"number of words must be >= 1, got {min(N_list)}")
+    n_max = max(N_list)
+    if n_max * Jmax > len(X):
+        raise InputError(f"need len(X) >= N*Jmax = {n_max * Jmax}, got {len(X)}")
+    cons = nbhd.constraints
+    U = len(cons)
+    words = sorted({w for c in cons for w in c.pattern})
+    other = len(words)
+    n_cls = other + 1 if nbhd.max_depth == 2 else 1
+    d_top = incs[-1]
+    P = n_max * d_top + 1
+    shape = (P,) + (n_max + 1,) * U + (n_cls, n_cls)
+    cells = math.prod(shape)
+    if cells > state_budget:
+        raise SizeBudgetError(
+            f"cut-point DP needs {cells} cells (positions {P} x counts {n_max + 1}^{U} "
+            f"x classes {n_cls}^2), over budget {state_budget}"
+        )
+
+    # count axes a word of class k shifts, given the previous word's class l
+    cls_of = {w: k for k, w in enumerate(words)}
+    shifts = [[tuple(1 + u for u, c in enumerate(cons)
+                     if cls_of[c.pattern[-1]] == k
+                     and (len(c.pattern) == 1 or cls_of[c.pattern[0]] == l))
+               for l in range(n_cls)] for k in range(other + 1)]
+
+    # per increment d and word class k: weight rho(d) where X[j:j+d] has class k
+    moves = []
+    for d in incs:
+        cls = np.full(P - d, other)
+        if d in {len(w) for w in words}:
+            cls[:] = [cls_of.get(X[j : j + d], other) for j in range(P - d)]
+        for k in np.unique(cls):
+            weight = np.where(cls == k, rho.probs[d], 0.0)
+            moves.append((d, int(k), weight.reshape((-1,) + (1,) * (U + 1))))
+
+    def read(S, n):
+        reach = (slice(0, n * d_top + 1),) + (slice(0, n + 1),) * U
+        T = S[reach].sum(axis=0)
+        ok = np.ones(T.shape, dtype=bool)
+        grid = np.arange(n + 1)
+        for u, c in enumerate(cons):
+            lo, hi = _count_bounds(c, n)
+            wrap = np.zeros((n_cls, n_cls), dtype=np.int64)
+            if len(c.pattern) == 2:
+                wrap[cls_of[c.pattern[1]], cls_of[c.pattern[0]]] = 1
+            final = grid.reshape((-1,) + (1,) * (U - 1 - u) + (1, 1)) + wrap
+            ok &= (lo <= final) & (final <= hi)
+        return float(T[ok].sum())
+
+    S = np.zeros(shape)
+    S[(0,) * (1 + U) + (other if n_cls > 1 else 0,) * 2] = 1.0
+    levels = {}
+    for i in range(1, n_max + 1):
+        rows = (i - 1) * d_top + 1
+        nxt = np.zeros(shape)
+        for d, k, weight in moves:
+            for l in range(n_cls):
+                src = [slice(0, rows)] + [slice(None)] * (U + 1) + [l]
+                dst = [slice(d, d + rows)] + [slice(None)] * (U + 1) + [k if n_cls > 1 else 0]
+                for a in shifts[k][l]:
+                    src[a] = slice(0, -1)
+                    dst[a] = slice(1, None)
+                nxt[tuple(dst)] += weight[:rows] * S[tuple(src)]
+        if i == 1 and n_cls > 1:
+            # after one word, the first word is the last one
+            S = np.zeros(shape)
+            diag = np.arange(n_cls)
+            S[..., diag, diag] = nxt.sum(axis=-2)
+        else:
+            S = nxt
+        if i in N_list:
+            levels[i] = read(S, i)
+    return [levels[n] for n in N_list]
 
 
 def quenched_prob_enum(X: str, rho: RenewalLaw, N: int, nbhd: Neighbourhood,
@@ -93,61 +181,16 @@ def quenched_prob_enum(X: str, rho: RenewalLaw, N: int, nbhd: Neighbourhood,
     fixed X lands in the neighbourhood, summed over all cut vectors with
     increments in supp(rho) intersect [1, Jmax].
 
+    One array DP pass over the cut points (see `_cut_dp`) serves single-word
+    and 2-word constraints alike.  `state_budget` caps its cell count,
+    positions x (N+1)^U x classes^2 for U constraints; past it
+    `SizeBudgetError` states the count that was needed.
+
     Convention: increment weights are rho's own atoms without
     renormalization, so with the all-pass neighbourhood the total is
     (sum of rho mass <= Jmax)^N.
     """
-    incs = [d for d in rho.support if d <= Jmax]
-    if not incs:
-        raise InputError(f"no renewal atoms within Jmax={Jmax}")
-    if N * Jmax > len(X):
-        raise InputError(f"need len(X) >= N*Jmax = {N * Jmax}, got {len(X)}")
-    cons = nbhd.constraints
-    l1, l2 = _split_constraints(nbhd)
-    track = bool(l2)
-    tracked_words = {w for c in cons for w in c.pattern}
-
-    states = {(0, (0,) * len(cons), None, None): 1.0}
-    for i in range(1, N + 1):
-        nxt: dict = {}
-        for (j, counts, first, last), pr in states.items():
-            for d in incs:
-                j2 = j + d
-                if j2 > len(X):
-                    continue
-                w = X[j:j2]
-                cls = w if w in tracked_words else None
-                cc = list(counts)
-                for u, c in enumerate(cons):
-                    if len(c.pattern) == 1:
-                        if w == c.pattern[0]:
-                            cc[u] += 1
-                    elif i >= 2 and last == c.pattern[0] and w == c.pattern[1]:
-                        cc[u] += 1
-                key = (
-                    j2,
-                    tuple(cc),
-                    (cls if i == 1 else first) if track else None,
-                    cls if track else None,
-                )
-                nxt[key] = nxt.get(key, 0.0) + pr * rho.probs[d]
-        if len(nxt) > state_budget:
-            raise SizeBudgetError(
-                f"cut-point DP needs {len(nxt)} states at word {i} "
-                f"(budget {state_budget}: positions x counts x classes^2)"
-            )
-        states = nxt
-
-    bounds = [_count_bounds(c, N) for c in cons]
-    total = 0.0
-    for (j, counts, first, last), pr in states.items():
-        final = list(counts)
-        for u, c in enumerate(cons):
-            if len(c.pattern) == 2 and last == c.pattern[0] and first == c.pattern[1]:
-                final[u] += 1
-        if all(lo <= final[u] <= hi for u, (lo, hi) in enumerate(bounds)):
-            total += pr
-    return total
+    return _cut_dp(X, rho, [N], nbhd, Jmax, state_budget)[0]
 
 
 def quenched_prob_brute(X: str, rho: RenewalLaw, N: int, nbhd: Neighbourhood, Jmax: int) -> float:
@@ -199,12 +242,17 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     """One fixed medium X, exact quenched slopes per N, plus the annealed
     slope from the I-projection onto the same constraints.
 
+    The state of the cut-point DP after N words does not depend on the
+    target N, so one pass up to max(N_list) gives every entry; each equals
+    `quenched_prob_enum` at that N exactly.  `state_budget` applies to that
+    pass.
+
     The annealed companion uses the reference word marginal with jumps
     restricted to Jmax and renormalized; the discarded renewal mass is
-    reported, not hidden.
+    reported, not hidden.  Only the boxed words and the total mass of the
+    others enter it, so no word list is enumerated.
     """
-    l1, l2 = _split_constraints(nbhd)
-    if l2:
+    if nbhd.max_depth == 2:
         raise InputError("annealed companion supports single-word constraints only")
     n_max = max(N_list)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
@@ -215,12 +263,17 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     incs = [d for d in rho.support if d <= Jmax]
     kept = sum(rho.probs[d] for d in incs)
     capped = RenewalLaw({d: rho.probs[d] / kept for d in incs}, alpha=rho.alpha)
-    ref_marginal = ReferenceLaw(capped, nu_x).enumerate_atoms()
-    _, annealed = i_projection(ref_marginal, nbhd)
+    # The I-projection onto single-word boxes sees the reference marginal
+    # only through the boxed words' masses and the rest, which "" (no word)
+    # carries; a box on "" has zero reference mass and stays infeasible.
+    ref = ReferenceLaw(capped, nu_x)
+    boxed = {c.pattern[0]: ref.word_prob(c.pattern[0]) for c in nbhd.constraints}
+    rest = max(1.0 - math.fsum(boxed.values()), 0.0)
+    _, annealed = i_projection({"": rest, **boxed}, nbhd)
 
+    probs = _cut_dp(X, rho, N_list, nbhd, Jmax, state_budget)
     entries = []
-    for n in N_list:
-        prob = quenched_prob_enum(X, rho, n, nbhd, Jmax, state_budget)
+    for n, prob in zip(N_list, probs):
         slope = -math.log(prob) / n if prob > 0 else math.inf
         entries.append((int(n), prob, slope))
     return SlopeSeries(

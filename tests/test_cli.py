@@ -62,6 +62,18 @@ def test_budget_exit_code(cfg_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_quench_enum_budget_exit_code(tmp_path, capsys):
+    # two constraints at N=100: 401 positions x 101^2 counts > 2e6 cells
+    cfg = dict(BASE_CFG, X="ab" * 200, neighbourhood={"constraints": [
+        {"pattern": ["a"], "low": 0.5, "high": 1.0},
+        {"pattern": ["b"], "low": 0.0, "high": 0.5}]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = run(["quench-enum", "--config", str(path), "--n-words", "100", "--jmax", "4"])
+    assert code == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_artifact_reruns_byte_identical(cfg_path, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from cutwords.errors import InputError
-from cutwords.laws import LetterLaw, make_algebraic_renewal, renewal_from_atoms
+from cutwords.errors import InputError, SizeBudgetError
+from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal, renewal_from_atoms
 from cutwords.mclab import (
     ergodic_gap,
     quenched_prob_brute,
@@ -13,7 +13,45 @@ from cutwords.mclab import (
     quenched_slope_series,
     waiting_time,
 )
-from cutwords.rates import Constraint, Neighbourhood
+from cutwords.rates import Constraint, Neighbourhood, i_projection
+
+
+def dict_dp_oracle(X, rho, N, nbhd, Jmax):
+    """Cut-point DP over a dict of (position, counts, first, last) states:
+    an independent oracle for the array DP at sizes brute force cannot reach."""
+    incs = [d for d in rho.support if d <= Jmax]
+    cons = nbhd.constraints
+    track = nbhd.max_depth == 2
+    tracked_words = {w for c in cons for w in c.pattern}
+    states = {(0, (0,) * len(cons), None, None): 1.0}
+    for i in range(1, N + 1):
+        nxt = {}
+        for (j, counts, first, last), pr in states.items():
+            for d in incs:
+                w = X[j:j + d]
+                cls = w if w in tracked_words else None
+                cc = list(counts)
+                for u, c in enumerate(cons):
+                    if len(c.pattern) == 1:
+                        cc[u] += w == c.pattern[0]
+                    elif i >= 2 and last == c.pattern[0] and w == c.pattern[1]:
+                        cc[u] += 1
+                key = (j + d, tuple(cc),
+                       (cls if i == 1 else first) if track else None,
+                       cls if track else None)
+                nxt[key] = nxt.get(key, 0.0) + pr * rho.probs[d]
+        states = nxt
+    total = 0.0
+    for (_, counts, first, last), pr in states.items():
+        ok = True
+        for u, c in enumerate(cons):
+            n = counts[u]
+            if len(c.pattern) == 2 and last == c.pattern[0] and first == c.pattern[1]:
+                n += 1
+            ok &= math.ceil(c.low * N - 1e-9) <= n <= math.floor(c.high * N + 1e-9)
+        if ok:
+            total += pr
+    return total
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +204,58 @@ def test_waiting_time_deterministic(nu_ab):
                       tol_typicality=0.05, seed=9)
     assert r1.per_m == r2.per_m
     assert r1.slope == r2.slope
+
+
+def test_enum_matches_dict_oracle_beyond_brute():
+    rho = make_algebraic_renewal(2.0, 16)
+    rng = np.random.default_rng(23)
+    X = "".join("ab"[i] for i in rng.integers(0, 2, size=400))
+    assert X[0] == "a"
+    cases = [
+        (Neighbourhood((Constraint(("b",), 0.6, 1.0),)), 25, 16),
+        (Neighbourhood((Constraint(("a", "b"), 0.0, 0.15),)), 20, 10),
+        (Neighbourhood((Constraint(("a", "b"), 0.2, 1.0),)), 20, 10),
+        # X starts with "a", so only this box sees the wrap-around pair
+        (Neighbourhood((Constraint(("b", "a"), 0.2, 1.0),)), 20, 10),
+        (Neighbourhood((Constraint(("a",), 0.2, 0.9), Constraint(("bb",), 0.0, 0.4))), 12, 6),
+    ]
+    for nbhd, N, Jmax in cases:
+        fast = quenched_prob_enum(X, rho, N, nbhd, Jmax)
+        slow = dict_dp_oracle(X, rho, N, nbhd, Jmax)
+        assert slow > 0
+        assert fast == pytest.approx(slow, rel=1e-12, abs=0)
+
+
+def test_slope_series_equals_enum_per_n(nu_ab):
+    rho = make_algebraic_renewal(2.0, 8)
+    nbhd = Neighbourhood((Constraint(("b",), 0.6, 1.0),))
+    n_list, jmax, seed = [3, 7, 5, 10], 8, 5
+    series = quenched_slope_series(nu_ab, rho, nbhd, n_list, Jmax=jmax, seed=seed)
+    # the medium quenched_slope_series draws: Philox keyed by (seed, 0)
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    X = "".join("ab"[i] for i in rng.choice(2, size=max(n_list) * jmax, p=[0.5, 0.5]))
+    assert [n for n, _, _ in series.entries] == n_list
+    for n, prob, _ in series.entries:
+        assert prob > 0
+        assert prob == quenched_prob_enum(X, rho, n, nbhd, jmax)
+
+
+def test_enum_budget_error_states_size():
+    rho = make_algebraic_renewal(2.0, 4)
+    nbhd = Neighbourhood((Constraint(("a",), 0.0, 1.0),))
+    # positions 4*3+1 = 13, counts 5, one class: 65 cells
+    with pytest.raises(SizeBudgetError, match=r"65 cells.*budget 64"):
+        quenched_prob_enum("ab" * 6, rho, 4, nbhd, 3, state_budget=64)
+    assert quenched_prob_enum("ab" * 6, rho, 4, nbhd, 3, state_budget=65) > 0
+    with pytest.raises(InputError):
+        quenched_prob_enum("ab" * 6, rho, 0, nbhd, 3)
+
+
+def test_slope_series_annealed_matches_full_enumeration(nu_ab):
+    rho = make_algebraic_renewal(2.0, 8)
+    nbhd = Neighbourhood((Constraint(("a",), 0.1, 0.3), Constraint(("bb",), 0.2, 0.5)))
+    series = quenched_slope_series(nu_ab, rho, nbhd, [2], Jmax=6, seed=0)
+    kept = sum(rho.prob(d) for d in range(1, 7))
+    capped = renewal_from_atoms({d: rho.prob(d) / kept for d in range(1, 7)}, 2.0)
+    _, full = i_projection(ReferenceLaw(capped, nu_ab).enumerate_atoms(), nbhd)
+    assert series.annealed == pytest.approx(full, rel=1e-12)

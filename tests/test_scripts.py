@@ -37,3 +37,13 @@ def test_core_lemma_decay_smoke():
     for p, median in rows:
         lo, hi = phi_bounds(2.0, float(p))
         assert lo - 0.3 <= float(median) <= hi + 0.3
+
+
+def test_quenched_vs_annealed_smoke():
+    out = run_script("quenched_vs_annealed.py", "--n-list", "2,4", "--jmax", "3", "--cap", "4")
+    assert re.search(r"^annealed slope \(I-projection\): \S+ nats/word$", out, flags=re.M)
+    rows = re.findall(r"^\s*(\d+)\s+(\S+)\s+(\S+)\s+\S+$", out, flags=re.M)
+    assert [int(n) for n, _, _ in rows] == [2, 4]
+    for _, prob, slope in rows:
+        assert 0.0 <= float(prob) <= 1.0
+        assert slope == "inf" or float(slope) >= 0.0
