@@ -149,6 +149,7 @@ def test_criterion_06_core_lemma():
         f"N={lv.n}:|err|={abs(lv.mc_mean - lv.target):.2e}<=3x{lv.ci_half_width:.2e}"
         for lv in res.levels
     )
+    t_a = time.perf_counter() - t0
     # (b) exact slopes inside the widened two-sided envelope
     lo, hi = phi_bounds(2.0, 0.1)
     N, T = 40, 200_000
@@ -169,9 +170,10 @@ def test_criterion_06_core_lemma():
     c_ok = medians[0] < medians[1] < medians[2] <= 1.0
     dt = time.perf_counter() - t0
     ok = a_ok and b_ok and c_ok and dt < 300.0
-    report(6, ok, f"core-lemma: (a) {a_txt}; (b) 20 slopes in "
+    report(6, ok, f"core-lemma: (a) {a_txt} [{t_a:.1f}s]; (b) 20 slopes in "
            f"[{lo - 0.3:.2f},{hi + 0.3:.2f}]: {b_ok}; (c) median ratios "
-           f"{medians[0]:.3f}<{medians[1]:.3f}<{medians[2]:.3f}<=1", dt)
+           f"{medians[0]:.3f}<{medians[1]:.3f}<{medians[2]:.3f}<=1; "
+           f"(b)+(c) 47 s_n_eval calls [{dt - t_a:.1f}s]", dt)
 
 
 def test_criterion_07_ergodic_limit(nu_ab, rho_default, ref_default):

@@ -1,11 +1,17 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import zeta
 
+from cutwords import corelemma
 from cutwords.corelemma import (
+    MEAN_CHECK_BLOCK,
     bernoulli_omega,
     conv_tail_check,
     phi_bounds,
@@ -149,6 +155,71 @@ def test_mean_check_small_run_and_row_independence():
     for lv, vals in zip(r1.levels, per_trial):
         assert lv.mc_mean == pytest.approx(math.fsum(vals) / 600, rel=1e-12)
     assert r1.ok
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(trials=0), "trials"),
+    (dict(trials=1), "trials"),
+    (dict(p=1.5), "p"),
+])
+def test_mean_check_rejects_bad_input(monkeypatch, kwargs, name):
+    # rejected before any block runs, so no thread starts
+    def no_blocks(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(corelemma, "s_n_levels", no_blocks)
+    args = dict(alpha=2.0, p=0.2, N=2, T=100, trials=10, seed=1) | kwargs
+    with pytest.raises(InputError, match=rf"^{name} "):
+        s_n_mean_check(**args)
+
+
+@pytest.mark.parametrize("trials", [3 * MEAN_CHECK_BLOCK + 5, MEAN_CHECK_BLOCK // 2 + 1])
+def test_mean_check_independent_of_worker_count(monkeypatch, trials):
+    # every block writes its own slice of one shared array; a short switch
+    # interval and more workers than cores make a lost or misplaced write show
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(corelemma, "_worker_count", lambda: workers)
+            results.append(s_n_mean_check(2.0, 0.2, 3, 2000, trials, seed=5))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
+    assert results[0].trials == trials
+
+
+def test_mean_check_raises_pool_thread_error(monkeypatch):
+    # with two workers the block at lo = MEAN_CHECK_BLOCK runs on the pool thread
+    p, T, seed = 0.2, 500, 4
+    first_block_row = bernoulli_omega(p, T, seed, trial=0)
+    real = corelemma.s_n_levels
+
+    def fails_past_first_block(omega_rows, *args):
+        if not np.array_equal(omega_rows[0], first_block_row):
+            raise RuntimeError("block at lo >= MEAN_CHECK_BLOCK failed")
+        return real(omega_rows, *args)
+
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
+    monkeypatch.setattr(corelemma, "s_n_levels", fails_past_first_block)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="lo >= MEAN_CHECK_BLOCK"):
+        s_n_mean_check(2.0, p, 2, T, 2 * MEAN_CHECK_BLOCK, seed=seed)
+    assert threading.active_count() == before
+
+
+def test_no_threads_left_by_import_or_mean_check(monkeypatch):
+    code = ("import threading; n = threading.active_count(); import cutwords; "
+            "print(threading.active_count() - n)")
+    src = os.path.dirname(os.path.dirname(corelemma.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "0"
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 3)
+    before = threading.active_count()
+    s_n_mean_check(2.0, 0.2, 2, 500, 3 * MEAN_CHECK_BLOCK, seed=6)
+    assert threading.active_count() == before
 
 
 def test_conv_tail_premise_violation_names_atom():
