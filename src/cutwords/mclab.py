@@ -20,6 +20,8 @@ from .rates import Neighbourhood, i_projection
 from .words import cut, empirical_patterns
 
 ENUM_BUDGET = 2**22
+# letter cells per (live trials x chunk) block of the waiting-time scan
+WAIT_BLOCK_CELLS = 2**16
 
 
 def _word_id_layout(n_letters_alphabet: int, lengths):
@@ -306,19 +308,47 @@ class WaitingTimeResult:
         }
 
 
-def _first_typical_shift(x_idx: np.ndarray, M: int, targets, tol: float, E: int) -> int:
-    """Smallest shift i >= 1 whose length-M window is empirically typical,
-    or -1 when none exists in the sample."""
-    n = len(x_idx)
-    if n < M + 1:
-        return -1
-    ok = np.ones(n - M, dtype=bool)  # window starting at i = 1..n-M
-    for e in range(E):
-        cs = np.concatenate(([0], np.cumsum(x_idx == e)))
-        counts = cs[M + 1 :] - cs[1 : n - M + 1]
-        ok &= np.abs(counts / M - targets[e]) <= tol + 1e-12
-    hits = np.nonzero(ok)[0]
-    return int(hits[0]) + 1 if len(hits) else -1
+def _first_typical_shifts(gens, cdf: np.ndarray, M: int, allowed: np.ndarray,
+                          horizon_cap: int) -> np.ndarray:
+    """First shift i in 1..horizon_cap+1 whose length-M window x[i:i+M] is
+    typical, per trial, or -1 when none is.
+
+    Trial t's letters come from gens[t].random() in draw order: rng.choice
+    with probabilities p maps a uniform u to the letter #{e : cdf[e] <= u},
+    so the letter exceeds e exactly when u >= cdf[e], however the stream is
+    chunked.  The unfinished trials advance together: each round draws one
+    chunk per trial into a (live trials x chunk) block, prefixed with the
+    trial's last M uniforms, and tests every window ending in the chunk at
+    once.  allowed[e, c] says whether count c of letter e is within
+    tolerance.
+    """
+    hits = np.full(len(gens), -1, dtype=np.int64)
+    live = np.arange(len(gens))
+    tail = np.stack([g.random(M) for g in gens])
+    end = M  # letters drawn per live trial; tail holds x[end-M:end]
+    k = 4 * M
+    while live.size and end <= horizon_cap + M:
+        k = min(k, horizon_cap + M + 1 - end)  # last window starts at horizon_cap+1
+        u = np.empty((live.size, M + k))
+        u[:, :M] = tail
+        for row, t in zip(u[:, M:], live):
+            gens[t].random(out=row)
+        # window at block column s = 1..k; above = its count of letters > e-1
+        ok = np.ones((live.size, k), dtype=bool)
+        above = M
+        for e, c in enumerate(cdf[:-1]):
+            cs = np.cumsum(u >= c, axis=1, dtype=np.int32)
+            gt = cs[:, M:] - cs[:, :k]
+            ok &= allowed[e, above - gt]
+            above = gt
+        ok &= allowed[-1, above]
+        found = ok.any(axis=1)
+        hits[live[found]] = end - M + 1 + ok[found].argmax(axis=1)
+        tail = u[~found, -M:]
+        live = live[~found]
+        end += k
+        k = max(4 * M, min(2 * k, WAIT_BLOCK_CELLS // max(live.size, 1)))
+    return hits
 
 
 def waiting_time(nu: LetterLaw, target: LetterLaw, M_list, trials: int,
@@ -328,16 +358,31 @@ def waiting_time(nu: LetterLaw, target: LetterLaw, M_list, trials: int,
     nu-random medium, versus the per-letter KL exponent.
 
     sigma_1 is the first shift >= 1 whose M-window has empirical letter
-    frequencies within tol_typicality of the target.  Horizons are
-    extended by doubling up to horizon_cap; censored trials keep the cap
-    value and are counted in the output.
+    frequencies within tol_typicality of the target.  Trial t at window
+    length M reads the Philox stream keyed by (seed, (M << 32) | t) and
+    stops at its first typical window.  The unfinished trials of one M
+    advance together, drawing chunks that double in length from 4M, and
+    are scanned as one block of at most about WAIT_BLOCK_CELLS letters
+    (each live trial gets at least 4M), so memory stays fixed however long
+    the waits are.  Shifts 1..horizon_cap + 1 are tested; a trial with no
+    hit there records horizon_cap and is counted as censored.  The letters
+    do not depend on the chunking: they are those of one
+    rng.choice(E, n, p) draw per trial, so every result equals that of a
+    scan over one full draw per trial.
     """
+    if trials < 1:
+        raise InputError(f"trials must be >= 1, got {trials}")
+    if any(M < 1 for M in M_list):
+        raise InputError(f"window lengths in M_list must be >= 1, got {list(M_list)}")
+    if horizon_cap < 1:
+        raise InputError(f"horizon_cap must be >= 1, got {horizon_cap}")
     if target.alphabet != nu.alphabet:
         raise InputError("target and medium letter laws must share the alphabet")
-    E = len(nu.alphabet)
     targets = [target.prob(c) for c in nu.alphabet.symbols]
     predicted = rel_entropy(target.probs, nu.probs)
-    p_vec = nu.prob_vector()
+    # rng.choice's own inverse-cdf table
+    cdf = nu.prob_vector().cumsum()
+    cdf /= cdf[-1]
 
     # The typical set can be exactly empty when no integer count vector
     # fits inside the tolerance box; that would censor every trial, so
@@ -350,29 +395,22 @@ def waiting_time(nu: LetterLaw, target: LetterLaw, M_list, trials: int,
                 f"typical set empty at M={M}: no count vector within "
                 f"tol_typicality={tol_typicality}; widen the tolerance"
             )
+    if len(set(M_list)) < 2:
+        raise InputError(f"M_list needs at least two distinct window lengths "
+                         f"to fit a slope, got {list(M_list)}")
 
     per_m = []
     means = []
     for M in M_list:
-        base = 256 + int(32.0 * math.exp(M * predicted))
-        logs = []
-        censored = 0
-        for t in range(trials):
-            rng = np.random.Generator(
-                np.random.Philox(key=np.array([seed, (M << 32) | t], dtype=np.uint64))
-            )
-            horizon = min(base, horizon_cap)
-            x = rng.choice(E, size=horizon + M + 1, p=p_vec)
-            hit = _first_typical_shift(x, M, targets, tol_typicality, E)
-            while hit < 0 and horizon < horizon_cap:
-                horizon = min(horizon * 2, horizon_cap)
-                x = np.concatenate([x, rng.choice(E, size=horizon + M + 1 - len(x), p=p_vec)])
-                hit = _first_typical_shift(x, M, targets, tol_typicality, E)
-            if hit < 0:
-                censored += 1
-                hit = horizon_cap
-            logs.append(math.log(hit))
-        mean = math.fsum(logs) / trials
+        # allowed[e, c]: count c of letter e passes |c/M - target_e| <= tol
+        freqs = np.arange(M + 1) / M
+        allowed = np.abs(freqs - np.array(targets)[:, None]) <= tol_typicality + 1e-12
+        gens = [np.random.Generator(np.random.Philox(
+                    key=np.array([seed, (M << 32) | t], dtype=np.uint64)))
+                for t in range(trials)]
+        hits = _first_typical_shifts(gens, cdf, M, allowed, horizon_cap)
+        censored = int(np.count_nonzero(hits < 0))
+        mean = math.fsum(math.log(int(h) if h > 0 else horizon_cap) for h in hits) / trials
         per_m.append((int(M), mean, trials, censored))
         means.append(mean)
     slope = float(np.polyfit(np.asarray(M_list, dtype=float), np.asarray(means), 1)[0])

@@ -164,3 +164,24 @@ def test_iproj_summary(cfg_path, capsys):
     code = run(["iproj", "--config", cfg_path])
     assert code == 0
     assert capsys.readouterr().out.strip()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--m", "8,12", "--trials", "0"], "trials"),
+    (["--m", "10", "--trials", "20"], "M_list"),
+], ids=["trials-0", "one-M"])
+def test_waiting_time_bad_input_exit_code(cfg_path, capsys, argv, name):
+    code = run(["waiting-time", "--config", cfg_path, "--tol", "0.1"] + argv)
+    assert code == 1
+    assert name in capsys.readouterr().err
+
+
+def test_waiting_time_reruns_byte_identical(cfg_path, tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    argv = ["waiting-time", "--config", cfg_path, "--m", "8,12,16", "--trials", "30",
+            "--tol", "0.1", "--seed", "5"]
+    assert run(argv + ["--out", str(a)]) == 0
+    assert run(argv + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert (tmp_path / "a.csv.meta.json").read_bytes() == (tmp_path / "b.csv.meta.json").read_bytes()

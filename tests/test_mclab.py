@@ -1,9 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cutwords.entropy import rel_entropy
 from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal, renewal_from_atoms
 from cutwords.mclab import (
@@ -52,6 +54,47 @@ def dict_dp_oracle(X, rho, N, nbhd, Jmax):
         if ok:
             total += pr
     return total
+
+
+def waiting_time_oracle(nu, target, M_list, trials, tol, seed, horizon_cap=2**24):
+    """Full-draw waiting-time loop: each trial draws 256 + 32 e^(M KL)
+    letters at once, doubles the horizon up to horizon_cap while no window
+    is typical, and scans every window of the draw.  Returns per_m as
+    waiting_time does and the number of doublings taken."""
+    E = len(nu.alphabet)
+    targets = [target.prob(c) for c in nu.alphabet.symbols]
+    p_vec = nu.prob_vector()
+
+    def first_shift(x, M):
+        n = len(x)
+        ok = np.ones(n - M, dtype=bool)  # window starting at i = 1..n-M
+        for e in range(E):
+            cs = np.concatenate(([0], np.cumsum(x == e)))
+            ok &= np.abs((cs[M + 1:] - cs[1:n - M + 1]) / M - targets[e]) <= tol + 1e-12
+        hits = np.nonzero(ok)[0]
+        return int(hits[0]) + 1 if len(hits) else -1
+
+    per_m, doublings = [], 0
+    for M in M_list:
+        base = 256 + int(32.0 * math.exp(M * rel_entropy(target.probs, nu.probs)))
+        logs, censored = [], 0
+        for t in range(trials):
+            rng = np.random.Generator(
+                np.random.Philox(key=np.array([seed, (M << 32) | t], dtype=np.uint64)))
+            horizon = min(base, horizon_cap)
+            x = rng.choice(E, size=horizon + M + 1, p=p_vec)
+            hit = first_shift(x, M)
+            while hit < 0 and horizon < horizon_cap:
+                horizon = min(horizon * 2, horizon_cap)
+                x = np.concatenate([x, rng.choice(E, size=horizon + M + 1 - len(x), p=p_vec)])
+                hit = first_shift(x, M)
+                doublings += 1
+            if hit < 0:
+                censored += 1
+                hit = horizon_cap
+            logs.append(math.log(hit))
+        per_m.append((M, math.fsum(logs) / trials, trials, censored))
+    return tuple(per_m), doublings
 
 
 @pytest.fixture(scope="module")
@@ -259,3 +302,58 @@ def test_slope_series_annealed_matches_full_enumeration(nu_ab):
     capped = renewal_from_atoms({d: rho.prob(d) / kept for d in range(1, 7)}, 2.0)
     _, full = i_projection(ReferenceLaw(capped, nu_ab).enumerate_atoms(), nbhd)
     assert series.annealed == pytest.approx(full, rel=1e-12)
+
+
+# the waiting-time setting of the mclab benchmark workload
+BENCH_WAIT = dict(nu=LetterLaw.from_probs("01", [0.5, 0.5]),
+                  target=LetterLaw.from_probs("01", [0.2, 0.8]),
+                  M_list=list(range(10, 41, 5)), tol=0.034)
+ABC_WAIT = dict(nu=LetterLaw.from_probs("abc", [0.5, 0.3, 0.2]),
+                target=LetterLaw.from_probs("abc", [0.2, 0.3, 0.5]),
+                M_list=[4, 8, 12, 16], tol=0.1)
+# KL = 0 gives the shortest first horizon, 288, and tol = 0 admits only the
+# exact count vector, so some waits outrun it
+ABC_SELF_WAIT = dict(ABC_WAIT, target=ABC_WAIT["nu"], M_list=[10, 20, 30], tol=0.0)
+
+
+@pytest.mark.parametrize("cfg, trials, cap, doubles, censors", [
+    (BENCH_WAIT, 40, 2**24, True, False),
+    (BENCH_WAIT, 40, 2000, True, True),
+    (BENCH_WAIT, 40, 300, False, True),
+    (BENCH_WAIT, 40, 64, False, True),
+    (ABC_WAIT, 60, 2**24, False, False),
+    (ABC_WAIT, 60, 1000, False, True),
+    (ABC_WAIT, 60, 50, False, True),
+    (ABC_SELF_WAIT, 60, 400, True, True),
+], ids=["bench", "bench-cap2000", "bench-cap300", "bench-cap64",
+        "abc", "abc-cap1000", "abc-cap50", "abc-self-cap400"])
+def test_waiting_time_matches_full_draw_oracle(cfg, trials, cap, doubles, censors):
+    # the early-stopping block scan reads the same letters and tests the
+    # same shifts 1..cap+1 as one full draw per trial, so per_m is equal
+    args = (cfg["nu"], cfg["target"], cfg["M_list"], trials, cfg["tol"], 12648430)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = waiting_time(*args, horizon_cap=cap)
+        per_m, doublings = waiting_time_oracle(*args, horizon_cap=cap)
+    assert res.per_m == per_m
+    assert (doublings > 0) == doubles
+    assert (sum(c for *_, c in per_m) > 0) == censors
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(trials=0), "trials"),
+    (dict(M_list=[0, 10]), "M_list"),
+    (dict(M_list=[10]), "M_list"),
+    (dict(M_list=[10, 10]), "M_list"),
+    (dict(M_list=[]), "M_list"),
+    (dict(horizon_cap=0), "horizon_cap"),
+], ids=["trials-0", "M-0", "one-M", "repeated-M", "no-M", "cap-0"])
+def test_waiting_time_input_checks_before_any_draw(monkeypatch, nu_ab, kwargs, name):
+    def no_stream(*args, **kw):
+        raise AssertionError("a trial stream was keyed")
+
+    monkeypatch.setattr(np.random, "Philox", no_stream)
+    args = dict(nu=nu_ab, target=LetterLaw.from_probs("ab", [0.3, 0.7]),
+                M_list=[10, 15], trials=5, tol_typicality=0.1, seed=0)
+    with pytest.raises(InputError, match=name):
+        waiting_time(**{**args, **kwargs})

@@ -47,3 +47,14 @@ def test_quenched_vs_annealed_smoke():
     for _, prob, slope in rows:
         assert 0.0 <= float(prob) <= 1.0
         assert slope == "inf" or float(slope) >= 0.0
+
+
+def test_waiting_time_experiment_smoke():
+    out = run_script("waiting_time_experiment.py", "--m-min", "8", "--m-max", "12",
+                     "--trials", "20", "--tol", "0.1")
+    rows = re.findall(r"^\s*(\d+)\s+(\S+)\s+(\d+)$", out, flags=re.M)
+    assert [int(m) for m, _, _ in rows] == [8, 9, 10, 11, 12]
+    for _, mean_log, censored in rows:
+        assert float(mean_log) >= 0.0 and censored == "0"
+    assert re.search(r"^fitted slope\s+\S+ nats/letter$", out, flags=re.M)
+    assert re.search(r"^predicted \(KL\)\s+0\.1927 nats/letter", out, flags=re.M)
