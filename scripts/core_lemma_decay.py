@@ -9,9 +9,11 @@ scale, so the sparse-marks asymptotics can be eyeballed.
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
+from cutwords.cli import exit_code
 from cutwords.corelemma import bernoulli_omega, phi_bounds, s_n_eval
 
 
@@ -40,4 +42,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -9,7 +9,9 @@ Monte Carlo error; only the medium X is random (one fixed seed).
 
 import argparse
 import math
+import sys
 
+from cutwords.cli import exit_code
 from cutwords.laws import LetterLaw, make_algebraic_renewal
 from cutwords.mclab import quenched_slope_series
 from cutwords.rates import Constraint, Neighbourhood
@@ -44,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

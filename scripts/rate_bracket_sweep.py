@@ -8,7 +8,9 @@ the depth/width trade-off is visible at a glance.
 """
 
 import argparse
+import sys
 
+from cutwords.cli import exit_code
 from cutwords.laws import LetterLaw, ReferenceLaw, iid_law, make_algebraic_renewal
 from cutwords.rates import ann_rate, fin_rate
 
@@ -38,4 +40,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -7,7 +7,9 @@ medium law, which is the predicted exponent.
 """
 
 import argparse
+import sys
 
+from cutwords.cli import exit_code
 from cutwords.laws import LetterLaw
 from cutwords.mclab import waiting_time
 
@@ -41,4 +43,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

@@ -28,7 +28,7 @@ from .laws import (
     sample_path,
     truncate_process,
 )
-from .psi import HiddenChain, hidden_chain, psi_marginal, r_nu_test
+from .psi import HiddenChain, hidden_chain, letter_typical, psi_marginal
 from .entropy import (
     EntropyBracket,
     EntropyReport,

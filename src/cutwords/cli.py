@@ -182,7 +182,7 @@ def cmd_rate(rc: RunConfig, cfg: dict) -> str:
     Q = _word_law(cfg)
     alpha = p["alpha"]
     if alpha in ("one", "infinity"):
-        iv = rates.boundary_rate(Q, ref, alpha, p["depth"])
+        iv = rates.boundary_rate(Q, ref, alpha)
         doc = {"annealed": rates.ann_rate(Q, ref), "quenched": [iv.lo, iv.hi],
                "alpha": alpha, "depth": p["depth"]}
         _emit(rc, doc)
@@ -416,20 +416,28 @@ def resolve_config(args: argparse.Namespace) -> tuple:
     return rc, cfg
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(run) -> int:
+    """Call run() and return this module's exit code for its outcome; an
+    error also prints an `error` line on stderr.  Scripts reuse it."""
     try:
-        rc, cfg = resolve_config(args)
-        summary = COMMANDS[args.command](rc, cfg)
+        run()
     except SizeBudgetError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return 2
     except (InputError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(summary)
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+
+    def run():
+        rc, cfg = resolve_config(args)
+        print(COMMANDS[args.command](rc, cfg))
+
+    return exit_code(run)
 
 
 if __name__ == "__main__":

@@ -2,16 +2,17 @@
 
 The concatenation of a word process, with the origin placed uniformly at
 random inside the (length-biased) first word, is a function of a hidden
-Markov chain on states (word, offset).  Two forward dynamic programs run
-over that chain, both exact up to floating point: `entropy_series`, one
-vectorized pass giving both sides of the entropy-rate sandwich, and the
-pattern-table DP behind `psi_marginal`/`r_nu_test`, which also serves the
-tests as an independent oracle for the entropy pass.
+Markov chain on states (word, offset).  One forward pass over the letter
+patterns of that chain, exact up to floating point, serves both
+`entropy_series` (both sides of the entropy-rate sandwich) and
+`psi_marginal` (the pattern table).  `letter_typical` decides exactly, at
+no fixed depth, whether the letters are i.i.d. with a given law.
 """
 
 from __future__ import annotations
 
-import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .errors import InputError, SizeBudgetError
 from .laws import LetterLaw, WordProcessLaw, mean_length
 
 PATTERN_BUDGET = 2**22
+RANK_TOL = 1e-12  # relative Gram-Schmidt residual below which a vector is in the span
 
 
 @dataclass(frozen=True)
@@ -33,16 +35,13 @@ class HiddenChain:
     """
 
     alphabet: tuple
-    words: tuple
-    state_word: tuple   # word index per state
-    state_offset: tuple
     emit: np.ndarray    # letter index emitted by each state
     init: np.ndarray
     trans: np.ndarray
 
     @property
     def n_states(self) -> int:
-        return len(self.state_word)
+        return len(self.emit)
 
 
 def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
@@ -77,9 +76,6 @@ def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
                     trans[si, state_pos[(wj, 0)]] += p
     return HiddenChain(
         alphabet=tuple(alphabet),
-        words=Q.words,
-        state_word=tuple(s[0] for s in states),
-        state_offset=tuple(s[1] for s in states),
         emit=emit,
         init=init,
         trans=trans,
@@ -114,82 +110,68 @@ def minimize_chain(chain: HiddenChain) -> HiddenChain:
     init = np.array([chain.init[labels == c].sum() for c in range(k)])
     return HiddenChain(
         alphabet=chain.alphabet,
-        words=chain.words,
-        state_word=tuple(chain.state_word[r] for r in reps),
-        state_offset=tuple(chain.state_offset[r] for r in reps),
         emit=chain.emit[reps],
         init=init,
         trans=agg[reps],
     )
 
 
-def _check_budget(chain: HiddenChain, L: int):
-    if len(chain.alphabet) ** L > PATTERN_BUDGET:
-        raise SizeBudgetError(
-            f"pattern table |E|^L = {len(chain.alphabet)}^{L} exceeds budget {PATTERN_BUDGET}"
-        )
+def _pattern_pass(chain: HiddenChain, rows: np.ndarray, steps: int):
+    """The forward loop over letter patterns of a minimized chain.
 
-
-def _emit_masks(chain: HiddenChain):
-    return [chain.emit == e for e in range(len(chain.alphabet))]
-
-
-def _forward(chain: HiddenChain, L: int):
-    """Dict pattern -> state vector of P(pattern, S_{L+1} = s)."""
-    chain = minimize_chain(chain)
-    masks = _emit_masks(chain)
-    letters = chain.alphabet
-    cur = {"": chain.init}
-    for _ in range(L):
-        nxt = {}
-        for pat, vec in cur.items():
-            for e, mask in enumerate(masks):
-                w = vec * mask
-                if w.sum() <= 0.0:
-                    continue
-                nxt[pat + letters[e]] = w @ chain.trans
-        cur = nxt
-    return cur
-
-
-def psi_marginal_chain(chain: HiddenChain, L: int) -> dict:
-    if L < 1:
-        raise InputError(f"pattern depth must be >= 1, got {L}")
-    _check_budget(chain, L)
-    return {pat: float(vec.sum()) for pat, vec in sorted(_forward(chain, L).items())}
+    Tracks, per pattern of positive mass, the matrix rows @ (path matrix
+    of the pattern), whose entry [r, s] is P(pattern, S_{t+1} = s) started
+    from row r.  After each of `steps` letters yields (codes, probs) with
+    probs[i, r] the row sums for pattern i and codes[i] the pattern in base
+    |E|, first letter most significant.
+    """
+    k = len(chain.alphabet)
+    if k**steps > PATTERN_BUDGET:
+        raise SizeBudgetError(f"pattern table |E|^L = {k}^{steps} exceeds budget {PATTERN_BUDGET}")
+    masks = [chain.emit == e for e in range(k)]
+    codes = np.zeros(1, dtype=np.int64)
+    mats = rows[None, :, :]  # (patterns, rows, s)
+    for _ in range(steps):
+        mats = np.concatenate([mats[:, :, m] @ chain.trans[m] for m in masks], axis=0)
+        codes = np.concatenate([codes * k + e for e in range(k)])
+        probs = mats.sum(axis=2)
+        keep = probs.sum(axis=1) > 0.0
+        mats, probs, codes = mats[keep], probs[keep], codes[keep]
+        yield codes, probs
 
 
 def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
     """Exact distribution of the first L letters under the stationary
     concatenation law, keyed by pattern string in lexicographic order."""
-    return psi_marginal_chain(hidden_chain(Q, alphabet), L)
+    if L < 1:
+        raise InputError(f"pattern depth must be >= 1, got {L}")
+    chain = minimize_chain(hidden_chain(Q, alphabet))
+    for codes, probs in _pattern_pass(chain, chain.init[None, :], L):
+        pass
+    k = len(chain.alphabet)
+    digits = codes[:, None] // k ** np.arange(L - 1, -1, -1) % k
+    keys = np.array(chain.alphabet)[digits].view(f"<U{L}").ravel()
+    order = np.argsort(keys)
+    return dict(zip(keys[order].tolist(), probs[order, 0].tolist()))
 
 
 def entropy_series(chain: HiddenChain, L: int):
     """Both sides of the entropy-rate sandwich in one forward pass (nats).
 
     Returns (h, cond) with h[t] = h(pi_t) for t = 0..L+1 and
-    cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  Tracks, per
-    pattern, the matrix M[s1, s] = P(pattern, S_{t+1}=s | S_1=s1), so row
-    sums give the pattern law conditioned on the starting state and their
-    average over the start law gives the pattern law itself.
+    cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  The pattern pass
+    starts from one row per start state s1, so row sums give the pattern
+    law conditioned on S_1 = s1 and their average over the start law gives
+    the pattern law itself.
     """
-    _check_budget(chain, L + 1)
     chain = minimize_chain(chain)
-    masks = _emit_masks(chain)
-    n = chain.n_states
     # Only start states with positive initial mass enter the average, so
     # the per-pattern matrices carry just those rows.
     starts = np.nonzero(chain.init > 0.0)[0]
     init = chain.init[starts]
-    mats = np.eye(n)[starts][None, :, :]  # (patterns, s1, s)
     h = [0.0]
     h_given_start = [np.zeros(len(starts))]  # H(X_1..X_t | S_1 = s1)
-    for _ in range(L + 1):
-        mats = np.concatenate([mats[:, :, m] @ chain.trans[m] for m in masks], axis=0)
-        probs = mats.sum(axis=2)  # (patterns, s1)
-        keep = probs.sum(axis=1) > 0.0
-        mats, probs = mats[keep], probs[keep]
+    for _, probs in _pattern_pass(chain, np.eye(chain.n_states)[starts], L + 1):
         p = probs @ init
         h.append(float(-xlogy(p, p).sum()))
         h_given_start.append(-xlogy(probs, probs).sum(axis=0))
@@ -197,29 +179,37 @@ def entropy_series(chain: HiddenChain, L: int):
     return h, cond
 
 
-def r_nu_test(Q: WordProcessLaw, nu: LetterLaw, L_max: int, tol: float = 1e-9):
-    """Whether the concatenation of Q is letter-typical for nu.
+def letter_typical(Q: WordProcessLaw, nu: LetterLaw):
+    """Whether the concatenation of Q has i.i.d. nu letters, decided exactly.
 
-    True iff every L-letter marginal up to L_max matches the product law
-    within tol in sup norm.  Returns (verdict, max deviation).
+    With v_w = (init, -1) A_w under the maps
+    A_e = (diag(emit = e) trans) (+) nu(e), the entries of v_w sum to
+    Psi_Q(w) - nu(w), so the letter law is nu^N iff the span of all v_w is
+    orthogonal to the all-ones vector.  That span has dimension at most
+    n + 1: a breadth-first search that expands only words whose vector
+    leaves the span of those kept (Gram-Schmidt, relative tolerance
+    RANK_TOL) decides it at no fixed depth (Schuetzenberger 1961; Tzeng
+    1992).  Returns (verdict, residual), the residual being the largest
+    |Psi_Q(w) - nu(w)| / (Psi_Q(w) + nu(w)) over the kept words, which
+    does not shrink with the depth of w; typical iff it is <= 64 eps.
     """
-    chain = hidden_chain(Q, alphabet=nu.alphabet.symbols)
-    table = psi_marginal_chain(chain, L_max)
-    worst = 0.0
-    import itertools
-
-    for tup in itertools.product(nu.alphabet.symbols, repeat=L_max):
-        pat = "".join(tup)
-        target = math.prod(nu.prob(c) for c in pat)
-        worst = max(worst, abs(table.get(pat, 0.0) - target))
-    # Deviation at depth L_max dominates shallower depths only up to
-    # marginalization; check lower depths from the same table.
-    for L in range(1, L_max):
-        sub: dict = {}
-        for pat, p in table.items():
-            sub[pat[:L]] = sub.get(pat[:L], 0.0) + p
-        for tup in itertools.product(nu.alphabet.symbols, repeat=L):
-            pat = "".join(tup)
-            target = math.prod(nu.prob(c) for c in pat)
-            worst = max(worst, abs(sub.get(pat, 0.0) - target))
-    return worst <= tol, worst
+    chain = minimize_chain(hidden_chain(Q, alphabet=nu.alphabet.symbols))
+    n = chain.n_states
+    maps = np.zeros((len(chain.alphabet), n + 1, n + 1))
+    for e, c in enumerate(chain.alphabet):
+        maps[e, :n, :n] = (chain.emit == e)[:, None] * chain.trans
+        maps[e, n, n] = nu.prob(c)
+    basis = np.empty((0, n + 1))
+    residual = 0.0
+    queue = deque([np.append(chain.init, -1.0)])
+    while queue:
+        v = queue.popleft()
+        r = v - basis.T @ (basis @ v)
+        r -= basis.T @ (basis @ r)  # second pass restores orthogonality
+        norm = np.linalg.norm(r)
+        if norm <= RANK_TOL * np.linalg.norm(v):
+            continue
+        basis = np.vstack([basis, r / norm])
+        residual = max(residual, abs(v.sum()) / np.abs(v).sum())
+        queue.extend(v @ maps)
+    return bool(residual <= 64.0 * sys.float_info.epsilon), float(residual)

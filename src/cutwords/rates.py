@@ -13,7 +13,7 @@ from .errors import InfeasibleError, InputError
 from .interval import INF_INTERVAL, Interval, point
 from .entropy import EntropyBracket, psi_bracket_series, rel_entropy, spec_rel_entropy
 from .laws import ReferenceLaw, WordProcessLaw, iid_law, mean_length, truncate_process
-from .psi import r_nu_test
+from .psi import letter_typical
 
 
 @dataclass(frozen=True)
@@ -173,7 +173,7 @@ def que_rate_ladder(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float,
     return out
 
 
-def boundary_rate(Q: WordProcessLaw, ref: ReferenceLaw, mode: str, L: int) -> Interval:
+def boundary_rate(Q: WordProcessLaw, ref: ReferenceLaw, mode: str) -> Interval:
     """Rate at the tail-exponent boundary: alpha = 1 collapses to the
     annealed rate; alpha = infinity is the annealed rate on letter-typical
     laws and infinite elsewhere."""
@@ -184,8 +184,7 @@ def boundary_rate(Q: WordProcessLaw, ref: ReferenceLaw, mode: str, L: int) -> In
         return INF_INTERVAL
     if mode == "one":
         return point(a)
-    ok, _dev = r_nu_test(Q, ref.nu, L_max=L)
-    return point(a) if ok else INF_INTERVAL
+    return point(a) if letter_typical(Q, ref.nu)[0] else INF_INTERVAL
 
 
 def i_projection(ref_marginal: dict, nbhd: Neighbourhood):
@@ -261,14 +260,14 @@ def contraction_upper(q: dict, ref: ReferenceLaw, alpha: float, L: int):
 
     Returns (interval, exact) where exact means the concatenation of
     q^iid is letter-typical for nu, in which case the bound collapses to
-    h(q | q_ref) and is the rate itself.
+    h(q | q_ref) and is the rate itself; otherwise it is the depth-L
+    `fin_rate` bracket of q^iid.
     """
     Q = iid_law(q)
     ref_atoms = {w: ref.word_prob(w) for w in q}
     kl = rel_entropy(q, ref_atoms)
     if math.isinf(kl):
         return INF_INTERVAL, False
-    ok, _dev = r_nu_test(Q, ref.nu, L_max=min(L, 8))
-    if ok:
+    if letter_typical(Q, ref.nu)[0]:
         return point(kl), True
     return fin_rate(Q, ref, alpha, L), False

@@ -153,6 +153,23 @@ def test_depth_below_one_rejected(cfg_path, capsys, argv):
     assert "depth" in capsys.readouterr().err
 
 
+def test_rate_infinity_needs_no_depth(tmp_path, capsys):
+    # uniform on the words xyzx: every 3-letter marginal is uniform, the
+    # 4-letter one is not, so the rate is infinite whatever --depth says
+    words = ["aaaa", "aaba", "abaa", "abba", "baab", "babb", "bbab", "bbbb"]
+    cfg = dict(BASE_CFG, renewal_law={"alpha": 2.0, "cap": 8},
+               word_law={"variant": "iid", "words": words, "probs": [0.125] * 8})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rate.json"
+    code = run(["rate", "--config", str(path), "--alpha", "infinity", "--depth", "3",
+                "--out", str(out), "--format", "json"])
+    assert code == 0
+    assert "quenched=[inf,inf]" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["quenched"] == [float("inf")] * 2 and doc["depth"] == 3
+
+
 def test_quench_enum_roundtrip(cfg_path, capsys):
     code = run(["quench-enum", "--config", cfg_path, "--n-words", "3",
                 "--jmax", "3"])

@@ -1,18 +1,60 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from cutwords.errors import SizeBudgetError
-from cutwords.laws import LetterLaw, iid_law, markov_law, sample_path
+from cutwords.laws import (
+    LetterLaw,
+    ReferenceLaw,
+    iid_law,
+    make_algebraic_renewal,
+    markov_law,
+    sample_path,
+)
 from cutwords.entropy import entropy
 from cutwords.psi import (
     entropy_series,
     hidden_chain,
+    letter_typical,
     minimize_chain,
     psi_marginal,
-    r_nu_test,
 )
+
+
+def dict_pattern_oracle(Q, L, alphabet=None):
+    """Test oracle: the pattern DP with one state vector per pattern in a
+    dict, on the unminimized chain, keyed in lexicographic order."""
+    chain = hidden_chain(Q, alphabet)
+    masks = [chain.emit == e for e in range(len(chain.alphabet))]
+    cur = {"": chain.init}
+    for _ in range(L):
+        nxt = {}
+        for pat, vec in cur.items():
+            for e, mask in enumerate(masks):
+                w = vec * mask
+                if w.sum() > 0.0:
+                    nxt[pat + chain.alphabet[e]] = w @ chain.trans
+        cur = nxt
+    return {pat: float(vec.sum()) for pat, vec in sorted(cur.items())}
+
+
+def r_nu_test(Q, nu, L_max, tol=1e-9):
+    """Test oracle for letter-typicality up to a depth: whether every
+    L-letter marginal for L <= L_max matches the product law within tol in
+    sup norm.  Returns (verdict, max deviation)."""
+    table = dict_pattern_oracle(Q, L_max, alphabet=nu.alphabet.symbols)
+    worst = 0.0
+    for L in range(1, L_max + 1):
+        sub: dict = {}
+        for pat, p in table.items():
+            sub[pat[:L]] = sub.get(pat[:L], 0.0) + p
+        for tup in itertools.product(nu.alphabet.symbols, repeat=L):
+            pat = "".join(tup)
+            target = math.prod(nu.prob(c) for c in pat)
+            worst = max(worst, abs(sub.get(pat, 0.0) - target))
+    return worst <= tol, worst
 
 
 def test_hidden_chain_init_is_stationary():
@@ -108,18 +150,32 @@ def test_entropy_series_shapes():
         assert v == pytest.approx(math.log(2), abs=1e-12)
 
 
-@pytest.mark.parametrize("Q, alphabet", [
+PATTERN_LAWS = [
     (iid_law({"a": 0.3, "ab": 0.3, "bb": 0.4}), "ab"),
     (iid_law({"a": 0.2, "cb": 0.3, "bac": 0.25, "cc": 0.25}), "abc"),
     (markov_law(("a", "ba", "bb"),
                 np.array([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3], [0.3, 0.3, 0.4]])), "ab"),
-])
+]
+
+
+@pytest.mark.parametrize("Q, alphabet", PATTERN_LAWS)
 def test_entropy_series_matches_pattern_tables(Q, alphabet):
     # the dict pattern-table DP is an independent oracle for the
     # vectorized unconditional series
     h, _ = entropy_series(hidden_chain(Q, alphabet=alphabet), 7)
     for t in range(1, 9):
-        assert h[t] == pytest.approx(entropy(psi_marginal(Q, t, alphabet=alphabet)), abs=1e-12)
+        assert h[t] == pytest.approx(entropy(dict_pattern_oracle(Q, t, alphabet=alphabet)),
+                                     abs=1e-12)
+
+
+@pytest.mark.parametrize("Q, alphabet", PATTERN_LAWS)
+def test_psi_marginal_matches_dict_oracle(Q, alphabet):
+    for L in range(1, 11):
+        table = psi_marginal(Q, L, alphabet=alphabet)
+        oracle = dict_pattern_oracle(Q, L, alphabet=alphabet)
+        assert list(table) == list(oracle)
+        for pat, p in oracle.items():
+            assert abs(table[pat] - p) <= 1e-15, (L, pat)
 
 
 def test_r_nu_test_verdicts(nu_ab, ref_default):
@@ -127,6 +183,31 @@ def test_r_nu_test_verdicts(nu_ab, ref_default):
     assert ok and dev <= 1e-9
     bad, dev = r_nu_test(iid_law({"ab": 1.0}), nu_ab, 2)
     assert not bad and dev > 0.1
+
+
+@pytest.mark.parametrize("cap, probs", [
+    (2, (0.5, 0.5)), (2, (0.3, 0.7)), (3, (0.5, 0.5)), (3, (0.3, 0.7)),
+    (4, (0.5, 0.5)), (4, (0.3, 0.7)),
+])
+def test_letter_typical_matches_oracle_on_reference_laws(cap, probs):
+    nu = LetterLaw.from_probs("ab", probs)
+    Q = ReferenceLaw(make_algebraic_renewal(2.0, cap), nu).as_iid_process()
+    n = minimize_chain(hidden_chain(Q, alphabet="ab")).n_states
+    ok, residual = letter_typical(Q, nu)
+    assert ok and residual <= 64 * np.finfo(float).eps
+    # Agreement on every word up to the minimized state count decides
+    # equality with the one-state product law (Paz); at cap 4 that depth
+    # is 30, so the oracle checks the first 12 letters only.
+    assert r_nu_test(Q, nu, min(n, 12))[0] == ok
+
+
+def test_letter_typical_matches_oracle_on_alternating_word(nu_ab):
+    Q = iid_law({"ab": 1.0})
+    n = minimize_chain(hidden_chain(Q, alphabet="ab")).n_states
+    ok, residual = letter_typical(Q, nu_ab)
+    assert not ok and not r_nu_test(Q, nu_ab, n)[0]
+    # the word aa never occurs, against nu(aa) = 1/4
+    assert residual == pytest.approx(1.0)
 
 
 def test_pattern_budget():

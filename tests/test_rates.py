@@ -6,12 +6,14 @@ import pytest
 
 import cutwords.psi as psi
 from cutwords.errors import InfeasibleError, InputError
+from cutwords.interval import INF_INTERVAL
 from cutwords.laws import (
     ALPHA_INF,
     ALPHA_ONE,
     LetterLaw,
     ReferenceLaw,
     iid_law,
+    make_algebraic_renewal,
     markov_law,
     renewal_from_atoms,
 )
@@ -80,18 +82,43 @@ def test_fin_rate_rejects_boundary_alphas(ref_default):
 
 def test_boundary_rate_alpha_one_equals_annealed(ref_default):
     Q = iid_law({"a": 0.5, "bb": 0.5})
-    iv = boundary_rate(Q, ref_default, "one", 6)
+    iv = boundary_rate(Q, ref_default, "one")
     assert iv.lo == pytest.approx(ann_rate(Q, ref_default), abs=1e-12)
     assert iv.width == pytest.approx(0.0, abs=1e-12)
 
 
 def test_boundary_rate_alpha_inf(ref_default, nu_ab):
     # reference law is letter-typical: rate 0
-    iv = boundary_rate(ref_default.as_iid_process(), ref_default, "infinity", 6)
+    iv = boundary_rate(ref_default.as_iid_process(), ref_default, "infinity")
     assert iv.contains(0.0)
     # alternating-word law is not: rate infinite
-    iv = boundary_rate(iid_law({"ab": 1.0}), ref_default, "infinity", 6)
+    iv = boundary_rate(iid_law({"ab": 1.0}), ref_default, "infinity")
     assert math.isinf(iv.lo)
+
+
+def repeat_first_letter_words(m):
+    """The 2^(m-1) words of length m over ab whose last letter repeats the
+    first: under the uniform law on them every (m-1)-letter marginal of the
+    concatenation is uniform and the m-letter marginal is not."""
+    return ["".join(t) + t[0] for t in itertools.product("ab", repeat=m - 1)]
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_boundary_rate_alpha_inf_sees_deep_correlations(nu_ab, m):
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, 8), nu_ab)
+    words = repeat_first_letter_words(m)
+    Q = iid_law({w: 1.0 / len(words) for w in words})
+    assert math.isfinite(ann_rate(Q, ref))
+    assert boundary_rate(Q, ref, "infinity") == INF_INTERVAL
+
+
+def test_contraction_upper_not_exact_for_deep_correlations(nu_ab):
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, 8), nu_ab)
+    words = repeat_first_letter_words(7)
+    q = {w: 1.0 / len(words) for w in words}
+    iv, exact = contraction_upper(q, ref, 2.0, 6)
+    assert not exact
+    assert iv == fin_rate(iid_law(q), ref, 2.0, 6)
 
 
 def test_ladder_stabilizes(ref_default):

@@ -8,14 +8,20 @@ from cutwords.corelemma import phi_bounds
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(name, *args):
+def script_process(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", name), *args],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
-    ).stdout
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def run_script(name, *args):
+    proc = script_process(name, *args)
+    proc.check_returncode()
+    return proc.stdout
 
 
 def test_rate_bracket_sweep_smoke():
@@ -58,3 +64,12 @@ def test_waiting_time_experiment_smoke():
         assert float(mean_log) >= 0.0 and censored == "0"
     assert re.search(r"^fitted slope\s+\S+ nats/letter$", out, flags=re.M)
     assert re.search(r"^predicted \(KL\)\s+0\.1927 nats/letter", out, flags=re.M)
+
+
+def test_script_input_error_exits_one():
+    # no count vector of 8 letters lies within the default tol of 0.8
+    proc = script_process("waiting_time_experiment.py", "--m-min", "8", "--m-max", "12",
+                          "--trials", "20")
+    assert proc.returncode == 1
+    assert "typical set empty" in proc.stderr and proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
