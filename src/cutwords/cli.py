@@ -1,6 +1,12 @@
 """Command-line surface: one experiment per invocation, JSON config with
 flag overrides, CSV/JSON artifacts embedding the resolved config.
 
+`COMMANDS` is the one table of subcommands: each maps to its function and
+its parameters, every one required, read from its flag or else from the
+config key of the same name, and converted by `_coerce` either way.  A
+JSON artifact holds the whole result; a CSV file holds the rows, and its
+`.meta.json` sidecar the config and every result key the rows do not carry.
+
 Exit codes: 0 success, 1 validation error, 2 state-space budget exceeded.
 """
 
@@ -10,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, SizeBudgetError
 from . import corelemma, entropy, laws, mclab, psi, rates
@@ -57,40 +63,47 @@ def _load_config(path: str | None) -> dict:
         raise InputError(f"config file {path} is not valid JSON: {exc}")
 
 
-def parse_int_list(text: str) -> list:
-    """Accept '1..40' ranges or '6,8,10' comma lists."""
-    text = text.strip()
+def parse_int_list(value) -> list:
+    """Accept a list of ints, '1..40' ranges or '6,8,10' comma lists."""
+    if not isinstance(value, str):
+        return [int(v) for v in value]
+    text = value.strip()
     if ".." in text:
         lo, hi = text.split("..")
         return list(range(int(lo), int(hi) + 1))
     return [int(t) for t in text.split(",") if t]
 
 
-def _letter_law(cfg: dict, key: str = "letter_law") -> laws.LetterLaw:
-    if key not in cfg:
-        raise InputError(f"config field {key!r} is required")
-    return laws.LetterLaw.from_json(cfg[key])
+def _alpha_or_boundary(value):
+    """A tail exponent, or 'one' / 'infinity' for a boundary case; kept as
+    given, so the artifact echoes it."""
+    if value not in ("one", "infinity"):
+        float(value)
+    return value
 
 
-def _renewal_law(cfg: dict) -> laws.RenewalLaw:
-    if "renewal_law" not in cfg:
-        raise InputError("config field 'renewal_law' is required")
-    doc = cfg["renewal_law"]
+def _renewal_law(doc: dict) -> laws.RenewalLaw:
     if "cap" in doc:
         return laws.make_algebraic_renewal(float(doc["alpha"]), int(doc["cap"]))
     return laws.RenewalLaw.from_json(doc)
 
 
-def _word_law(cfg: dict) -> laws.WordProcessLaw:
-    if "word_law" not in cfg:
-        raise InputError("config field 'word_law' is required")
-    return laws.WordProcessLaw.from_json(cfg["word_law"])
+# How each config field a subcommand may require is read.
+_FIELDS = {
+    "letter_law": laws.LetterLaw.from_json,
+    "target_law": laws.LetterLaw.from_json,
+    "renewal_law": _renewal_law,
+    "word_law": laws.WordProcessLaw.from_json,
+    "neighbourhood": rates.Neighbourhood.from_json,
+    "X": lambda x: x,  # the fixed letter sequence
+}
 
 
-def _neighbourhood(cfg: dict) -> rates.Neighbourhood:
-    if "neighbourhood" not in cfg:
-        raise InputError("config field 'neighbourhood' is required")
-    return rates.Neighbourhood.from_json(cfg["neighbourhood"])
+def _load(cfg: dict, key: str):
+    """The config field `key`, which the calling subcommand requires."""
+    if key not in cfg:
+        raise InputError(f"config field {key!r} is required")
+    return _FIELDS[key](cfg[key])
 
 
 def _write_json(path: str, doc: dict):
@@ -118,8 +131,10 @@ def _disp(x: float, rc: RunConfig) -> float:
     return x / LN2 if rc.log_base == "bit" else x
 
 
-def _emit(rc: RunConfig, doc: dict, header=None, rows=None):
-    """Write artifact(s) per format; every artifact embeds the config."""
+def _emit(rc: RunConfig, doc: dict, header=None, rows=None, row_keys=()):
+    """Write artifact(s) per format; every artifact embeds the config.  The
+    keys of doc listed in row_keys are what the CSV rows carry, so a CSV
+    sidecar leaves them out."""
     doc = dict(doc)
     doc["config"] = rc.to_json()
     if rc.out is None:
@@ -127,48 +142,49 @@ def _emit(rc: RunConfig, doc: dict, header=None, rows=None):
     if rc.fmt == "json" or rows is None:
         _write_json(rc.out, doc)
     else:
-        _write_csv(rc.out, header, rows, doc)
+        _write_csv(rc.out, header, rows, {k: v for k, v in doc.items() if k not in row_keys})
 
 
 def cmd_simulate(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    nu = _letter_law(cfg)
-    rho = _renewal_law(cfg)
+    nu = _load(cfg, "letter_law")
+    rho = _load(cfg, "renewal_law")
     x, pts, sentence = laws.sample_path(nu, rho, p["n_letters"], p["n_words"], rc.seed)
     rows = [(i + 1, pts[i], sentence[i]) for i in range(len(pts))]
     _emit(rc, {"X": x, "cut_points": list(pts), "sentence": list(sentence)},
-          header=["i", "cut_point", "word"], rows=rows)
+          header=["i", "cut_point", "word"], rows=rows, row_keys=("cut_points", "sentence"))
     return f"simulate: {len(sentence)} words, {len(x)} letters"
 
 
 def cmd_ergodic(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    nu = _letter_law(cfg)
-    rho = _renewal_law(cfg)
+    nu = _load(cfg, "letter_law")
+    rho = _load(cfg, "renewal_law")
     gap = mclab.ergodic_gap(nu, rho, p["n_words"], p["k"], rc.seed)
     ref = laws.ReferenceLaw(rho, nu)
     n = p["n_words"]
     clt = 5.0 * max(math.sqrt(q / n) for q in ref.enumerate_atoms().values())
     _emit(rc, {"gap": gap, "clt_bound": clt, "N": n, "k": p["k"]},
-          header=["N", "k", "gap", "clt_bound"], rows=[(n, p["k"], gap, clt)])
+          header=["N", "k", "gap", "clt_bound"], rows=[(n, p["k"], gap, clt)],
+          row_keys=("N", "k", "gap", "clt_bound"))
     return f"ergodic: gap={gap:.3e} clt_bound={clt:.3e}"
 
 
 def cmd_psi(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    nu = _letter_law(cfg)
-    Q = _word_law(cfg)
+    nu = _load(cfg, "letter_law")
+    Q = _load(cfg, "word_law")
     table = psi.psi_marginal(Q, p["depth"], alphabet=nu.alphabet.symbols)
     rows = [(pat, prob) for pat, prob in table.items()]
     _emit(rc, {"depth": p["depth"], "table": table},
-          header=["pattern", "probability"], rows=rows)
+          header=["pattern", "probability"], rows=rows, row_keys=("table",))
     return f"psi: depth={p['depth']} atoms={len(table)}"
 
 
 def cmd_entropy(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    ref = laws.ReferenceLaw(_renewal_law(cfg), _letter_law(cfg))
-    Q = _word_law(cfg)
+    ref = laws.ReferenceLaw(_load(cfg, "renewal_law"), _load(cfg, "letter_law"))
+    Q = _load(cfg, "word_law")
     rep = entropy.entropy_report(Q, ref, p["depth"])
     _emit(rc, rep.to_json())
     return (f"entropy: H_rel={_disp(rep.h_rel, rc):.6f} "
@@ -178,8 +194,8 @@ def cmd_entropy(rc: RunConfig, cfg: dict) -> str:
 
 def cmd_rate(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    ref = laws.ReferenceLaw(_renewal_law(cfg), _letter_law(cfg))
-    Q = _word_law(cfg)
+    ref = laws.ReferenceLaw(_load(cfg, "renewal_law"), _load(cfg, "letter_law"))
+    Q = _load(cfg, "word_law")
     alpha = p["alpha"]
     if alpha in ("one", "infinity"):
         iv = rates.boundary_rate(Q, ref, alpha)
@@ -195,46 +211,45 @@ def cmd_rate(rc: RunConfig, cfg: dict) -> str:
 
 def cmd_ladder(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    ref = laws.ReferenceLaw(_renewal_law(cfg), _letter_law(cfg))
-    Q = _word_law(cfg)
+    ref = laws.ReferenceLaw(_load(cfg, "renewal_law"), _load(cfg, "letter_law"))
+    Q = _load(cfg, "word_law")
     ladder = rates.que_rate_ladder(Q, ref, float(p["alpha"]), p["tr_list"], p["depth"])
     rows = [(tr, iv.lo, iv.hi, p["depth"], iv.width) for tr, iv in ladder]
     _emit(rc, {"ladder": [{"tr": tr, "lower": iv.lo, "upper": iv.hi} for tr, iv in ladder]},
-          header=["tr", "lower", "upper", "L", "width"], rows=rows)
+          header=["tr", "lower", "upper", "L", "width"], rows=rows, row_keys=("ladder",))
     last = ladder[-1][1]
     return f"ladder: {len(ladder)} levels, final=[{last.lo:.6f},{last.hi:.6f}]"
 
 
 def cmd_quench_enum(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    rho = _renewal_law(cfg)
-    nbhd = _neighbourhood(cfg)
-    if "X" not in cfg:
-        raise InputError("config field 'X' (the fixed letter sequence) is required")
-    prob = mclab.quenched_prob_enum(cfg["X"], rho, p["n_words"], nbhd, p["jmax"])
+    rho = _load(cfg, "renewal_law")
+    nbhd = _load(cfg, "neighbourhood")
+    prob = mclab.quenched_prob_enum(_load(cfg, "X"), rho, p["n_words"], nbhd, p["jmax"])
     _emit(rc, {"prob": prob, "N": p["n_words"], "Jmax": p["jmax"]})
     return f"quench-enum: prob={prob:.6e}"
 
 
 def cmd_quench_slopes(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    nu = _letter_law(cfg)
-    rho = _renewal_law(cfg)
-    nbhd = _neighbourhood(cfg)
+    nu = _load(cfg, "letter_law")
+    rho = _load(cfg, "renewal_law")
+    nbhd = _load(cfg, "neighbourhood")
     series = mclab.quenched_slope_series(nu, rho, nbhd, p["n_list"], p["jmax"], rc.seed)
     rows = [(n, prob, slope) for n, prob, slope in series.entries]
-    _emit(rc, series.to_json(), header=["N", "prob", "slope"], rows=rows)
+    _emit(rc, series.to_json(), header=["N", "prob", "slope"], rows=rows, row_keys=("entries",))
     return (f"quench-slopes: annealed={_disp(series.annealed, rc):.6f} "
             f"last_slope={_disp(series.entries[-1][2], rc):.6f}")
 
 
 def cmd_waiting_time(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
-    nu = _letter_law(cfg)
-    target = _letter_law(cfg, key="target_law")
+    nu = _load(cfg, "letter_law")
+    target = _load(cfg, "target_law")
     res = mclab.waiting_time(nu, target, p["m_list"], p["trials"], p["tol"], rc.seed)
     rows = [(m, v, t, c) for m, v, t, c in res.per_m]
-    _emit(rc, res.to_json(), header=["M", "mean_log_sigma", "trials", "censored"], rows=rows)
+    _emit(rc, res.to_json(), header=["M", "mean_log_sigma", "trials", "censored"], rows=rows,
+          row_keys=("per_M",))
     return f"waiting-time: slope={_disp(res.slope, rc):.6f} predicted={_disp(res.predicted, rc):.6f}"
 
 
@@ -249,7 +264,7 @@ def cmd_core_lemma(rc: RunConfig, cfg: dict) -> str:
     rows = [(n, float(logs[n - 1]), -float(logs[n - 1]) / n) for n in p["n_list"]]
     _emit(rc, {"phi_lower": lower, "phi_upper": upper,
                "series": [{"N": n, "log_S_N": ls, "rate": r} for n, ls, r in rows]},
-          header=["N", "log_S_N", "rate"], rows=rows)
+          header=["N", "log_S_N", "rate"], rows=rows, row_keys=("series",))
     return f"core-lemma: phi in [{lower:.4f},{upper:.4f}], last rate={rows[-1][2]:.4f}"
 
 
@@ -262,155 +277,80 @@ def cmd_conv_tail(rc: RunConfig, cfg: dict) -> str:
 
 
 def cmd_iproj(rc: RunConfig, cfg: dict) -> str:
-    nu = _letter_law(cfg)
-    rho = _renewal_law(cfg)
-    nbhd = _neighbourhood(cfg)
+    nu = _load(cfg, "letter_law")
+    rho = _load(cfg, "renewal_law")
+    nbhd = _load(cfg, "neighbourhood")
     ref_marginal = laws.ReferenceLaw(rho, nu).enumerate_atoms()
     q_star, value = rates.i_projection(ref_marginal, nbhd)
     _emit(rc, {"value": value, "q_star": q_star})
     return f"iproj: value={_disp(value, rc):.6f}"
 
 
+# Each subcommand's function and parameters, as (flag, name, converter).
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "ergodic": cmd_ergodic,
-    "psi": cmd_psi,
-    "entropy": cmd_entropy,
-    "rate": cmd_rate,
-    "ladder": cmd_ladder,
-    "quench-enum": cmd_quench_enum,
-    "quench-slopes": cmd_quench_slopes,
-    "waiting-time": cmd_waiting_time,
-    "core-lemma": cmd_core_lemma,
-    "conv-tail": cmd_conv_tail,
-    "iproj": cmd_iproj,
+    "simulate": (cmd_simulate, [("--n-letters", "n_letters", int), ("--n-words", "n_words", int)]),
+    "ergodic": (cmd_ergodic, [("--n-words", "n_words", int), ("--k", "k", int)]),
+    "psi": (cmd_psi, [("--depth", "depth", int)]),
+    "entropy": (cmd_entropy, [("--depth", "depth", int)]),
+    "rate": (cmd_rate, [("--alpha", "alpha", _alpha_or_boundary), ("--depth", "depth", int)]),
+    "ladder": (cmd_ladder, [("--alpha", "alpha", float), ("--depth", "depth", int),
+                            ("--tr", "tr_list", parse_int_list)]),
+    "quench-enum": (cmd_quench_enum, [("--n-words", "n_words", int), ("--jmax", "jmax", int)]),
+    "quench-slopes": (cmd_quench_slopes, [("--n", "n_list", parse_int_list),
+                                          ("--jmax", "jmax", int)]),
+    "waiting-time": (cmd_waiting_time, [("--m", "m_list", parse_int_list),
+                                        ("--trials", "trials", int), ("--tol", "tol", float)]),
+    "core-lemma": (cmd_core_lemma, [("--alpha", "alpha", float), ("--p", "p", float),
+                                    ("--n", "n_list", parse_int_list),
+                                    ("--horizon", "horizon", int)]),
+    "conv-tail": (cmd_conv_tail, [("--alpha", "alpha", float), ("--cap", "cap", int),
+                                  ("--m-max", "m_max", int), ("--n-max", "n_max", int)]),
+    "iproj": (cmd_iproj, []),
 }
 
 
 def build_parser() -> CliParser:
     parser = CliParser(prog="cutwords")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", choices=["csv", "json"], default=None)
+    for command, (_, params) in COMMANDS.items():
+        sp = sub.add_parser(command)
+        for flag, name, _ in params:
+            sp.add_argument(flag, dest=name)
+        sp.add_argument("--config")
+        sp.add_argument("--out")
+        sp.add_argument("--seed")
+        sp.add_argument("--format", choices=["csv", "json"])
         sp.add_argument("--log-base", choices=["nat", "bit"], default="nat")
-
-    sp = sub.add_parser("simulate")
-    sp.add_argument("--n-letters", type=int, default=None)
-    sp.add_argument("--n-words", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("ergodic")
-    sp.add_argument("--n-words", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("psi")
-    sp.add_argument("--depth", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("entropy")
-    sp.add_argument("--depth", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("rate")
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("ladder")
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--tr", dest="tr_list", default=None)
-    common(sp)
-
-    sp = sub.add_parser("quench-enum")
-    sp.add_argument("--n-words", type=int, default=None)
-    sp.add_argument("--jmax", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("quench-slopes")
-    sp.add_argument("--n", dest="n_list", default=None)
-    sp.add_argument("--jmax", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("waiting-time")
-    sp.add_argument("--m", dest="m_list", default=None)
-    sp.add_argument("--trials", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-    common(sp)
-
-    sp = sub.add_parser("core-lemma")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--n", dest="n_list", default=None)
-    sp.add_argument("--horizon", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("conv-tail")
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--m-max", type=int, default=None)
-    sp.add_argument("--n-max", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("iproj")
-    common(sp)
     return parser
 
 
-# Per-command parameter schema: (name, config key, required, converter)
-_PARAM_SPECS = {
-    "simulate": [("n_letters", int, True), ("n_words", int, True)],
-    "ergodic": [("n_words", int, True), ("k", int, True)],
-    "psi": [("depth", int, True)],
-    "entropy": [("depth", int, True)],
-    "rate": [("alpha", None, True), ("depth", int, True)],
-    "ladder": [("alpha", float, True), ("depth", int, True), ("tr_list", parse_int_list, True)],
-    "quench-enum": [("n_words", int, True), ("jmax", int, True)],
-    "quench-slopes": [("n_list", parse_int_list, True), ("jmax", int, True)],
-    "waiting-time": [("m_list", parse_int_list, True), ("trials", int, True), ("tol", float, True)],
-    "core-lemma": [("alpha", float, True), ("p", float, True),
-                   ("n_list", parse_int_list, True), ("horizon", int, True)],
-    "conv-tail": [("alpha", float, True), ("cap", int, True),
-                  ("m_max", int, True), ("n_max", int, True)],
-    "iproj": [],
-}
-
-
-def _coerce(value, conv):
-    if conv is None or value is None:
-        return value
-    if conv is parse_int_list and isinstance(value, list):
-        return [int(v) for v in value]
-    if isinstance(value, str) or conv in (int, float):
+def _coerce(name: str, value, conv):
+    """Convert a flag's text or a config value; InputError names `name`."""
+    try:
         return conv(value)
-    return value
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"parameter {name!r}: cannot read {value!r} ({exc})") from None
 
 
 def resolve_config(args: argparse.Namespace) -> tuple:
     cfg = _load_config(args.config)
     params = {}
-    for name, conv, required in _PARAM_SPECS[args.command]:
-        flag_val = getattr(args, name, None)
-        val = flag_val if flag_val is not None else cfg.get(name)
-        val = _coerce(val, conv)
-        if val is None and required:
+    for _, name, conv in COMMANDS[args.command][1]:
+        val = getattr(args, name)
+        if val is None:
+            val = cfg.get(name)
+        if val is None:
             raise InputError(f"parameter {name!r} missing: pass a flag or set it in the config")
-        params[name] = val
-    seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
-    fmt = args.format if args.format is not None else cfg.get("format", "csv")
-    if params.get("depth") is not None and params["depth"] < 1:
+        params[name] = _coerce(name, val, conv)
+    if params.get("depth", 1) < 1:
         raise InputError(f"depth must be >= 1, got {params['depth']}")
+    seed = args.seed if args.seed is not None else cfg.get("seed", DEFAULT_SEED)
     rc = RunConfig(
         command=args.command,
         params=params,
-        seed=int(seed),
+        seed=_coerce("seed", seed, int),
         out=args.out,
-        fmt=fmt,
+        fmt=args.format if args.format is not None else cfg.get("format", "csv"),
         log_base=args.log_base,
     )
     return rc, cfg
@@ -435,7 +375,7 @@ def main(argv=None) -> int:
 
     def run():
         rc, cfg = resolve_config(args)
-        print(COMMANDS[args.command](rc, cfg))
+        print(COMMANDS[args.command][0](rc, cfg))
 
     return exit_code(run)
 

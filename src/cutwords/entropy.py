@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, asdict
-from typing import Optional
 
 import numpy as np
 from scipy.special import xlogy
@@ -23,7 +22,7 @@ from scipy.special import xlogy
 from .errors import InputError
 from .interval import Interval
 from .laws import LetterLaw, ReferenceLaw, WordProcessLaw, mean_length
-from .psi import entropy_series, hidden_chain
+from .psi import entropy_series, hidden_chain, minimize_chain
 
 BRACKET_TOL = 1e-10
 
@@ -135,7 +134,8 @@ def psi_bracket_series(Q: WordProcessLaw, nu: LetterLaw, L_max: int):
     """
     if L_max < 1:
         raise InputError(f"bracket depth must be >= 1, got {L_max}")
-    h, cond = entropy_series(hidden_chain(Q, alphabet=nu.alphabet.symbols), L_max)
+    chain = minimize_chain(hidden_chain(Q, alphabet=nu.alphabet.symbols))
+    h, cond = entropy_series(chain, L_max)
     e_log_nu = expected_log_nu(Q, nu)
     ent_brackets = []
     rel_brackets = []

@@ -38,9 +38,6 @@ class Interval:
             raise ValueError("only non-negative scaling is supported")
         return Interval(c * self.lo, c * self.hi)
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.lo) or math.isinf(self.hi)

@@ -7,13 +7,13 @@ balance.  Logs are natural (nats) everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import InputError
-from .words import Alphabet, concat, cut, truncate_word
+from .words import Alphabet, cut, truncate_word
 
 MASS_TOL = 1e-12
 STATIONARY_TOL = 1e-10

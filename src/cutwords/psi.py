@@ -53,6 +53,11 @@ def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
     if alphabet is None:
         alphabet = tuple(sorted({c for w in Q.words for c in w}))
     letter_idx = {c: i for i, c in enumerate(alphabet)}
+    for w in Q.words:
+        for c in w:
+            if c not in letter_idx:
+                raise InputError(f"letter {c!r} of word {w!r} is not in the alphabet "
+                                 f"{''.join(alphabet)!r}")
     states = []
     for wi, w in enumerate(Q.words):
         for k in range(len(w)):
@@ -117,7 +122,7 @@ def minimize_chain(chain: HiddenChain) -> HiddenChain:
 
 
 def _pattern_pass(chain: HiddenChain, rows: np.ndarray, steps: int):
-    """The forward loop over letter patterns of a minimized chain.
+    """The forward loop over letter patterns of a chain.
 
     Tracks, per pattern of positive mass, the matrix rows @ (path matrix
     of the pattern), whose entry [r, s] is P(pattern, S_{t+1} = s) started
@@ -162,9 +167,9 @@ def entropy_series(chain: HiddenChain, L: int):
     cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  The pattern pass
     starts from one row per start state s1, so row sums give the pattern
     law conditioned on S_1 = s1 and their average over the start law gives
-    the pattern law itself.
+    the pattern law itself.  The chain is taken as given; minimize it
+    first for a smaller pass.
     """
-    chain = minimize_chain(chain)
     # Only start states with positive initial mass enter the average, so
     # the per-pattern matrices carry just those rows.
     starts = np.nonzero(chain.init > 0.0)[0]

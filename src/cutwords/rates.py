@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .errors import InfeasibleError, InputError
 from .interval import INF_INTERVAL, Interval, point
@@ -69,29 +68,22 @@ class RateResult:
     alpha: float
     h_rel: float
     m_q: float
-    psi_lower: float
-    psi_upper: float
+    psi_bracket: EntropyBracket | None  # None when H_rel is infinite
     depth: int
-    ladder: Optional[tuple] = None  # tuple of (tr, Interval)
 
     def to_json(self) -> dict:
-        doc = {
+        b = self.psi_bracket
+        return {
             "annealed": self.annealed,
             "quenched": [self.quenched.lo, self.quenched.hi],
             "alpha": self.alpha,
             "components": {
                 "H_rel": self.h_rel,
                 "m_Q": self.m_q,
-                "psi_bracket": [self.psi_lower, self.psi_upper],
+                "psi_bracket": None if b is None else [b.lower, b.upper],
             },
             "depth": self.depth,
         }
-        if self.ladder is not None:
-            doc["ladder"] = [
-                {"tr": tr, "lower": iv.lo, "upper": iv.hi, "width": iv.width}
-                for tr, iv in self.ladder
-            ]
-        return doc
 
 
 def ann_rate(Q: WordProcessLaw, ref: ReferenceLaw) -> float:
@@ -109,43 +101,36 @@ def _check_fin_rate_input(Q: WordProcessLaw, alpha: float):
         )
 
 
-def _quenched(h_rel: float, c: float, b: EntropyBracket) -> Interval:
-    """h_rel + c * [psi relative-entropy bracket], rounded outward so exact
-    zeros of the rate stay inside the bracket."""
-    if math.isinf(h_rel):
-        return INF_INTERVAL
-    iv = b.as_interval().scale(c).shift(h_rel)
-    slack = 64.0 * sys.float_info.epsilon * max(1.0, abs(h_rel), c * abs(b.upper))
-    return Interval(iv.lo - slack, iv.hi + slack)
-
-
 def fin_rate(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> Interval:
     """Quenched rate on finite-mean laws, as a bracket at depth L:
     H_rel + (alpha - 1) * m_Q * [psi relative-entropy bracket]."""
-    _check_fin_rate_input(Q, alpha)
-    h_rel = spec_rel_entropy(Q, ref)
-    if math.isinf(h_rel):
-        return INF_INTERVAL
-    b = psi_bracket_series(Q, ref.nu, L)[1][-1]
-    return _quenched(h_rel, (alpha - 1.0) * mean_length(Q), b)
+    return fin_rate_result(Q, ref, alpha, L).quenched
 
 
-def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int,
-                    ladder: Optional[tuple] = None) -> RateResult:
+def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> RateResult:
+    """`fin_rate` with its components.  An infinite H_rel makes the rate
+    infinite, so the psi bracket is then not computed (None)."""
     _check_fin_rate_input(Q, alpha)
     h_rel = spec_rel_entropy(Q, ref)
-    b = psi_bracket_series(Q, ref.nu, L)[1][-1]
     m_q = mean_length(Q)
+    if math.isinf(h_rel):
+        b, quenched = None, INF_INTERVAL
+    else:
+        # h_rel + c * [psi relative-entropy bracket], rounded outward so
+        # exact zeros of the rate stay inside the bracket.
+        b = psi_bracket_series(Q, ref.nu, L)[1][-1]
+        c = (alpha - 1.0) * m_q
+        iv = b.as_interval().scale(c).shift(h_rel)
+        slack = 64.0 * sys.float_info.epsilon * max(1.0, abs(h_rel), c * abs(b.upper))
+        quenched = Interval(iv.lo - slack, iv.hi + slack)
     return RateResult(
         annealed=h_rel,
-        quenched=_quenched(h_rel, (alpha - 1.0) * m_q, b),
+        quenched=quenched,
         alpha=alpha,
         h_rel=h_rel,
         m_q=m_q,
-        psi_lower=b.lower,
-        psi_upper=b.upper,
+        psi_bracket=b,
         depth=L,
-        ladder=ladder,
     )
 
 

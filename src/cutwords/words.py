@@ -58,12 +58,6 @@ class Alphabet:
             if c not in self.symbols:
                 raise InputError(f"letter {c!r} not in alphabet {self.as_string()!r}")
 
-    def validate_sentence(self, s: Sequence[Word]):
-        if len(s) == 0:
-            raise InputError("sentence must contain at least one word")
-        for w in s:
-            self.validate_word(w)
-
 
 def concat(s: Sequence[Word]) -> str:
     """Glue a sentence into one letter string."""

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from cutwords.cli import DEFAULT_SEED, main
+from cutwords.cli import DEFAULT_SEED, build_parser, main
 from cutwords.corelemma import bernoulli_omega, s_n_eval
 
 BASE_CFG = {
@@ -202,3 +203,97 @@ def test_waiting_time_reruns_byte_identical(cfg_path, tmp_path):
     assert run(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.csv.meta.json").read_bytes() == (tmp_path / "b.csv.meta.json").read_bytes()
+
+
+COMMON_OPTIONS = {
+    (("--config",), "config", None, None),
+    (("--out",), "out", None, None),
+    (("--seed",), "seed", None, None),
+    (("--format",), "format", None, ("csv", "json")),
+    (("--log-base",), "log_base", "nat", ("nat", "bit")),
+}
+
+# Each subcommand's own options as (option string, dest); all default to
+# None and take any text.
+COMMAND_OPTIONS = {
+    "simulate": {("--n-letters", "n_letters"), ("--n-words", "n_words")},
+    "ergodic": {("--n-words", "n_words"), ("--k", "k")},
+    "psi": {("--depth", "depth")},
+    "entropy": {("--depth", "depth")},
+    "rate": {("--alpha", "alpha"), ("--depth", "depth")},
+    "ladder": {("--alpha", "alpha"), ("--depth", "depth"), ("--tr", "tr_list")},
+    "quench-enum": {("--n-words", "n_words"), ("--jmax", "jmax")},
+    "quench-slopes": {("--n", "n_list"), ("--jmax", "jmax")},
+    "waiting-time": {("--m", "m_list"), ("--trials", "trials"), ("--tol", "tol")},
+    "core-lemma": {("--alpha", "alpha"), ("--p", "p"), ("--n", "n_list"),
+                   ("--horizon", "horizon")},
+    "conv-tail": {("--alpha", "alpha"), ("--cap", "cap"), ("--m-max", "m_max"),
+                  ("--n-max", "n_max")},
+    "iproj": set(),
+}
+
+
+def test_cli_surface_pinned():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMAND_OPTIONS)
+    for command, sp in sub.choices.items():
+        got = {(tuple(a.option_strings), a.dest, a.default,
+                tuple(a.choices) if a.choices else None)
+               for a in sp._actions if a.dest != "help"}
+        want = COMMON_OPTIONS | {((flag,), dest, None, None)
+                                 for flag, dest in COMMAND_OPTIONS[command]}
+        assert got == want, command
+
+
+@pytest.mark.parametrize("argv, flag, name, bad", [
+    (["psi"], "--depth", "depth", "x"),
+    (["core-lemma", "--alpha", "2.0", "--p", "0.2", "--horizon", "100"], "--n", "n_list", "a,b"),
+    (["ladder", "--alpha", "2.0", "--depth", "4"], "--tr", "tr_list", "1..x"),
+    (["waiting-time", "--m", "8,12", "--trials", "5"], "--tol", "tol", "0.1.2"),
+    (["rate", "--depth", "4"], "--alpha", "alpha", "two"),
+    (["conv-tail", "--alpha", "2.0", "--m-max", "2", "--n-max", "2"], "--cap", "cap", "4.5"),
+    (["psi", "--depth", "2"], "--seed", "seed", "x"),
+], ids=["depth", "n_list", "tr_list", "tol", "alpha", "cap", "seed"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_value_names_parameter(tmp_path, capsys, argv, flag, name, bad, source):
+    cfg = dict(BASE_CFG)
+    if source == "flag":
+        argv = argv + [flag, bad]
+    else:
+        cfg[name] = bad
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(argv + ["--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(name) in err
+
+
+def test_csv_sidecar_leaves_out_the_rows(cfg_path, tmp_path):
+    base = ["psi", "--config", cfg_path, "--depth", "3"]
+    assert run(base + ["--out", str(tmp_path / "p.csv")]) == 0
+    assert run(base + ["--format", "json", "--out", str(tmp_path / "p.json")]) == 0
+    meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
+    doc = json.loads((tmp_path / "p.json").read_text())
+    assert "table" not in meta and meta["depth"] == 3
+    assert meta["config"]["params"] == doc["config"]["params"]
+    rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
+    assert {r.split(",")[0]: float(r.split(",")[1]) for r in rows} == doc["table"]
+
+
+def test_rate_and_entropy_on_letters_outside_nu(tmp_path, capsys):
+    # the word "ac" is impossible under nu on "ab", so H_rel is infinite
+    cfg = dict(BASE_CFG, word_law={"variant": "iid", "words": ["a", "ac"], "probs": [0.5, 0.5]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rate.json"
+    for alpha in ("one", "infinity", "2"):
+        code = run(["rate", "--config", str(path), "--alpha", alpha, "--depth", "4",
+                    "--format", "json", "--out", str(out)])
+        assert code == 0, alpha
+        assert json.loads(out.read_text())["quenched"] == [float("inf")] * 2
+    assert json.loads(out.read_text())["components"]["psi_bracket"] is None
+    capsys.readouterr()
+    assert run(["entropy", "--config", str(path), "--depth", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'c'" in err and "'ac'" in err

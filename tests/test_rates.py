@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-import cutwords.psi as psi
+import cutwords.entropy as entropy
 from cutwords.errors import InfeasibleError, InputError
 from cutwords.interval import INF_INTERVAL
 from cutwords.laws import (
@@ -230,16 +230,16 @@ def test_fin_rate_result_serializes(ref_default):
 
 
 def test_fin_rate_result_runs_one_dp(ref_default, monkeypatch):
-    # every DP pass starts by minimizing the chain; the result must come
-    # from one pass and agree with fin_rate
+    # every bracket pass starts by minimizing the chain; the result must
+    # come from one pass and agree with fin_rate
     calls = []
-    minimize = psi.minimize_chain
+    minimize = entropy.minimize_chain
 
     def counting(chain):
         calls.append(chain)
         return minimize(chain)
 
-    monkeypatch.setattr(psi, "minimize_chain", counting)
+    monkeypatch.setattr(entropy, "minimize_chain", counting)
     Q = iid_law({"a": 0.3, "ab": 0.3, "bb": 0.4})
     res = fin_rate_result(Q, ref_default, 2.0, 8)
     assert len(calls) == 1
