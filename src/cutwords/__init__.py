@@ -9,7 +9,6 @@ from .words import (
     concat,
     cut,
     empirical_patterns,
-    truncate_sentence,
     truncate_word,
 )
 from .laws import (
@@ -23,7 +22,6 @@ from .laws import (
     make_algebraic_renewal,
     markov_law,
     mean_length,
-    reference_law,
     renewal_from_atoms,
     sample_path,
     truncate_process,

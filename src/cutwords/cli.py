@@ -82,6 +82,19 @@ def _alpha_or_boundary(value):
     return value
 
 
+def _letters(value) -> str:
+    """The fixed letter sequence X, which must be a string."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string of letters")
+    return value
+
+
+def _format(value) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError("expected 'csv' or 'json'")
+    return value
+
+
 def _renewal_law(doc: dict) -> laws.RenewalLaw:
     if "cap" in doc:
         return laws.make_algebraic_renewal(float(doc["alpha"]), int(doc["cap"]))
@@ -95,7 +108,7 @@ _FIELDS = {
     "renewal_law": _renewal_law,
     "word_law": laws.WordProcessLaw.from_json,
     "neighbourhood": rates.Neighbourhood.from_json,
-    "X": lambda x: x,  # the fixed letter sequence
+    "X": _letters,
 }
 
 
@@ -103,7 +116,7 @@ def _load(cfg: dict, key: str):
     """The config field `key`, which the calling subcommand requires."""
     if key not in cfg:
         raise InputError(f"config field {key!r} is required")
-    return _FIELDS[key](cfg[key])
+    return _coerce(key, cfg[key], _FIELDS[key])
 
 
 def _write_json(path: str, doc: dict):
@@ -328,7 +341,7 @@ def _coerce(name: str, value, conv):
     """Convert a flag's text or a config value; InputError names `name`."""
     try:
         return conv(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, KeyError) as exc:
         raise InputError(f"parameter {name!r}: cannot read {value!r} ({exc})") from None
 
 
@@ -350,7 +363,7 @@ def resolve_config(args: argparse.Namespace) -> tuple:
         params=params,
         seed=_coerce("seed", seed, int),
         out=args.out,
-        fmt=args.format if args.format is not None else cfg.get("format", "csv"),
+        fmt=_coerce("format", args.format or cfg.get("format", "csv"), _format),
         log_base=args.log_base,
     )
     return rc, cfg

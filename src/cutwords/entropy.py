@@ -53,9 +53,8 @@ def entropy(mu: dict) -> float:
 
 
 def entropy_rate(Q: WordProcessLaw) -> float:
-    """Specific entropy per word: h(q) for iid, the usual closed form for Markov."""
-    if Q.variant == "iid":
-        return entropy(dict(zip(Q.words, Q.probs)))
+    """Specific entropy per word: the stationary average of the row entropies
+    (h(q) for i.i.d. words)."""
     P = np.asarray(Q.transition)
     pi = np.asarray(Q.stationary)
     return float(-(pi[:, None] * xlogy(P, P)).sum())
@@ -250,16 +249,6 @@ def marginal_rel_entropy(Q: WordProcessLaw, ref: ReferenceLaw, N: int) -> float:
     Non-decreasing in N; used by invariants.  Exponential in N, so keep
     N small (<= 4 for desk-scale word sets).
     """
-    marg = Q.marginal()
-    if Q.variant == "iid":
-        total = 0.0
-        for w, p in marg.items():
-            lq = ref.log_word_prob(w)
-            if math.isinf(lq) and p > 0:
-                return math.inf
-            if p > 0:
-                total += p * (math.log(p) - lq)
-        return max(total, 0.0)
     words = Q.words
     P = np.asarray(Q.transition)
     pi = np.asarray(Q.stationary)

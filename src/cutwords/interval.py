@@ -38,10 +38,6 @@ class Interval:
             raise ValueError("only non-negative scaling is supported")
         return Interval(c * self.lo, c * self.hi)
 
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.lo) or math.isinf(self.hi)
-
 
 INF_INTERVAL = Interval(math.inf, math.inf)
 

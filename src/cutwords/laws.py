@@ -7,7 +7,7 @@ balance.  Logs are natural (nats) everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -207,32 +207,20 @@ class ReferenceLaw:
         return iid_law(self.enumerate_atoms())
 
 
-def reference_law(rho: RenewalLaw, nu: LetterLaw) -> ReferenceLaw:
-    return ReferenceLaw(rho, nu)
-
-
 @dataclass(frozen=True)
 class WordProcessLaw:
-    """Stationary law on word sequences: i.i.d. or finite Markov variant.
+    """Stationary Markov law on word sequences.
 
-    For the Markov variant, `transition` is row-stochastic over `words`
-    and `stationary` is its verified stationary row.  `exact_truncation`
-    is False only for lumped chains produced by truncating a Markov law
-    whose truncation map is not injective; such chains match the image
-    measure only at the single-word marginal and are offered as samplers,
-    never for rate evaluation.
+    `transition` is row-stochastic over `words` and `stationary` is its
+    verified stationary row.  An i.i.d. law is the case whose rows all equal
+    the word probabilities, which are then the stationary row too.
     """
 
-    variant: str
     words: tuple
-    probs: Optional[tuple] = None
-    transition: Optional[tuple] = None  # tuple of row tuples
-    stationary: Optional[tuple] = None
-    exact_truncation: bool = True
+    transition: tuple  # tuple of row tuples
+    stationary: tuple
 
     def __post_init__(self):
-        if self.variant not in ("iid", "markov"):
-            raise InputError(f"unknown word-process variant {self.variant!r}")
         if len(self.words) == 0:
             raise InputError("word set must be non-empty")
         if len(self.words) > MAX_WORD_SET:
@@ -242,29 +230,20 @@ class WordProcessLaw:
         for w in self.words:
             if len(w) == 0:
                 raise InputError("words must be non-empty")
-        if self.variant == "iid":
-            if self.probs is None or len(self.probs) != len(self.words):
-                raise InputError("iid law needs one probability per word")
-            total = sum(self.probs)
-            if abs(total - 1.0) > MASS_TOL:
-                raise InputError(f"word probabilities sum to {total}, not 1")
-            if any(p < 0 for p in self.probs):
-                raise InputError("word probabilities must be non-negative")
-        else:
-            P = np.asarray(self.transition, dtype=float)
-            k = len(self.words)
-            if P.shape != (k, k):
-                raise InputError("transition table must be square over the word set")
-            if np.any(P < 0):
-                raise InputError("transition probabilities must be non-negative")
-            rows = P.sum(axis=1)
-            if np.max(np.abs(rows - 1.0)) > MASS_TOL:
-                raise InputError("transition rows must sum to 1")
-            if not _irreducible(P):
-                raise InputError("Markov word chain must be irreducible")
-            pi = np.asarray(self.stationary, dtype=float)
-            if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
-                raise InputError("stationary row fails pi P = pi within 1e-10")
+        P = np.asarray(self.transition, dtype=float)
+        k = len(self.words)
+        if P.shape != (k, k):
+            raise InputError("transition table must be square over the word set")
+        if np.any(P < 0):
+            raise InputError("transition probabilities must be non-negative")
+        rows = P.sum(axis=1)
+        if np.max(np.abs(rows - 1.0)) > MASS_TOL:
+            raise InputError("transition rows must sum to 1")
+        if not _irreducible(P):
+            raise InputError("Markov word chain must be irreducible")
+        pi = np.asarray(self.stationary, dtype=float)
+        if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
+            raise InputError("stationary row fails pi P = pi within 1e-10")
 
     @property
     def tr_max(self) -> int:
@@ -272,31 +251,22 @@ class WordProcessLaw:
 
     def marginal(self) -> dict:
         """Single-word marginal (canonical word order)."""
-        if self.variant == "iid":
-            m = dict(zip(self.words, self.probs))
-        else:
-            m = dict(zip(self.words, self.stationary))
-        return dict(sorted(m.items()))
-
-    def kernel_row(self, i: int) -> np.ndarray:
-        """Next-word distribution given current word index i."""
-        if self.variant == "iid":
-            return np.asarray(self.probs, dtype=float)
-        return np.asarray(self.transition[i], dtype=float)
+        return dict(sorted(zip(self.words, self.stationary)))
 
     def to_json(self) -> dict:
-        doc: dict = {"variant": self.variant, "words": list(self.words)}
-        if self.variant == "iid":
-            doc["probs"] = list(self.probs)
-        else:
-            doc["transition"] = [list(r) for r in self.transition]
-        return doc
+        return {"variant": "markov", "words": list(self.words),
+                "transition": [list(r) for r in self.transition]}
 
     @classmethod
     def from_json(cls, doc: dict) -> "WordProcessLaw":
+        """Read a `markov` document, or an `iid` one with one probability per word."""
         if doc["variant"] == "iid":
+            if len(doc["probs"]) != len(doc["words"]):
+                raise InputError("iid law needs one probability per word")
             return iid_law(dict(zip(doc["words"], doc["probs"])))
-        return markov_law(tuple(doc["words"]), np.asarray(doc["transition"], dtype=float))
+        if doc["variant"] == "markov":
+            return markov_law(tuple(doc["words"]), np.asarray(doc["transition"], dtype=float))
+        raise InputError(f"unknown word-process variant {doc['variant']!r}")
 
 
 def _irreducible(P: np.ndarray) -> bool:
@@ -308,13 +278,20 @@ def _irreducible(P: np.ndarray) -> bool:
     return bool(closure.all())
 
 
-def iid_law(word_probs: dict) -> WordProcessLaw:
-    items = sorted((w, p) for w, p in word_probs.items() if p > 0)
+def _law(words, P: np.ndarray, pi: np.ndarray) -> WordProcessLaw:
     return WordProcessLaw(
-        variant="iid",
-        words=tuple(w for w, _ in items),
-        probs=tuple(float(p) for _, p in items),
+        words=tuple(words),
+        transition=tuple(tuple(float(x) for x in row) for row in P),
+        stationary=tuple(float(x) for x in pi),
     )
+
+
+def iid_law(word_probs: dict) -> WordProcessLaw:
+    """I.i.d. words: every transition row, and the stationary row, is the
+    word probabilities (zero atoms dropped)."""
+    items = sorted((w, p) for w, p in word_probs.items() if p > 0)
+    p = np.array([p for _, p in items], dtype=float)
+    return _law((w for w, _ in items), np.tile(p, (len(p), 1)), p)
 
 
 def stationary_row(P: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) -> np.ndarray:
@@ -332,13 +309,7 @@ def stationary_row(P: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) ->
 
 def markov_law(words: tuple, P: np.ndarray) -> WordProcessLaw:
     P = np.asarray(P, dtype=float)
-    pi = stationary_row(P)
-    return WordProcessLaw(
-        variant="markov",
-        words=tuple(words),
-        transition=tuple(tuple(float(x) for x in row) for row in P),
-        stationary=tuple(float(x) for x in pi),
-    )
+    return _law(words, P, stationary_row(P))
 
 
 def mean_length(Q: WordProcessLaw) -> float:
@@ -349,42 +320,26 @@ def mean_length(Q: WordProcessLaw) -> float:
 def truncate_process(Q: WordProcessLaw, tr: int) -> WordProcessLaw:
     """Image of Q under clipping every word to its first tr letters.
 
-    IID laws merge atoms exactly.  Markov laws are relabeled; if two
-    distinct words collapse to the same truncated word, the merged row is
-    the pi-weighted average, which reproduces the image measure only at
-    the single-word marginal -- the result is flagged `exact_truncation
-    = False` and rejected by rate evaluation.
+    Clipping lumps the word chain by clipped word.  The lumped chain is the
+    image law when the lumping is strong (Kemeny & Snell 1960, §6.3):
+    words that clip alike put equal mass on each clipped word, as the rows
+    of an i.i.d. law always do.  Otherwise the clipped process need not be
+    Markov, and InputError names tr.
     """
     if tr < 1:
         raise InputError("truncation level must be >= 1")
     if Q.tr_max <= tr:
         return Q
-    if Q.variant == "iid":
-        merged: dict = {}
-        for w, p in zip(Q.words, Q.probs):
-            t = truncate_word(w, tr)
-            merged[t] = merged.get(t, 0.0) + p
-        return iid_law(merged)
-
     trunc = [truncate_word(w, tr) for w in Q.words]
     new_words = sorted(set(trunc))
-    idx = {w: i for i, w in enumerate(new_words)}
-    k_old, k_new = len(Q.words), len(new_words)
-    P = np.asarray(Q.transition, dtype=float)
-    pi = np.asarray(Q.stationary, dtype=float)
-    exact = k_new == k_old
-    P_new = np.zeros((k_new, k_new))
-    w_new = np.zeros(k_new)
-    for i in range(k_old):
-        ti = idx[trunc[i]]
-        w_new[ti] += pi[i]
-        for j in range(k_old):
-            P_new[ti, idx[trunc[j]]] += pi[i] * P[i, j]
-    P_new /= w_new[:, None]
-    out = markov_law(tuple(new_words), P_new)
-    if not exact:
-        out = replace(out, exact_truncation=False)
-    return out
+    label = np.array([new_words.index(t) for t in trunc])
+    member = (label[:, None] == np.arange(len(new_words))).astype(float)
+    agg = np.asarray(Q.transition) @ member  # mass from each word into each clipped word
+    rows = agg[[trunc.index(u) for u in new_words]]  # one word per clipped word
+    if np.max(np.abs(agg - rows[label])) > MASS_TOL:
+        raise InputError(f"truncation at tr={tr} is not lumpable: words that clip alike "
+                         "put different mass on the clipped words")
+    return _law(new_words, rows, np.asarray(Q.stationary) @ member)
 
 
 def _rng_streams(seed: int):

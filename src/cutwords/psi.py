@@ -75,8 +75,7 @@ def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
         if k + 1 < len(Q.words[wi]):
             trans[si, state_pos[(wi, k + 1)]] = 1.0
         else:
-            row = Q.kernel_row(wi)
-            for wj, p in enumerate(row):
+            for wj, p in enumerate(Q.transition[wi]):
                 if p > 0:
                     trans[si, state_pos[(wj, 0)]] += p
     return HiddenChain(

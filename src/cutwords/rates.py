@@ -91,16 +91,6 @@ def ann_rate(Q: WordProcessLaw, ref: ReferenceLaw) -> float:
     return spec_rel_entropy(Q, ref)
 
 
-def _check_fin_rate_input(Q: WordProcessLaw, alpha: float):
-    if not (1.0 < alpha < math.inf):
-        raise InputError("fin_rate needs alpha in (1, inf); use boundary_rate otherwise")
-    if not Q.exact_truncation:
-        raise InputError(
-            "law is an inexact lumped truncation (sampler only); "
-            "rate evaluation requires the image measure"
-        )
-
-
 def fin_rate(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> Interval:
     """Quenched rate on finite-mean laws, as a bracket at depth L:
     H_rel + (alpha - 1) * m_Q * [psi relative-entropy bracket]."""
@@ -110,7 +100,8 @@ def fin_rate(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> Inte
 def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> RateResult:
     """`fin_rate` with its components.  An infinite H_rel makes the rate
     infinite, so the psi bracket is then not computed (None)."""
-    _check_fin_rate_input(Q, alpha)
+    if not (1.0 < alpha < math.inf):
+        raise InputError("fin_rate needs alpha in (1, inf); use boundary_rate otherwise")
     h_rel = spec_rel_entropy(Q, ref)
     m_q = mean_length(Q)
     if math.isinf(h_rel):
@@ -139,8 +130,8 @@ def que_rate_ladder(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float,
     """fin_rate of the truncated law per truncation level.
 
     For bounded word lengths the ladder stabilizes exactly once tr reaches
-    the maximum length.  Markov laws whose truncation map is not injective
-    produce inexact lumped chains and are rejected with a diagnostic.
+    the maximum length.  A level whose truncation is not lumpable, so that
+    the clipped law is not Markov, raises InputError naming it.
     """
     prev = 0
     out = []
@@ -148,13 +139,7 @@ def que_rate_ladder(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float,
         if tr <= prev:
             raise InputError("truncation levels must be strictly increasing")
         prev = tr
-        q_tr = truncate_process(Q, tr)
-        if not q_tr.exact_truncation:
-            raise InputError(
-                f"truncation at tr={tr} merges Markov words with distinct rows; "
-                "the lumped chain is a sampler only and has no exact rate"
-            )
-        out.append((tr, fin_rate(q_tr, ref, alpha, L)))
+        out.append((tr, fin_rate(truncate_process(Q, tr), ref, alpha, L)))
     return out
 
 

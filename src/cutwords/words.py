@@ -45,18 +45,8 @@ class Alphabet:
     def __contains__(self, letter):
         return letter in self.symbols
 
-    def index(self, letter: str) -> int:
-        return self.symbols.index(letter)
-
     def as_string(self) -> str:
         return "".join(self.symbols)
-
-    def validate_word(self, w: Word):
-        if len(w) == 0:
-            raise InputError("word must be non-empty")
-        for c in w:
-            if c not in self.symbols:
-                raise InputError(f"letter {c!r} not in alphabet {self.as_string()!r}")
 
 
 def concat(s: Sequence[Word]) -> str:
@@ -69,10 +59,6 @@ def truncate_word(w: Word, tr: int) -> Word:
     if tr < 1:
         raise InputError("truncation level must be >= 1")
     return w[:tr]
-
-
-def truncate_sentence(s: Sequence[Word], tr: int) -> Sentence:
-    return tuple(truncate_word(w, tr) for w in s)
 
 
 def validate_cut_points(points: Sequence[int], n_letters: int):
@@ -117,8 +103,3 @@ def empirical_patterns(s: Sequence[Word], k: int) -> dict:
         pat = tuple(s[(i + j) % n] for j in range(k))
         table[pat] = table.get(pat, Fraction(0)) + unit
     return dict(sorted(table.items()))
-
-
-def serialize_pattern(pat: Sequence[Word]) -> str:
-    """Canonical text form of a word pattern: words comma-joined."""
-    return ",".join(pat)

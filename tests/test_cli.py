@@ -269,6 +269,23 @@ def test_malformed_value_names_parameter(tmp_path, capsys, argv, flag, name, bad
     assert err.startswith("error: ") and repr(name) in err
 
 
+@pytest.mark.parametrize("argv, field, bad", [
+    (["quench-enum", "--n-words", "2", "--jmax", "2"], "X", 5),
+    (["psi", "--depth", "2"], "letter_law", 5),
+    (["psi", "--depth", "2"], "format", "xml"),
+    (["psi", "--depth", "2"], "word_law", {"variant": "markov", "words": ["a"]}),
+    (["psi", "--depth", "2"], "word_law", {"variant": "iid", "words": ["a", "bb"], "probs": [1.0]}),
+], ids=["X", "letter_law", "format", "word_law", "word_law-probs"])
+def test_malformed_field_names_field(tmp_path, capsys, argv, field, bad):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BASE_CFG, **{field: bad})))
+    out = tmp_path / "f.out"
+    assert run(argv + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(field) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_csv_sidecar_leaves_out_the_rows(cfg_path, tmp_path):
     base = ["psi", "--config", cfg_path, "--depth", "3"]
     assert run(base + ["--out", str(tmp_path / "p.csv")]) == 0

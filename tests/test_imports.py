@@ -1,4 +1,5 @@
-"""Every name a library module imports is referenced in that module."""
+"""Every name a library module imports is referenced in that module, and
+every module-level private name is referenced somewhere in the package."""
 
 import ast
 import pathlib
@@ -31,3 +32,43 @@ def test_guard_sees_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_privates(sources: dict) -> list:
+    """(module, name) of each module-level `_`-prefixed function, class or
+    constant that no module of `sources` (name -> text) references."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted((m, n) for m, n in defined if n not in used)
+
+
+def test_guard_sees_unreferenced_privates():
+    sources = {
+        "a.py": "_USED = 1\n_UNUSED = 2\ndef _f():\n    return _USED\nclass _K:\n    pass\n"
+                "def _g():\n    pass\n_f()\n",
+        "b.py": "from . import a\nfrom .a import _K\na._g()\n__all__ = []\n",
+    }
+    assert unreferenced_privates(sources) == [("a.py", "_UNUSED")]
+
+
+def test_no_unreferenced_private_names():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert unreferenced_privates(sources) == []

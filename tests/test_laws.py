@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from cutwords.laws import (
     stationary_row,
     truncate_process,
 )
+from cutwords.rates import fin_rate, que_rate_ladder
 
 
 def test_letter_law_validation():
@@ -74,7 +76,7 @@ def test_reference_atoms_sum_to_one(ref_default):
 
 def test_iid_law_basics():
     Q = iid_law({"a": 0.25, "bb": 0.75})
-    assert Q.variant == "iid"
+    assert Q.transition == (tuple(Q.marginal().values()),) * 2
     assert mean_length(Q) == pytest.approx(0.25 + 2 * 0.75)
     assert Q.marginal() == {"a": 0.25, "bb": 0.75}
 
@@ -109,18 +111,48 @@ def test_markov_stationarity_random(k, data):
 
 def test_truncate_iid_merges_mass():
     Q = iid_law({"a": 0.2, "ab": 0.3, "abb": 0.5})
-    T = truncate_process(Q, 2)
-    assert T.exact_truncation
-    m = T.marginal()
+    m = truncate_process(Q, 2).marginal()
     assert m["ab"] == pytest.approx(0.8)
     assert m["a"] == pytest.approx(0.2)
 
 
 def test_truncate_markov_non_injective_is_flagged():
-    P = np.full((3, 3), 1.0 / 3)
+    # "ab" and "ac" collide at "a" but put 0.7 and 0.4 on it: not lumpable
+    P = np.array([[0.5, 0.2, 0.3], [0.2, 0.2, 0.6], [0.3, 0.3, 0.4]])
     Q = markov_law(("ab", "ac", "b"), P)
-    T = truncate_process(Q, 1)  # "ab" and "ac" collide at "a"
-    assert not T.exact_truncation
+    with pytest.raises(InputError, match="tr=1"):
+        truncate_process(Q, 1)
+
+
+def path_law(Q, n):
+    """Law of the first n words of stationary Q, by enumerating paths."""
+    P, pi = np.asarray(Q.transition), np.asarray(Q.stationary)
+    out = {}
+    for path in itertools.product(range(len(Q.words)), repeat=n):
+        p = pi[path[0]] * math.prod(P[a, b] for a, b in zip(path, path[1:]))
+        key = tuple(Q.words[i] for i in path)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def test_truncate_markov_lumpable_is_the_path_image():
+    # "ab" and "ac" clip alike with distinct rows, both putting 0.4 on {"ab", "ac"}
+    P = np.array([[0.1, 0.3, 0.6], [0.3, 0.1, 0.6], [0.2, 0.2, 0.6]])
+    Q = markov_law(("ab", "ac", "b"), P)
+    T = truncate_process(Q, 1)
+    assert T.words == ("a", "b")
+    for n in (1, 2, 3):
+        image = {}
+        for path, p in path_law(Q, n).items():
+            key = tuple(w[:1] for w in path)
+            image[key] = image.get(key, 0.0) + p
+        got = path_law(T, n)
+        assert got.keys() == image.keys()
+        for key, p in image.items():
+            assert got[key] == pytest.approx(p, abs=1e-12)
+    # the lumped chain is a law like any other, so the ladder rates it
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, 4), LetterLaw.uniform("abc"))
+    assert que_rate_ladder(Q, ref, 2.0, [1], 4) == [(1, fin_rate(T, ref, 2.0, 4))]
 
 
 def test_truncate_beyond_max_is_identity():
@@ -133,7 +165,7 @@ def test_word_law_json_roundtrip():
     Q = iid_law({"a": 0.5, "ab": 0.5})
     back = WordProcessLaw.from_json(Q.to_json())
     assert back.words == Q.words
-    assert back.probs == pytest.approx(Q.probs)
+    assert back.marginal() == pytest.approx(Q.marginal())
 
 
 def test_sample_path_deterministic(nu_ab, rho_default):

@@ -118,7 +118,7 @@ def test_psi_marginal_against_long_simulation(nu_ab, rho_default):
     n = 10**6
     # simulate the word process directly
     rng = np.random.Generator(np.random.Philox(key=np.array([3, 0], dtype=np.uint64)))
-    words = rng.choice(Q.words, size=n // 1, p=Q.probs)
+    words = rng.choice(Q.words, size=n // 1, p=list(Q.marginal().values()))
     stream = "".join(words.tolist())[:n]
     t2 = psi_marginal(Q, 2)
     for pat, p in t2.items():

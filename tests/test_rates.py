@@ -131,10 +131,27 @@ def test_ladder_stabilizes(ref_default):
 
 
 def test_ladder_rejects_inexact_markov_truncation(ref_default):
-    P = np.full((3, 3), 1.0 / 3)
+    # "ab" and "ac" collide at "a" but put 0.7 and 0.4 on it: not lumpable
+    P = np.array([[0.5, 0.2, 0.3], [0.2, 0.2, 0.6], [0.3, 0.3, 0.4]])
     Q = markov_law(("ab", "ac", "b"), P)
     with pytest.raises(InputError):
         que_rate_ladder(Q, ReferenceLaw(ref_default.rho, LetterLaw.uniform("abc")), 2.0, [1], 4)
+
+
+def test_markov_law_with_equal_rows_is_the_iid_law(ref_default):
+    p = {"a": 0.25, "ab": 0.15, "abb": 0.35, "bbab": 0.25}
+    Q_iid = iid_law(p)
+    Q_markov = markov_law(tuple(p), np.tile(list(p.values()), (len(p), 1)))
+    assert Q_markov.marginal() == pytest.approx(Q_iid.marginal(), abs=1e-12)
+    assert entropy.entropy_rate(Q_markov) == pytest.approx(entropy.entropy_rate(Q_iid), abs=1e-12)
+    pairs = [(fin_rate(Q_markov, ref_default, 2.0, 8), fin_rate(Q_iid, ref_default, 2.0, 8))]
+    # tr = 1 and 2 merge words, so the Markov ladder must lump them as the i.i.d. one does
+    ladders = [que_rate_ladder(Q, ref_default, 2.0, [1, 2, 3, 4], 8) for Q in (Q_markov, Q_iid)]
+    pairs += [(iv_m, iv_i) for (_, iv_m), (_, iv_i) in zip(*ladders)]
+    assert len(pairs) == 5
+    for iv_m, iv_i in pairs:
+        assert iv_m.lo == pytest.approx(iv_i.lo, abs=1e-12)
+        assert iv_m.hi == pytest.approx(iv_i.hi, abs=1e-12)
 
 
 def test_affine_mixture_trend(ref_default):

@@ -9,8 +9,6 @@ from cutwords.words import (
     concat,
     cut,
     empirical_patterns,
-    serialize_pattern,
-    truncate_sentence,
     truncate_word,
     validate_cut_points,
 )
@@ -30,16 +28,6 @@ def test_alphabet_rejects_duplicates_and_empty():
 
 def test_alphabet_order_is_canonical():
     assert Alphabet.from_string("ab") != Alphabet.from_string("ba")
-    assert Alphabet.from_string("ab").index("b") == 1
-
-
-def test_validate_word():
-    a = Alphabet.from_string("ab")
-    a.validate_word("abba")
-    with pytest.raises(InputError):
-        a.validate_word("")
-    with pytest.raises(InputError):
-        a.validate_word("abc")
 
 
 @given(sentences)
@@ -62,11 +50,11 @@ def test_cut_rejects_bad_points():
         validate_cut_points([], 4)
 
 
-@given(sentences, st.integers(min_value=1, max_value=6))
-def test_truncate_idempotent(s, tr):
-    once = truncate_sentence(s, tr)
-    assert truncate_sentence(once, tr) == once
-    assert all(len(w) <= tr for w in once)
+@given(words_ab, st.integers(min_value=1, max_value=6))
+def test_truncate_idempotent(w, tr):
+    once = truncate_word(w, tr)
+    assert truncate_word(once, tr) == once
+    assert len(once) == min(len(w), tr) and w.startswith(once)
 
 
 def test_truncate_word_identity_beyond_length():
@@ -104,7 +92,3 @@ def test_pair_patterns_marginalize_to_singles(s):
     for (w1, _w2), p in pairs.items():
         marg[(w1,)] = marg.get((w1,), Fraction(0)) + p
     assert marg == singles
-
-
-def test_serialize_pattern():
-    assert serialize_pattern(("ab", "b")) == "ab,b"
