@@ -1,9 +1,9 @@
 """Relative entropy, exact entropy rates, and two-sided letter-process brackets.
 
-`psi_bracket_series` is the one bracket function: it turns one forward pass
-of `psi.entropy_series` into the entropy-rate sandwich of the concatenated
-letter process and, as its affine image, the bracket for the per-letter
-relative entropy w.r.t. the product letter law.
+`psi_bracket_series` is the one bracket function: it turns one backward
+pattern pass of `psi.entropy_series` into the entropy-rate sandwich of the
+concatenated letter process and, as its affine image, the bracket for the
+per-letter relative entropy w.r.t. the product letter law.
 
 Conventions: nats everywhere, 0 log 0 = 0, and absolute-continuity
 failures return math.inf (checked before entering any arithmetic that
@@ -121,7 +121,7 @@ class EntropyBracket:
 
 def psi_bracket_series(Q: WordProcessLaw, nu: LetterLaw, L_max: int):
     """Per-depth (entropy sandwich, relative-entropy bracket) for
-    L = 1..L_max, from one forward pass.
+    L = 1..L_max, from one backward pattern pass.
 
     Entropy rate of the concatenated letter process: lower side the
     next-letter entropy given the L-prefix and the hidden state at time 1,

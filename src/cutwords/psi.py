@@ -2,8 +2,9 @@
 
 The concatenation of a word process, with the origin placed uniformly at
 random inside the (length-biased) first word, is a function of a hidden
-Markov chain on states (word, offset).  One forward pass over the letter
-patterns of that chain, exact up to floating point, serves both
+Markov chain on states (word, offset).  One backward pass over the letter
+patterns of that chain (one state vector per pattern, grown at its front;
+at most PATTERN_BYTES per step), exact up to floating point, serves both
 `entropy_series` (both sides of the entropy-rate sandwich) and
 `psi_marginal` (the pattern table).  `letter_typical` decides exactly, at
 no fixed depth, whether the letters are i.i.d. with a given law.
@@ -21,7 +22,7 @@ from scipy.special import xlogy
 from .errors import InputError, SizeBudgetError
 from .laws import LetterLaw, WordProcessLaw, mean_length
 
-PATTERN_BUDGET = 2**22
+PATTERN_BYTES = 2**28  # largest block of pattern extensions, one step of the pass
 RANK_TOL = 1e-12  # relative Gram-Schmidt residual below which a vector is in the span
 
 
@@ -120,28 +121,32 @@ def minimize_chain(chain: HiddenChain) -> HiddenChain:
     )
 
 
-def _pattern_pass(chain: HiddenChain, rows: np.ndarray, steps: int):
-    """The forward loop over letter patterns of a chain.
+def _pattern_pass(chain: HiddenChain, steps: int):
+    """The backward loop over letter patterns of a chain.
 
-    Tracks, per pattern of positive mass, the matrix rows @ (path matrix
-    of the pattern), whose entry [r, s] is P(pattern, S_{t+1} = s) started
-    from row r.  After each of `steps` letters yields (codes, probs) with
-    probs[i, r] the row sums for pattern i and codes[i] the pattern in base
-    |E|, first letter most significant.
+    Carries per pattern w of positive mass p(w) = init . beta_w the vector
+    beta_w(s) = P(X_1..t = w | S_1 = s), grown at the front:
+    beta_{ew} = 1[emit = e] * (trans @ beta_w).  Stationarity gives
+    sum_e p(ew) = p(w), so pruning p = 0 loses no mass.  After each of
+    `steps` letters yields (first, suffix, beta, p): pattern i is letter
+    first[i] before pattern suffix[i] of the previous step.  Each step's
+    live patterns x |E| extensions, at n + 3 eight-byte entries each, must
+    fit PATTERN_BYTES.
     """
-    k = len(chain.alphabet)
-    if k**steps > PATTERN_BUDGET:
-        raise SizeBudgetError(f"pattern table |E|^L = {k}^{steps} exceeds budget {PATTERN_BUDGET}")
-    masks = [chain.emit == e for e in range(k)]
-    codes = np.zeros(1, dtype=np.int64)
-    mats = rows[None, :, :]  # (patterns, rows, s)
-    for _ in range(steps):
-        mats = np.concatenate([mats[:, :, m] @ chain.trans[m] for m in masks], axis=0)
-        codes = np.concatenate([codes * k + e for e in range(k)])
-        probs = mats.sum(axis=2)
-        keep = probs.sum(axis=1) > 0.0
-        mats, probs, codes = mats[keep], probs[keep], codes[keep]
-        yield codes, probs
+    k, n = len(chain.alphabet), chain.n_states
+    # p(ew) = beta_w . to_p[:, e]
+    to_p = (((chain.emit == np.arange(k)[:, None]) * chain.init) @ chain.trans).T
+    beta = np.ones((1, n))
+    for t in range(1, steps + 1):
+        need = len(beta) * k * (n + 3) * 8  # vector, letter, link and mass
+        if need > PATTERN_BYTES:
+            raise SizeBudgetError(f"pattern pass at depth {t} needs {need} bytes, "
+                                  f"over the budget of {PATTERN_BYTES}")
+        p = (beta @ to_p).T
+        first, suffix = np.nonzero(p > 0.0)
+        beta = (beta @ chain.trans.T)[suffix]
+        beta[chain.emit != first[:, None]] = 0.0
+        yield first, suffix, beta, p[first, suffix]
 
 
 def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
@@ -150,35 +155,29 @@ def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
     if L < 1:
         raise InputError(f"pattern depth must be >= 1, got {L}")
     chain = minimize_chain(hidden_chain(Q, alphabet))
-    for codes, probs in _pattern_pass(chain, chain.init[None, :], L):
-        pass
-    k = len(chain.alphabet)
-    digits = codes[:, None] // k ** np.arange(L - 1, -1, -1) % k
-    keys = np.array(chain.alphabet)[digits].view(f"<U{L}").ravel()
+    keys = np.array([""])
+    for first, suffix, _, p in _pattern_pass(chain, L):
+        keys = np.char.add(np.array(chain.alphabet)[first], keys[suffix])
     order = np.argsort(keys)
-    return dict(zip(keys[order].tolist(), probs[order, 0].tolist()))
+    return dict(zip(keys[order].tolist(), p[order].tolist()))
 
 
 def entropy_series(chain: HiddenChain, L: int):
-    """Both sides of the entropy-rate sandwich in one forward pass (nats).
+    """Both sides of the entropy-rate sandwich in one backward pass (nats).
 
     Returns (h, cond) with h[t] = h(pi_t) for t = 0..L+1 and
-    cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  The pattern pass
-    starts from one row per start state s1, so row sums give the pattern
-    law conditioned on S_1 = s1 and their average over the start law gives
-    the pattern law itself.  The chain is taken as given; minimize it
-    first for a smaller pass.
+    cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  The pass's vectors
+    beta_w(s) = P(w | S_1 = s) at the start states give the pattern laws
+    conditioned on S_1, and p gives the pattern law itself.  The chain is
+    taken as given; minimize it first for a smaller pass.
     """
-    # Only start states with positive initial mass enter the average, so
-    # the per-pattern matrices carry just those rows.
     starts = np.nonzero(chain.init > 0.0)[0]
     init = chain.init[starts]
     h = [0.0]
     h_given_start = [np.zeros(len(starts))]  # H(X_1..X_t | S_1 = s1)
-    for _, probs in _pattern_pass(chain, np.eye(chain.n_states)[starts], L + 1):
-        p = probs @ init
+    for _, _, beta, p in _pattern_pass(chain, L + 1):
         h.append(float(-xlogy(p, p).sum()))
-        h_given_start.append(-xlogy(probs, probs).sum(axis=0))
+        h_given_start.append(-xlogy(beta, beta).sum(axis=0)[starts])
     cond = [float(init @ (h_given_start[t + 1] - h_given_start[t])) for t in range(L + 1)]
     return h, cond
 

@@ -6,6 +6,7 @@ Everything here is a pure value operation, safe for concurrent use.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -97,9 +98,6 @@ def empirical_patterns(s: Sequence[Word], k: int) -> dict:
         raise InputError("pattern length must be >= 1")
     if k > n:
         raise InputError(f"pattern length {k} exceeds sentence length {n}")
-    table: dict = {}
-    unit = Fraction(1, n)
-    for i in range(n):
-        pat = tuple(s[(i + j) % n] for j in range(k))
-        table[pat] = table.get(pat, Fraction(0)) + unit
-    return dict(sorted(table.items()))
+    cyclic = tuple(s) + tuple(s[:k - 1])
+    counts = Counter(zip(*(cyclic[j:j + n] for j in range(k))))
+    return {pat: Fraction(c, n) for pat, c in sorted(counts.items())}

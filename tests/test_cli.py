@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,31 @@ def test_budget_exit_code(cfg_path, capsys):
     code = run(["psi", "--config", cfg_path, "--depth", "50"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_deep_rate_fits_in_memory(tmp_path):
+    # Six words whose minimized chain has 12 states; depth 20 takes the
+    # pattern law to depth 21 (1.54 million live patterns).  The pass must
+    # fit in 2.5 GiB of address space, where a (patterns x starts x states)
+    # array alone needs 0.9 GiB by depth 20.
+    resource = pytest.importorskip("resource")
+    cfg = dict(BASE_CFG, word_law={"variant": "iid",
+                                   "words": ["aaa", "aaba", "ab", "baa", "babb", "bb"],
+                                   "probs": [0.1, 0.15, 0.2, 0.25, 0.12, 0.18]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    limit = int(2.5 * 2**30)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutwords", "rate", "--config", str(path),
+         "--alpha", "2", "--depth", "20"],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith("rate: annealed=")
 
 
 def test_quench_enum_budget_exit_code(tmp_path, capsys):

@@ -23,12 +23,13 @@ from cutwords.psi import (
 )
 
 
-def dict_pattern_oracle(Q, L, alphabet=None):
+def dict_pattern_oracle(Q, L, alphabet=None, start=None):
     """Test oracle: the pattern DP with one state vector per pattern in a
-    dict, on the unminimized chain, keyed in lexicographic order."""
+    dict, on the unminimized chain, keyed in lexicographic order.  `start`
+    replaces the stationary start law (e.g. a unit vector on S_1)."""
     chain = hidden_chain(Q, alphabet)
     masks = [chain.emit == e for e in range(len(chain.alphabet))]
-    cur = {"": chain.init}
+    cur = {"": chain.init if start is None else start}
     for _ in range(L):
         nxt = {}
         for pat, vec in cur.items():
@@ -169,6 +170,24 @@ def test_entropy_series_matches_pattern_tables(Q, alphabet):
 
 
 @pytest.mark.parametrize("Q, alphabet", PATTERN_LAWS)
+def test_entropy_series_cond_matches_per_start_oracle(Q, alphabet):
+    # H(X_{t+1} | X_1..X_t, S_1) = sum_s init(s) [H(X_1..X_{t+1} | s) - H(X_1..X_t | s)],
+    # each H(. | s) from the dict DP started at the unit vector on s
+    chain = hidden_chain(Q, alphabet=alphabet)
+    _, cond = entropy_series(chain, 7)
+    starts = np.nonzero(chain.init > 0.0)[0]
+    h_given = [[0.0] * len(starts)]
+    for t in range(1, 9):
+        h_given.append([entropy(dict_pattern_oracle(Q, t, alphabet=alphabet,
+                                                    start=np.eye(chain.n_states)[s]))
+                        for s in starts])
+    for t in range(8):
+        oracle = sum(chain.init[s] * (h_given[t + 1][i] - h_given[t][i])
+                     for i, s in enumerate(starts))
+        assert cond[t] == pytest.approx(oracle, abs=1e-12), t
+
+
+@pytest.mark.parametrize("Q, alphabet", PATTERN_LAWS)
 def test_psi_marginal_matches_dict_oracle(Q, alphabet):
     for L in range(1, 11):
         table = psi_marginal(Q, L, alphabet=alphabet)
@@ -208,6 +227,14 @@ def test_letter_typical_matches_oracle_on_alternating_word(nu_ab):
     assert not ok and not r_nu_test(Q, nu_ab, n)[0]
     # the word aa never occurs, against nu(aa) = 1/4
     assert residual == pytest.approx(1.0)
+
+
+def test_pattern_budget_counts_live_patterns():
+    # two live patterns at every depth: the byte budget never binds
+    Q = iid_law({"ab": 1.0})
+    h, cond = entropy_series(hidden_chain(Q, alphabet="ab"), 40)
+    assert h[1:] == pytest.approx([math.log(2)] * 41, abs=1e-12)
+    assert cond == pytest.approx([0.0] * 41, abs=1e-12)
 
 
 def test_pattern_budget():

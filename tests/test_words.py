@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cutwords.errors import InputError
+from cutwords.laws import LetterLaw, make_algebraic_renewal, sample_path
 from cutwords.words import (
     Alphabet,
     concat,
@@ -72,6 +73,26 @@ def test_empirical_patterns_pairs_are_cyclic():
     # periodic extension of (a, b): pairs ab and ba each appear once
     table = empirical_patterns(("a", "b"), 2)
     assert table == {("a", "b"): Fraction(1, 2), ("b", "a"): Fraction(1, 2)}
+
+
+def empirical_patterns_oracle(s, k):
+    """Test oracle: one Fraction(1, n) added per cyclic shift."""
+    n = len(s)
+    table: dict = {}
+    for i in range(n):
+        pat = tuple(s[(i + j) % n] for j in range(k))
+        table[pat] = table.get(pat, Fraction(0)) + Fraction(1, n)
+    return dict(sorted(table.items()))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_empirical_patterns_match_oracle_on_sampled_sentence(k):
+    rho = make_algebraic_renewal(2.0, 4)
+    _, _, s = sample_path(LetterLaw.uniform("ab"), rho, 500, 300, seed=11)
+    table = empirical_patterns(s, k)
+    oracle = empirical_patterns_oracle(s, k)
+    assert table == oracle
+    assert list(table) == list(oracle)
 
 
 @given(sentences, st.integers(min_value=1, max_value=3))
