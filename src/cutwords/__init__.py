@@ -34,7 +34,6 @@ from .entropy import (
     entropy_report,
     h_tau_given_k,
     identity_residual,
-    marginal_rel_entropy,
     psi_bracket_series,
     rel_entropy,
     spec_rel_entropy,
@@ -45,6 +44,7 @@ from .rates import (
     RateResult,
     ann_rate,
     boundary_rate,
+    boxed_reference,
     contraction_upper,
     fin_rate,
     fin_rate_result,

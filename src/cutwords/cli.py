@@ -174,9 +174,12 @@ def cmd_ergodic(rc: RunConfig, cfg: dict) -> str:
     nu = _load(cfg, "letter_law")
     rho = _load(cfg, "renewal_law")
     gap = mclab.ergodic_gap(nu, rho, p["n_words"], p["k"], rc.seed)
-    ref = laws.ReferenceLaw(rho, nu)
     n = p["n_words"]
-    clt = 5.0 * max(math.sqrt(q / n) for q in ref.enumerate_atoms().values())
+    # 5 max_w sqrt(q(w)/N) at the largest atom, rho(j) times max(nu) j times,
+    # multiplied in the order of `ReferenceLaw.enumerate_atoms`
+    top = max(nu.probs.values())
+    q_max = max(math.prod([top] * j, start=r) for j, r in rho.probs.items())
+    clt = 5.0 * math.sqrt(q_max / n)
     _emit(rc, {"gap": gap, "clt_bound": clt, "N": n, "k": p["k"]},
           header=["N", "k", "gap", "clt_bound"], rows=[(n, p["k"], gap, clt)],
           row_keys=("N", "k", "gap", "clt_bound"))
@@ -293,9 +296,10 @@ def cmd_iproj(rc: RunConfig, cfg: dict) -> str:
     nu = _load(cfg, "letter_law")
     rho = _load(cfg, "renewal_law")
     nbhd = _load(cfg, "neighbourhood")
-    ref_marginal = laws.ReferenceLaw(rho, nu).enumerate_atoms()
+    ref_marginal = rates.boxed_reference(laws.ReferenceLaw(rho, nu), nbhd)
     q_star, value = rates.i_projection(ref_marginal, nbhd)
-    _emit(rc, {"value": value, "q_star": q_star})
+    q_rest = q_star.pop("")
+    _emit(rc, {"value": value, "q_star": q_star, "q_rest": q_rest})
     return f"iproj: value={_disp(value, rc):.6f}"
 
 

@@ -209,6 +209,8 @@ def conv_tail_check(rho: RenewalLaw, alpha: float, c_rho: float, m_max: int, n_m
     Verifies the single-step premise rho(n) <= C n^(-alpha) first and
     names the violating atom on failure.
     """
+    if m_max < 1 or n_max < 1:
+        raise InputError(f"m_max and n_max must be >= 1, got m_max={m_max}, n_max={n_max}")
     for n in rho.support:
         if rho.probs[n] > c_rho * n ** (-alpha) * (1.0 + 1e-12):
             raise InputError(

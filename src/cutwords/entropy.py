@@ -12,7 +12,6 @@ combines quantities).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, asdict
 
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .errors import InputError
-from .interval import Interval
+from .interval import Interval, fp_slack
 from .laws import LetterLaw, ReferenceLaw, WordProcessLaw, mean_length
 from .psi import entropy_series, hidden_chain, minimize_chain
 
@@ -140,9 +139,8 @@ def psi_bracket_series(Q: WordProcessLaw, nu: LetterLaw, L_max: int):
     rel_brackets = []
     for L in range(1, L_max + 1):
         upper = h[L + 1] - h[L]
-        # Outward rounding: the sides are differences of long entropy sums,
-        # so pad them by an fp-error allowance at the scale of the summands.
-        slack = 64.0 * np.finfo(float).eps * max(1.0, h[L + 1], abs(e_log_nu))
+        # Outward rounding: the sides are differences of long entropy sums.
+        slack = fp_slack(h[L + 1], abs(e_log_nu))
         ent = EntropyBracket(lower=min(cond[L], upper) - slack, upper=upper + slack, depth_used=L)
         rel = EntropyBracket(lower=max(-ent.upper - e_log_nu, 0.0),
                              upper=-ent.lower - e_log_nu, depth_used=L)
@@ -192,11 +190,9 @@ def identity_residual(Q: WordProcessLaw, ref: ReferenceLaw, L: int,
     if sandwich.lower < knee < sandwich.upper:
         candidates.append(knee)
     vals = [residual(h) for h in candidates]
-    # Outward rounding: the pieces are long entropy sums, so pad the
-    # endpoints by an fp-error allowance at the scale of the summands.
-    scale = max(1.0, abs(h_rel_q), abs(h_q), m_q * (abs(e_log_nu) + sandwich.upper),
-                abs(e_log_rho))
-    slack = 64.0 * np.finfo(float).eps * scale
+    # Outward rounding: the pieces are long entropy sums.
+    slack = fp_slack(abs(h_rel_q), abs(h_q), m_q * (abs(e_log_nu) + sandwich.upper),
+                     abs(e_log_rho))
     return Interval(min(vals) - slack, max(vals) + slack)
 
 
@@ -242,25 +238,3 @@ def entropy_report(Q: WordProcessLaw, ref: ReferenceLaw, L: int) -> EntropyRepor
         depth=L,
     )
 
-
-def marginal_rel_entropy(Q: WordProcessLaw, ref: ReferenceLaw, N: int) -> float:
-    """(1/N) h(N-word marginal of Q | reference product), by exact enumeration.
-
-    Non-decreasing in N; used by invariants.  Exponential in N, so keep
-    N small (<= 4 for desk-scale word sets).
-    """
-    words = Q.words
-    P = np.asarray(Q.transition)
-    pi = np.asarray(Q.stationary)
-    total = 0.0
-    for path in itertools.product(range(len(words)), repeat=N):
-        p = pi[path[0]]
-        for a, b in zip(path, path[1:]):
-            p *= P[a, b]
-        if p <= 0:
-            continue
-        log_ref = sum(ref.log_word_prob(words[i]) for i in path)
-        if math.isinf(log_ref):
-            return math.inf
-        total += p * (math.log(p) - log_ref)
-    return max(total, 0.0) / N

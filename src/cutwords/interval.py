@@ -7,7 +7,10 @@ package is non-negative, so [lo, hi] maps to [c*lo + d, c*hi + d].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+FP_PAD = 64.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -44,3 +47,10 @@ INF_INTERVAL = Interval(math.inf, math.inf)
 
 def point(x: float) -> Interval:
     return Interval(x, x)
+
+
+def fp_slack(*scales: float) -> float:
+    """Outward-rounding pad for a bracket side computed from sums whose
+    summands have the given magnitudes: FP_PAD times the largest of them
+    and 1."""
+    return FP_PAD * max(1.0, *scales)

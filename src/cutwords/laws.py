@@ -76,15 +76,13 @@ class LetterLaw:
 class RenewalLaw:
     """Probability mass on positive integers with a declared tail exponent.
 
-    The support is finite (capped); constructors report the tail mass a
-    genuinely algebraic law would have carried beyond the cap, so results
-    downstream can state explicitly that they hold for the capped law.
+    The support is finite (capped), so results downstream hold for the
+    capped law.
     """
 
     probs: dict
     alpha: float
     c_rho: Optional[float] = None
-    discarded_tail: float = 0.0
 
     def __post_init__(self):
         if not self.probs:
@@ -142,17 +140,10 @@ def make_algebraic_renewal(alpha: float, cap: int) -> RenewalLaw:
         raise InputError("cap must be >= 1")
     weights = {n: float(n) ** (-alpha) for n in range(1, cap + 1)}
     norm = sum(weights.values())
-    # Tail mass the uncapped power law would carry past the cap, relative
-    # to the full zeta normalization.
-    from scipy.special import zeta
-
-    full = float(zeta(alpha))
-    discarded = (full - norm) / full
     return RenewalLaw(
         probs={n: w / norm for n, w in weights.items()},
         alpha=alpha,
         c_rho=1.0 / norm,
-        discarded_tail=discarded,
     )
 
 
@@ -182,15 +173,13 @@ class ReferenceLaw:
             return -math.inf
         return math.log(p) + sum(self.nu.log_prob(c) for c in w)
 
-    def enumerate_atoms(self, max_len: Optional[int] = None) -> dict:
-        """All words of length <= max_len (default: the cap) with their probs."""
+    def enumerate_atoms(self) -> dict:
+        """All words up to the cap with their probs: |E| + ... + |E|^cap atoms."""
         import itertools
 
-        if max_len is None:
-            max_len = self.rho.max_jump
         out = {}
         letters = self.nu.alphabet.symbols
-        for n in range(1, max_len + 1):
+        for n in range(1, self.rho.max_jump + 1):
             rp = self.rho.prob(n)
             if rp == 0.0:
                 continue
@@ -294,17 +283,17 @@ def iid_law(word_probs: dict) -> WordProcessLaw:
     return _law((w for w, _ in items), np.tile(p, (len(p), 1)), p)
 
 
-def stationary_row(P: np.ndarray, tol: float = 1e-13, max_iter: int = 200000) -> np.ndarray:
-    """Stationary distribution by dense power iteration to a 1e-13 residual."""
+def stationary_row(P: np.ndarray) -> np.ndarray:
+    """Least-squares solution of pi (P - I) = 0, sum(pi) = 1.
+
+    Unique for an irreducible P, periodic or not; `WordProcessLaw` checks
+    irreducibility and verifies pi P = pi.
+    """
     k = P.shape[0]
-    pi = np.full(k, 1.0 / k)
-    for _ in range(max_iter):
-        nxt = pi @ P
-        nxt /= nxt.sum()
-        if np.max(np.abs(nxt - pi)) < tol:
-            return nxt
-        pi = nxt
-    raise InputError("power iteration failed to converge to the stationary row")
+    A = np.vstack([(P - np.eye(k)).T, np.ones(k)])
+    b = np.zeros(k + 1)
+    b[-1] = 1.0
+    return np.linalg.lstsq(A, b, rcond=None)[0]
 
 
 def markov_law(words: tuple, P: np.ndarray) -> WordProcessLaw:
@@ -355,6 +344,8 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     The letter sequence is auto-extended when n_letters is too short to
     host n_words jumps.
     """
+    if n_words < 1:
+        raise InputError(f"n_words must be >= 1, got {n_words}")
     letters_rng, jumps_rng = _rng_streams(seed)
     support = np.array(rho.support)
     jump_p = np.array([rho.probs[int(n)] for n in support])

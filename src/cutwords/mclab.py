@@ -16,7 +16,7 @@ import numpy as np
 from .errors import InputError, SizeBudgetError
 from .entropy import rel_entropy
 from .laws import LetterLaw, ReferenceLaw, RenewalLaw, sample_arrays
-from .rates import Neighbourhood, i_projection
+from .rates import Neighbourhood, boxed_reference, i_projection
 from .words import cut, empirical_patterns
 
 ENUM_BUDGET = 2**22
@@ -265,13 +265,7 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     incs = [d for d in rho.support if d <= Jmax]
     kept = sum(rho.probs[d] for d in incs)
     capped = RenewalLaw({d: rho.probs[d] / kept for d in incs}, alpha=rho.alpha)
-    # The I-projection onto single-word boxes sees the reference marginal
-    # only through the boxed words' masses and the rest, which "" (no word)
-    # carries; a box on "" has zero reference mass and stays infeasible.
-    ref = ReferenceLaw(capped, nu_x)
-    boxed = {c.pattern[0]: ref.word_prob(c.pattern[0]) for c in nbhd.constraints}
-    rest = max(1.0 - math.fsum(boxed.values()), 0.0)
-    _, annealed = i_projection({"": rest, **boxed}, nbhd)
+    _, annealed = i_projection(boxed_reference(ReferenceLaw(capped, nu_x), nbhd), nbhd)
 
     probs = _cut_dp(X, rho, N_list, nbhd, Jmax, state_budget)
     entries = []

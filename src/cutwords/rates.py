@@ -5,11 +5,10 @@ single-word-marginal neighbourhoods."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, InputError
-from .interval import INF_INTERVAL, Interval, point
+from .interval import INF_INTERVAL, Interval, fp_slack, point
 from .entropy import EntropyBracket, psi_bracket_series, rel_entropy, spec_rel_entropy
 from .laws import ReferenceLaw, WordProcessLaw, iid_law, mean_length, truncate_process
 from .psi import letter_typical
@@ -112,7 +111,7 @@ def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) 
         b = psi_bracket_series(Q, ref.nu, L)[1][-1]
         c = (alpha - 1.0) * m_q
         iv = b.as_interval().scale(c).shift(h_rel)
-        slack = 64.0 * sys.float_info.epsilon * max(1.0, abs(h_rel), c * abs(b.upper))
+        slack = fp_slack(abs(h_rel), c * abs(b.upper))
         quenched = Interval(iv.lo - slack, iv.hi + slack)
     return RateResult(
         annealed=h_rel,
@@ -133,6 +132,8 @@ def que_rate_ladder(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float,
     the maximum length.  A level whose truncation is not lumpable, so that
     the clipped law is not Markov, raises InputError naming it.
     """
+    if not tr_list:
+        raise InputError("truncation ladder needs at least one level")
     prev = 0
     out = []
     for tr in tr_list:
@@ -155,6 +156,15 @@ def boundary_rate(Q: WordProcessLaw, ref: ReferenceLaw, mode: str) -> Interval:
     if mode == "one":
         return point(a)
     return point(a) if letter_typical(Q, ref.nu)[0] else INF_INTERVAL
+
+
+def boxed_reference(ref: ReferenceLaw, nbhd: Neighbourhood) -> dict:
+    """The reference word marginal that `i_projection` on single-word boxes
+    needs: the boxed words' masses, and the mass of all other words on ""
+    (no word), where q* then puts their total.  A box on "" finds zero
+    reference mass and stays infeasible."""
+    boxed = {c.pattern[0]: ref.word_prob(c.pattern[0]) for c in nbhd.constraints}
+    return {"": max(1.0 - math.fsum(boxed.values()), 0.0), **boxed}
 
 
 def i_projection(ref_marginal: dict, nbhd: Neighbourhood):

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from cutwords.cli import DEFAULT_SEED, build_parser, main
 from cutwords.corelemma import bernoulli_omega, s_n_eval
+from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal
 
 BASE_CFG = {
     "letter_law": {"alphabet": "ab", "probs": [0.5, 0.5]},
@@ -210,6 +212,69 @@ def test_iproj_summary(cfg_path, capsys):
     code = run(["iproj", "--config", cfg_path])
     assert code == 0
     assert capsys.readouterr().out.strip()
+
+
+def test_iproj_never_enumerates_words(tmp_path):
+    # cap 40 has 2^41 - 2 binary words; the projection needs only the box
+    cfg = dict(BASE_CFG, renewal_law={"alpha": 2.0, "cap": 40},
+               neighbourhood={"constraints": [{"pattern": ["b"], "low": 0.6, "high": 1.0}]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "iproj.json"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cutwords", "iproj", "--config", str(path),
+         "--format", "json", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert out.stat().st_size < 1024
+    doc = json.loads(out.read_text())
+    # binary closed form: q*(b) = 0.6, every other word scaled by 0.4/(1 - r)
+    r = make_algebraic_renewal(2.0, 40).prob(1) * 0.5
+    value = 0.6 * math.log(0.6 / r) + 0.4 * math.log(0.4 / (1.0 - r))
+    assert doc["value"] == pytest.approx(value, rel=0, abs=1e-12)
+    assert doc["q_star"] == {"b": pytest.approx(0.6, abs=1e-15)}
+    assert doc["q_rest"] == pytest.approx(0.4, abs=1e-15)
+
+
+@pytest.mark.parametrize("cap", [4, 8, 12])
+@pytest.mark.parametrize("probs", [[0.5, 0.5], [0.3, 0.7]], ids=["uniform", "skewed"])
+def test_ergodic_clt_bound_is_the_enumerated_maximum(tmp_path, cap, probs):
+    cfg = dict(BASE_CFG, letter_law={"alphabet": "ab", "probs": probs},
+               renewal_law={"alpha": 2.0, "cap": cap})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "ergodic.json"
+    assert run(["ergodic", "--config", str(path), "--n-words", "300", "--k", "1",
+                "--format", "json", "--out", str(out)]) == 0
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, cap), LetterLaw.from_probs("ab", probs))
+    clt = 5.0 * max(math.sqrt(q / 300) for q in ref.enumerate_atoms().values())
+    assert json.loads(out.read_text())["clt_bound"] == clt
+
+
+@pytest.mark.parametrize("argv", [
+    ["ladder", "--alpha", "2.0", "--depth", "4", "--tr", "5..3"],
+    ["simulate", "--n-letters", "10", "--n-words", "0"],
+    ["ergodic", "--n-words", "0", "--k", "1"],
+], ids=["ladder-no-levels", "simulate-no-words", "ergodic-no-words"])
+def test_empty_input_exits_without_traceback(cfg_path, capsys, argv):
+    code = run(argv + ["--config", cfg_path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--m-max", "0", "--n-max", "50"], "m_max"),
+    (["--m-max", "3", "--n-max", "0"], "n_max"),
+], ids=["m-max-0", "n-max-0"])
+def test_conv_tail_rejects_empty_range(capsys, argv, name):
+    code = run(["conv-tail", "--alpha", "2.0", "--cap", "50"] + argv)
+    assert code == 1
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, name", [

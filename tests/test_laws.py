@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import zeta
 
 from cutwords.errors import InputError
 from cutwords.laws import (
@@ -45,8 +44,6 @@ def test_make_algebraic_renewal_values():
         assert rho.prob(n) == pytest.approx(n ** -2.0 / norm, abs=1e-15)
     # the capped law dominates n^-alpha/norm, so C_rho = 1/norm works
     assert rho.c_rho == pytest.approx(1.0 / norm)
-    # discarded tail mass against the full zeta normalization
-    assert rho.discarded_tail == pytest.approx(1.0 - norm / zeta(2.0), rel=1e-12)
 
 
 def test_renewal_law_json_roundtrip_boundary_alphas():
@@ -91,6 +88,13 @@ def test_markov_stationary_fixed_point():
     pi = stationary_row(P)
     assert np.allclose(pi @ P, pi, atol=1e-12)
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_markov_stationary_periodic_chain():
+    # a -> {ab, b} at 1/2 each, ab -> a, b -> a: irreducible with period 2
+    P = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    Q = markov_law(("a", "ab", "b"), P)
+    assert np.allclose(Q.stationary, [0.5, 0.25, 0.25], rtol=0, atol=1e-15)
 
 
 def test_markov_law_requires_irreducible():

@@ -22,6 +22,7 @@ from cutwords.rates import (
     Neighbourhood,
     ann_rate,
     boundary_rate,
+    boxed_reference,
     contraction_upper,
     fin_rate,
     fin_rate_result,
@@ -208,6 +209,25 @@ def test_i_projection_infeasible():
     )
     with pytest.raises(InputError):
         i_projection(ref, nbhd)
+
+
+@pytest.mark.parametrize("constraints", [
+    [(("b",), 0.6, 1.0)],
+    [(("a",), 0.1, 0.3), (("bb",), 0.2, 0.5)],
+    [(("ab",), 0.0, 0.01)],
+], ids=["b-high", "two-boxes", "ab-low"])
+def test_boxed_reference_matches_full_enumeration(nu_ab, constraints):
+    # the full word table at cap 12 is the oracle: 8190 atoms
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, 12), nu_ab)
+    nbhd = Neighbourhood(tuple(Constraint(*c) for c in constraints))
+    q_box, value = i_projection(boxed_reference(ref, nbhd), nbhd)
+    full = ref.enumerate_atoms()
+    q_full, expected = i_projection(full, nbhd)
+    assert value == pytest.approx(expected, rel=1e-12)
+    rest = [w for w in full if w not in q_box]
+    assert q_box.pop("") == pytest.approx(math.fsum(q_full[w] for w in rest), rel=1e-12)
+    for w, q in q_box.items():
+        assert q == pytest.approx(q_full[w], rel=1e-12)
 
 
 def test_i_projection_grid_domination():
