@@ -24,7 +24,7 @@ import scipy.fft
 from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
-from .errors import InputError
+from .errors import InputError, check_budget
 from .laws import RenewalLaw
 
 # Trials per mean-check kernel call: bounds each thread's (rows, nfft) FFT
@@ -49,6 +49,7 @@ def bernoulli_omega(p: float, T: int, seed: int, trial: int = 0) -> np.ndarray:
     Counter-based keying by (seed, trial) makes trials independent of how
     they are grouped into blocks.
     """
+    check_budget(f"mark sequence of horizon {T}", 16 * T)  # uniforms and marks
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
     out = np.empty(T)
     np.less(rng.random(T), p, out=out, casting="unsafe")
@@ -79,6 +80,8 @@ def s_n_levels(omega_rows: np.ndarray, alpha: float, N: int, T: int) -> np.ndarr
     # Circular wraparound with nfft >= 2T only aliases onto index 0, which
     # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
     nfft = scipy.fft.next_fast_len(2 * T)
+    # the buffer, its spectrum and the inverse transform, live at once
+    check_budget(f"S_n kernel over {rows} rows x {nfft} FFT points", 3 * 8 * rows * nfft)
     kernel = np.zeros(nfft)
     kernel[1 : T + 1] = np.arange(1, T + 1, dtype=float) ** (-alpha)
     kf = scipy.fft.rfft(kernel)

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_budget
 from .words import Alphabet, cut, truncate_word
 
 MASS_TOL = 1e-12
@@ -284,16 +284,29 @@ def iid_law(word_probs: dict) -> WordProcessLaw:
 
 
 def stationary_row(P: np.ndarray) -> np.ndarray:
-    """Least-squares solution of pi (P - I) = 0, sum(pi) = 1.
+    """Stationary row of an irreducible P, periodic or not, by state
+    reduction (Grassmann, Taksar & Heyman 1985).
 
-    Unique for an irreducible P, periodic or not; `WordProcessLaw` checks
-    irreducibility and verifies pi P = pi.
+    Censoring the chain to states 0..m-1 one state at a time and then
+    back-substituting takes no differences, so every entry comes out
+    non-negative and accurate to relative precision, however small.
+    `WordProcessLaw` checks irreducibility and verifies pi P = pi.
     """
-    k = P.shape[0]
-    A = np.vstack([(P - np.eye(k)).T, np.ones(k)])
-    b = np.zeros(k + 1)
-    b[-1] = 1.0
-    return np.linalg.lstsq(A, b, rcond=None)[0]
+    A = np.array(P, dtype=float)
+    k = len(A)
+    if A.shape != (k, k):
+        raise InputError("transition table must be square over the word set")
+    # a reducible P makes some outflow 0, and the nan it leaves is rejected
+    # by WordProcessLaw's irreducibility check
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(k - 1, 0, -1):
+            A[:m, m] /= A[m, :m].sum()  # outflow from state m to the states kept
+            A[:m, :m] += np.outer(A[:m, m], A[m, :m])
+        pi = np.zeros(k)
+        pi[0] = 1.0
+        for m in range(1, k):
+            pi[m] = pi[:m] @ A[:m, m]
+        return pi / pi.sum()
 
 
 def markov_law(words: tuple, P: np.ndarray) -> WordProcessLaw:
@@ -342,10 +355,15 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     """Numpy internals of sample_path: (letter indices, cumulative cut points).
 
     The letter sequence is auto-extended when n_letters is too short to
-    host n_words jumps.
+    host n_words jumps.  Each draw is checked against the byte budget before
+    it is made: per jump its uniform, support index and value, per letter
+    its uniform and index, at 8 bytes each.
     """
     if n_words < 1:
         raise InputError(f"n_words must be >= 1, got {n_words}")
+    if n_letters < 0:
+        raise InputError(f"n_letters must be >= 0, got {n_letters}")
+    check_budget(f"{n_words} jumps", 24 * n_words)
     letters_rng, jumps_rng = _rng_streams(seed)
     support = np.array(rho.support)
     jump_p = np.array([rho.probs[int(n)] for n in support])
@@ -353,6 +371,7 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     points = np.cumsum(taus)
     need = int(points[-1])
     total = max(n_letters, need)
+    check_budget(f"{total} letters", 16 * total)
     letter_p = nu.prob_vector()
     x = letters_rng.choice(len(letter_p), size=total, p=letter_p)
     return x, points

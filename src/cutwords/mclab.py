@@ -13,13 +13,12 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InputError, SizeBudgetError
+from .errors import InputError, check_budget
 from .entropy import rel_entropy
 from .laws import LetterLaw, ReferenceLaw, RenewalLaw, sample_arrays
 from .rates import Neighbourhood, boxed_reference, i_projection
 from .words import cut, empirical_patterns
 
-ENUM_BUDGET = 2**22
 # letter cells per (live trials x chunk) block of the waiting-time scan
 WAIT_BLOCK_CELLS = 2**16
 
@@ -51,8 +50,7 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     E = len(nu.alphabet)
     lengths = list(rho.support)
     offsets, total = _word_id_layout(E, lengths)
-    if total**k > ENUM_BUDGET:
-        raise SizeBudgetError(f"{total}^{k} word patterns exceed budget {ENUM_BUDGET}")
+    check_budget(f"{total}^{k} word-pattern frequencies and reference", 2 * 8 * total**k)
 
     x, points = sample_arrays(nu, rho, 0, N, seed)
     lens = np.diff(points, prepend=0)
@@ -68,13 +66,11 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
         ids[sel] = offsets[n] + val
 
     ref_vec = _reference_vector(ReferenceLaw(rho, nu), lengths, offsets, total)
-    if k == 1:
-        freq = np.bincount(ids, minlength=total) / N
-        return float(np.max(np.abs(freq - ref_vec)))
-    nxt = np.roll(ids, -1)  # periodic wrap: pair (Y_N, Y_1) included
-    pair = ids * total + nxt
-    freq = np.bincount(pair, minlength=total * total) / N
-    return float(np.max(np.abs(freq - np.kron(ref_vec, ref_vec))))
+    if k == 2:
+        ids = ids * total + np.roll(ids, -1)  # periodic wrap: pair (Y_N, Y_1) included
+    freq = np.bincount(ids, minlength=total**k) / N
+    freq -= ref_vec if k == 1 else np.kron(ref_vec, ref_vec)
+    return float(np.max(np.abs(freq, out=freq)))
 
 
 def _count_bounds(c, N: int):
@@ -83,8 +79,7 @@ def _count_bounds(c, N: int):
     return lo, hi
 
 
-def _cut_dp(X: str, rho: RenewalLaw, N_list, nbhd: Neighbourhood, Jmax: int,
-            state_budget: int) -> list:
+def _cut_dp(X: str, rho: RenewalLaw, N_list, nbhd: Neighbourhood, Jmax: int) -> list:
     """P(R_N in nbhd | X) for every N in N_list, from one forward pass.
 
     The state after i words is an array over (position j, one count axis
@@ -95,7 +90,9 @@ def _cut_dp(X: str, rho: RenewalLaw, N_list, nbhd: Neighbourhood, Jmax: int,
     in supp(rho); where X[j:j+d] is tracked, the affected count axes shift by
     one as well.  The wrap-around pair (last, first) and the count bounds are
     applied when a level is read.  Level N is read from the cells a pass to N
-    can reach, so it does not depend on how far the pass goes.
+    can reach, so it does not depend on how far the pass goes.  The current
+    and next state arrays and one product temporary, 8 bytes a cell each,
+    must fit the byte budget.
     """
     incs = [d for d in rho.support if d <= Jmax]
     if not incs:
@@ -113,12 +110,8 @@ def _cut_dp(X: str, rho: RenewalLaw, N_list, nbhd: Neighbourhood, Jmax: int,
     d_top = incs[-1]
     P = n_max * d_top + 1
     shape = (P,) + (n_max + 1,) * U + (n_cls, n_cls)
-    cells = math.prod(shape)
-    if cells > state_budget:
-        raise SizeBudgetError(
-            f"cut-point DP needs {cells} cells (positions {P} x counts {n_max + 1}^{U} "
-            f"x classes {n_cls}^2), over budget {state_budget}"
-        )
+    check_budget(f"cut-point DP over positions {P} x counts {n_max + 1}^{U} x classes "
+                 f"{n_cls}^2", 3 * 8 * math.prod(shape))
 
     # count axes a word of class k shifts, given the previous word's class l
     cls_of = {w: k for k, w in enumerate(words)}
@@ -178,21 +171,21 @@ def _cut_dp(X: str, rho: RenewalLaw, N_list, nbhd: Neighbourhood, Jmax: int,
 
 
 def quenched_prob_enum(X: str, rho: RenewalLaw, N: int, nbhd: Neighbourhood,
-                       Jmax: int, state_budget: int = 2_000_000) -> float:
+                       Jmax: int) -> float:
     """Exact probability that the empirical process of N words cut from the
     fixed X lands in the neighbourhood, summed over all cut vectors with
     increments in supp(rho) intersect [1, Jmax].
 
     One array DP pass over the cut points (see `_cut_dp`) serves single-word
-    and 2-word constraints alike.  `state_budget` caps its cell count,
-    positions x (N+1)^U x classes^2 for U constraints; past it
-    `SizeBudgetError` states the count that was needed.
+    and 2-word constraints alike.  Its positions x (N+1)^U x classes^2 cells
+    for U constraints are checked against the byte budget; past it
+    `SizeBudgetError` states the bytes that were needed.
 
     Convention: increment weights are rho's own atoms without
     renormalization, so with the all-pass neighbourhood the total is
     (sum of rho mass <= Jmax)^N.
     """
-    return _cut_dp(X, rho, [N], nbhd, Jmax, state_budget)[0]
+    return _cut_dp(X, rho, [N], nbhd, Jmax)[0]
 
 
 def quenched_prob_brute(X: str, rho: RenewalLaw, N: int, nbhd: Neighbourhood, Jmax: int) -> float:
@@ -239,15 +232,15 @@ class SlopeSeries:
 
 
 def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
-                          N_list, Jmax: int, seed: int,
-                          state_budget: int = 2_000_000) -> SlopeSeries:
+                          N_list, Jmax: int, seed: int) -> SlopeSeries:
     """One fixed medium X, exact quenched slopes per N, plus the annealed
     slope from the I-projection onto the same constraints.
 
     The state of the cut-point DP after N words does not depend on the
     target N, so one pass up to max(N_list) gives every entry; each equals
-    `quenched_prob_enum` at that N exactly.  `state_budget` applies to that
-    pass.
+    `quenched_prob_enum` at that N exactly.  The medium of max(N_list) * Jmax
+    letters is checked against the byte budget before it is drawn, and the
+    pass before it runs.
 
     The annealed companion uses the reference word marginal with jumps
     restricted to Jmax and renormalized; the discarded renewal mass is
@@ -256,9 +249,12 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     """
     if nbhd.max_depth == 2:
         raise InputError("annealed companion supports single-word constraints only")
-    n_max = max(N_list)
+    if not N_list or min(N_list) < 1:
+        raise InputError(f"N_list must list levels N >= 1, got {list(N_list)}")
+    n_letters = max(N_list) * Jmax
+    # the uniform draw, the letter indices and the joined list, per letter
+    check_budget(f"medium of {n_letters} letters", 3 * 8 * n_letters)
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    n_letters = n_max * Jmax
     x_idx = rng.choice(len(nu_x.alphabet), size=n_letters, p=nu_x.prob_vector())
     X = "".join(nu_x.alphabet.symbols[i] for i in x_idx)
 
@@ -267,7 +263,7 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     capped = RenewalLaw({d: rho.probs[d] / kept for d in incs}, alpha=rho.alpha)
     _, annealed = i_projection(boxed_reference(ReferenceLaw(capped, nu_x), nbhd), nbhd)
 
-    probs = _cut_dp(X, rho, N_list, nbhd, Jmax, state_budget)
+    probs = _cut_dp(X, rho, N_list, nbhd, Jmax)
     entries = []
     for n, prob in zip(N_list, probs):
         slope = -math.log(prob) / n if prob > 0 else math.inf

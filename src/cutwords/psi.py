@@ -4,7 +4,7 @@ The concatenation of a word process, with the origin placed uniformly at
 random inside the (length-biased) first word, is a function of a hidden
 Markov chain on states (word, offset).  One backward pass over the letter
 patterns of that chain (one state vector per pattern, grown at its front;
-at most PATTERN_BYTES per step), exact up to floating point, serves both
+each step within the byte budget), exact up to floating point, serves both
 `entropy_series` (both sides of the entropy-rate sandwich) and
 `psi_marginal` (the pattern table).  `letter_typical` decides exactly, at
 no fixed depth, whether the letters are i.i.d. with a given law.
@@ -19,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import xlogy
 
-from .errors import InputError, SizeBudgetError
+from .errors import InputError, check_budget
 from .laws import LetterLaw, WordProcessLaw, mean_length
 
-PATTERN_BYTES = 2**28  # largest block of pattern extensions, one step of the pass
 RANK_TOL = 1e-12  # relative Gram-Schmidt residual below which a vector is in the span
 
 
@@ -64,6 +63,7 @@ def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
         for k in range(len(w)):
             states.append((wi, k))
     n = len(states)
+    check_budget(f"hidden chain of {n} states", n * n * 8)
     state_pos = {s: i for i, s in enumerate(states)}
     emit = np.array([letter_idx[Q.words[wi][k]] for wi, k in states])
 
@@ -131,17 +131,15 @@ def _pattern_pass(chain: HiddenChain, steps: int):
     `steps` letters yields (first, suffix, beta, p): pattern i is letter
     first[i] before pattern suffix[i] of the previous step.  Each step's
     live patterns x |E| extensions, at n + 3 eight-byte entries each, must
-    fit PATTERN_BYTES.
+    fit the byte budget.
     """
     k, n = len(chain.alphabet), chain.n_states
     # p(ew) = beta_w . to_p[:, e]
     to_p = (((chain.emit == np.arange(k)[:, None]) * chain.init) @ chain.trans).T
     beta = np.ones((1, n))
     for t in range(1, steps + 1):
-        need = len(beta) * k * (n + 3) * 8  # vector, letter, link and mass
-        if need > PATTERN_BYTES:
-            raise SizeBudgetError(f"pattern pass at depth {t} needs {need} bytes, "
-                                  f"over the budget of {PATTERN_BYTES}")
+        # per extension: vector, letter, link and mass
+        check_budget(f"pattern pass at depth {t}", len(beta) * k * (n + 3) * 8)
         p = (beta @ to_p).T
         first, suffix = np.nonzero(p > 0.0)
         beta = (beta @ chain.trans.T)[suffix]

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from cutwords import errors
 from cutwords.cli import DEFAULT_SEED, build_parser, main
 from cutwords.corelemma import bernoulli_omega, s_n_eval
 from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal
@@ -68,39 +69,70 @@ def test_budget_exit_code(cfg_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def run_limited(argv, limit):
+    """Run `python -m cutwords argv` in a subprocess with `limit` bytes of
+    address space."""
+    resource = pytest.importorskip("resource")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "cutwords"] + argv,
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+
+
 def test_deep_rate_fits_in_memory(tmp_path):
     # Six words whose minimized chain has 12 states; depth 20 takes the
     # pattern law to depth 21 (1.54 million live patterns).  The pass must
     # fit in 2.5 GiB of address space, where a (patterns x starts x states)
     # array alone needs 0.9 GiB by depth 20.
-    resource = pytest.importorskip("resource")
     cfg = dict(BASE_CFG, word_law={"variant": "iid",
                                    "words": ["aaa", "aaba", "ab", "baa", "babb", "bb"],
                                    "probs": [0.1, 0.15, 0.2, 0.25, 0.12, 0.18]})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    limit = int(2.5 * 2**30)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cutwords", "rate", "--config", str(path),
-         "--alpha", "2", "--depth", "20"],
-        env=env, capture_output=True, text=True, timeout=300,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
-    )
+    proc = run_limited(["rate", "--config", str(path), "--alpha", "2", "--depth", "20"],
+                       int(2.5 * 2**30))
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.startswith("rate: annealed=")
 
 
+@pytest.mark.parametrize("argv, word, need", [
+    (["psi", "--depth", "1"], "a" * 20_000, 20_000**2 * 8),
+    (["core-lemma", "--alpha", "2", "--p", "0.2", "--n", "1,2", "--horizon", "1000000000"],
+     None, 16 * 10**9),
+    (["quench-slopes", "--n", "1000000", "--jmax", "1000"], None, 24 * 10**9),
+    (["simulate", "--n-letters", "0", "--n-words", "1000000000"], None, 24 * 10**9),
+    (["ergodic", "--n-words", "1000000000", "--k", "1"], None, 24 * 10**9),
+], ids=["psi-long-word", "core-lemma-horizon", "quench-slopes-medium", "simulate-words",
+        "ergodic-words"])
+def test_budget_checked_before_allocation(tmp_path, argv, word, need):
+    # Each of these allocated past 1.5 GiB of address space and died with a
+    # numpy ArrayMemoryError; the byte budget must stop it first.
+    cfg = dict(BASE_CFG)
+    if word is not None:
+        cfg["word_law"] = {"variant": "iid", "words": [word], "probs": [1.0]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    proc = run_limited(argv + ["--config", str(path)], int(1.5 * 2**30))
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "Traceback" not in proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error (budget): ")
+    assert line.endswith(f" needs {need} bytes, over the budget of {errors.BUDGET_BYTES}")
+
+
 def test_quench_enum_budget_exit_code(tmp_path, capsys):
-    # two constraints at N=100: 401 positions x 101^2 counts > 2e6 cells
-    cfg = dict(BASE_CFG, X="ab" * 200, neighbourhood={"constraints": [
+    # two constraints at N=300: 1201 positions x 301^2 counts, 8 bytes a
+    # cell in each of three arrays, far over 2^28 bytes
+    cfg = dict(BASE_CFG, X="ab" * 600, neighbourhood={"constraints": [
         {"pattern": ["a"], "low": 0.5, "high": 1.0},
         {"pattern": ["b"], "low": 0.0, "high": 0.5}]})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    code = run(["quench-enum", "--config", str(path), "--n-words", "100", "--jmax", "4"])
+    code = run(["quench-enum", "--config", str(path), "--n-words", "300", "--jmax", "4"])
     assert code == 2
     assert "budget" in capsys.readouterr().err
 
@@ -275,6 +307,18 @@ def test_conv_tail_rejects_empty_range(capsys, argv, name):
     code = run(["conv-tail", "--alpha", "2.0", "--cap", "50"] + argv)
     assert code == 1
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["quench-slopes", "--n", "5..3", "--jmax", "3"], "N_list"),
+    (["quench-slopes", "--n", "0,2", "--jmax", "3"], "N_list"),
+    (["simulate", "--n-letters", "-5", "--n-words", "3"], "n_letters"),
+], ids=["quench-slopes-no-levels", "quench-slopes-level-0", "simulate-negative-letters"])
+def test_bad_count_names_parameter(cfg_path, capsys, argv, name):
+    code = run(argv + ["--config", cfg_path])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and name in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -1,5 +1,6 @@
-"""Every name a library module imports is referenced in that module, and
-every module-level private name is referenced somewhere in the package."""
+"""Every name a library module imports is referenced in that module, every
+module-level private name is referenced somewhere in the package, and only
+`errors.py` raises a size-budget error, so the package keeps one budget."""
 
 import ast
 import pathlib
@@ -72,3 +73,32 @@ def test_guard_sees_unreferenced_privates():
 def test_no_unreferenced_private_names():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def budget_errors_raised(source: str) -> list:
+    """Lines that call or raise `SizeBudgetError` directly."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            target = node.func
+        elif isinstance(node, ast.Raise):
+            target = node.exc
+        else:
+            continue
+        if getattr(target, "id", getattr(target, "attr", None)) == "SizeBudgetError":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_sees_budget_errors():
+    src = ("from .errors import SizeBudgetError, check_budget\nfrom . import errors\n"
+           "check_budget('x', 8)\nraise SizeBudgetError('over')\nraise errors.SizeBudgetError\n"
+           "try:\n    pass\nexcept SizeBudgetError:\n    pass\n")
+    assert budget_errors_raised(src) == [4, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"],
+                         ids=lambda p: p.name)
+def test_size_budget_error_only_in_errors(path):
+    # a new size limit goes through errors.check_budget, not beside it
+    assert budget_errors_raised(path.read_text()) == []

@@ -97,6 +97,19 @@ def test_markov_stationary_periodic_chain():
     assert np.allclose(Q.stationary, [0.5, 0.25, 0.25], rtol=0, atol=1e-15)
 
 
+def test_markov_stationary_tiny_entry_relative():
+    # pi_2 = 2e-20 pi_1; a least-squares solve is only accurate to ~1e-16 absolute
+    P = np.array([[1.0 - 1e-20, 1e-20], [0.5, 0.5]])
+    pi = stationary_row(P)
+    assert pi[0] == pytest.approx(1.0, rel=1e-12)
+    assert pi[1] == pytest.approx(2e-20, rel=1e-12, abs=0)
+
+
+def test_markov_law_requires_square_table():
+    with pytest.raises(InputError, match="square"):
+        markov_law(("a", "b", "c"), np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]))
+
+
 def test_markov_law_requires_irreducible():
     P = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InputError):

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cutwords import errors
 from cutwords.entropy import rel_entropy
 from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal, renewal_from_atoms
@@ -283,13 +284,16 @@ def test_slope_series_equals_enum_per_n(nu_ab):
         assert prob == quenched_prob_enum(X, rho, n, nbhd, jmax)
 
 
-def test_enum_budget_error_states_size():
+def test_enum_budget_error_states_size(monkeypatch):
     rho = make_algebraic_renewal(2.0, 4)
     nbhd = Neighbourhood((Constraint(("a",), 0.0, 1.0),))
-    # positions 4*3+1 = 13, counts 5, one class: 65 cells
-    with pytest.raises(SizeBudgetError, match=r"65 cells.*budget 64"):
-        quenched_prob_enum("ab" * 6, rho, 4, nbhd, 3, state_budget=64)
-    assert quenched_prob_enum("ab" * 6, rho, 4, nbhd, 3, state_budget=65) > 0
+    # positions 4*3+1 = 13, counts 5, one class: 65 cells, three arrays of them
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 1560)
+    assert quenched_prob_enum("ab" * 6, rho, 4, nbhd, 3) > 0
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 1559)
+    with pytest.raises(SizeBudgetError, match=r"positions 13 x counts 5\^1 x classes 1\^2 "
+                                              r"needs 1560 bytes, over the budget of 1559$"):
+        quenched_prob_enum("ab" * 6, rho, 4, nbhd, 3)
     with pytest.raises(InputError):
         quenched_prob_enum("ab" * 6, rho, 0, nbhd, 3)
 
