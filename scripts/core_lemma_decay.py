@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from cutwords.cli import exit_code
-from cutwords.corelemma import bernoulli_omega, phi_bounds, s_n_eval
+from cutwords.corelemma import bernoulli_omega, phi_bounds, s_n_levels
 
 
 def main():
@@ -31,10 +31,10 @@ def main():
           f"{'a*log(1/p)':>11} {'ratio':>7}")
     for p in (float(x) for x in args.ps.split(",")):
         lo, hi = phi_bounds(args.alpha, p)
-        slopes = []
-        for trial in range(args.trials):
-            om = bernoulli_omega(p, args.T, seed=args.seed, trial=trial)
-            slopes.append(-s_n_eval(om, args.alpha, args.N, args.T) / args.N)
+        # every trial of this p in one kernel call
+        omegas = np.stack([bernoulli_omega(p, args.T, seed=args.seed, trial=trial)
+                           for trial in range(args.trials)])
+        slopes = -s_n_levels(omegas, args.alpha, args.N, args.T)[-1] / args.N
         med = float(np.median(slopes))
         scale = args.alpha * math.log(1.0 / p)
         print(f"{p:>8.3f} {med:>14.4f} {lo:>10.4f} {hi:>10.4f} "

@@ -43,7 +43,6 @@ from .rates import (
     Neighbourhood,
     RateResult,
     ann_rate,
-    boundary_rate,
     boxed_reference,
     contraction_upper,
     fin_rate,

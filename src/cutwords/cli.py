@@ -75,10 +75,8 @@ def parse_int_list(value) -> list:
 
 
 def _alpha_or_boundary(value):
-    """A tail exponent, or 'one' / 'infinity' for a boundary case; kept as
-    given, so the artifact echoes it."""
-    if value not in ("one", "infinity"):
-        float(value)
+    """A tail exponent that `laws.alpha_from_json` reads, kept as given."""
+    laws.alpha_from_json(value)
     return value
 
 
@@ -163,8 +161,8 @@ def cmd_simulate(rc: RunConfig, cfg: dict) -> str:
     nu = _load(cfg, "letter_law")
     rho = _load(cfg, "renewal_law")
     x, pts, sentence = laws.sample_path(nu, rho, p["n_letters"], p["n_words"], rc.seed)
-    rows = [(i + 1, pts[i], sentence[i]) for i in range(len(pts))]
-    _emit(rc, {"X": x, "cut_points": list(pts), "sentence": list(sentence)},
+    rows = zip(range(1, len(pts) + 1), pts, sentence)  # made as they are written
+    _emit(rc, {"X": x, "cut_points": pts, "sentence": sentence},
           header=["i", "cut_point", "word"], rows=rows, row_keys=("cut_points", "sentence"))
     return f"simulate: {len(sentence)} words, {len(x)} letters"
 
@@ -212,14 +210,7 @@ def cmd_rate(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
     ref = laws.ReferenceLaw(_load(cfg, "renewal_law"), _load(cfg, "letter_law"))
     Q = _load(cfg, "word_law")
-    alpha = p["alpha"]
-    if alpha in ("one", "infinity"):
-        iv = rates.boundary_rate(Q, ref, alpha)
-        doc = {"annealed": rates.ann_rate(Q, ref), "quenched": [iv.lo, iv.hi],
-               "alpha": alpha, "depth": p["depth"]}
-        _emit(rc, doc)
-        return f"rate[{alpha}]: quenched=[{iv.lo:.6f},{iv.hi:.6f}]"
-    res = rates.fin_rate_result(Q, ref, float(alpha), p["depth"])
+    res = rates.fin_rate_result(Q, ref, laws.alpha_from_json(p["alpha"]), p["depth"])
     _emit(rc, res.to_json())
     return (f"rate: annealed={_disp(res.annealed, rc):.6f} "
             f"quenched=[{_disp(res.quenched.lo, rc):.6f},{_disp(res.quenched.hi, rc):.6f}]")
@@ -229,7 +220,7 @@ def cmd_ladder(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
     ref = laws.ReferenceLaw(_load(cfg, "renewal_law"), _load(cfg, "letter_law"))
     Q = _load(cfg, "word_law")
-    ladder = rates.que_rate_ladder(Q, ref, float(p["alpha"]), p["tr_list"], p["depth"])
+    ladder = rates.que_rate_ladder(Q, ref, p["alpha"], p["tr_list"], p["depth"])
     rows = [(tr, iv.lo, iv.hi, p["depth"], iv.width) for tr, iv in ladder]
     _emit(rc, {"ladder": [{"tr": tr, "lower": iv.lo, "upper": iv.hi} for tr, iv in ladder]},
           header=["tr", "lower", "upper", "L", "width"], rows=rows, row_keys=("ladder",))
@@ -310,7 +301,7 @@ COMMANDS = {
     "psi": (cmd_psi, [("--depth", "depth", int)]),
     "entropy": (cmd_entropy, [("--depth", "depth", int)]),
     "rate": (cmd_rate, [("--alpha", "alpha", _alpha_or_boundary), ("--depth", "depth", int)]),
-    "ladder": (cmd_ladder, [("--alpha", "alpha", float), ("--depth", "depth", int),
+    "ladder": (cmd_ladder, [("--alpha", "alpha", laws.alpha_from_json), ("--depth", "depth", int),
                             ("--tr", "tr_list", parse_int_list)]),
     "quench-enum": (cmd_quench_enum, [("--n-words", "n_words", int), ("--jmax", "jmax", int)]),
     "quench-slopes": (cmd_quench_slopes, [("--n", "n_list", parse_int_list),

@@ -7,6 +7,7 @@ balance.  Logs are natural (nats) everywhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,9 +20,20 @@ MASS_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 MAX_WORD_SET = 64
 
-# Sentinel tail exponents for the boundary cases of the quenched rate.
+# The ends of the quenched rate's tail exponents [1, inf], by JSON name.
 ALPHA_ONE = 1.0
 ALPHA_INF = math.inf
+_NAMED_ALPHAS = {"one": ALPHA_ONE, "infinity": ALPHA_INF}
+
+
+def alpha_to_json(alpha: float):
+    """A tail exponent as JSON: "one" at 1, "infinity" at inf, else the number."""
+    return next((name for name, a in _NAMED_ALPHAS.items() if a == alpha), alpha)
+
+
+def alpha_from_json(value) -> float:
+    """Inverse of `alpha_to_json`; any other value is read by float()."""
+    return _NAMED_ALPHAS[value] if value in _NAMED_ALPHAS else float(value)
 
 
 @dataclass(frozen=True)
@@ -111,21 +123,12 @@ class RenewalLaw:
         return sum(n * p for n, p in self.probs.items())
 
     def to_json(self) -> dict:
-        alpha: object = self.alpha
-        if alpha == ALPHA_ONE:
-            alpha = "one"
-        elif math.isinf(self.alpha):
-            alpha = "infinity"
-        return {"atoms": [[n, self.probs[n]] for n in self.support], "alpha": alpha}
+        return {"atoms": [[n, self.probs[n]] for n in self.support],
+                "alpha": alpha_to_json(self.alpha)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "RenewalLaw":
-        alpha = doc["alpha"]
-        if alpha == "one":
-            alpha = ALPHA_ONE
-        elif alpha == "infinity":
-            alpha = ALPHA_INF
-        return cls({int(n): float(p) for n, p in doc["atoms"]}, float(alpha))
+        return cls({int(n): float(p) for n, p in doc["atoms"]}, alpha_from_json(doc["alpha"]))
 
 
 def make_algebraic_renewal(alpha: float, cap: int) -> RenewalLaw:
@@ -379,6 +382,11 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
 
 def sample_path(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):
     """Sample (X, cut points, sentence) of the word-cutting experiment."""
+    # the jumps first, so that too many are reported as sample_arrays would;
+    # then each word's int cut point, string and their two tuple slots
+    check_budget(f"{n_words} jumps", 24 * n_words)
+    word = 16 + sys.getsizeof(n_words * rho.max_jump) + max(map(sys.getsizeof, nu.alphabet.symbols))
+    check_budget(f"{n_words} cut points and words", word * n_words)
     x_idx, points = sample_arrays(nu, rho, n_letters, n_words, seed)
     symbols = nu.alphabet.symbols
     x = "".join(symbols[i] for i in x_idx)

@@ -389,16 +389,21 @@ def waiting_time(nu: LetterLaw, target: LetterLaw, M_list, trials: int,
         raise InputError(f"M_list needs at least two distinct window lengths "
                          f"to fit a slope, got {list(M_list)}")
 
+    # Checked before any generator is built: 647 bytes a Generator by tracemalloc
+    # (numpy 2.4, CPython 3.11), and the first and largest block at 28 bytes a
+    # cell (uniforms, four int32 count arrays and four masks)
+    M = max(M_list)
+    check_budget(f"{trials} trials at M={M}", 648 * trials + 28 * (5 * M * trials + WAIT_BLOCK_CELLS))
     per_m = []
     means = []
     for M in M_list:
         # allowed[e, c]: count c of letter e passes |c/M - target_e| <= tol
         freqs = np.arange(M + 1) / M
         allowed = np.abs(freqs - np.array(targets)[:, None]) <= tol_typicality + 1e-12
-        gens = [np.random.Generator(np.random.Philox(
-                    key=np.array([seed, (M << 32) | t], dtype=np.uint64)))
-                for t in range(trials)]
-        hits = _first_typical_shifts(gens, cdf, M, allowed, horizon_cap)
+        hits = _first_typical_shifts(
+            [np.random.Generator(np.random.Philox(key=np.array([seed, (M << 32) | t],
+                                                               dtype=np.uint64)))
+             for t in range(trials)], cdf, M, allowed, horizon_cap)
         censored = int(np.count_nonzero(hits < 0))
         mean = math.fsum(math.log(int(h) if h > 0 else horizon_cap) for h in hits) / trials
         per_m.append((int(M), mean, trials, censored))

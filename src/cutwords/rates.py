@@ -1,6 +1,6 @@
-"""Annealed and quenched rate functions, truncation ladders, boundary
-cases, the i.i.d. contraction upper bound, and I-projection onto
-single-word-marginal neighbourhoods."""
+"""Annealed and quenched rate functions for tail exponents in [1, inf],
+truncation ladders, the i.i.d. contraction upper bound, and I-projection
+onto single-word-marginal neighbourhoods."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .errors import InfeasibleError, InputError
 from .interval import INF_INTERVAL, Interval, fp_slack, point
 from .entropy import EntropyBracket, psi_bracket_series, rel_entropy, spec_rel_entropy
-from .laws import ReferenceLaw, WordProcessLaw, iid_law, mean_length, truncate_process
+from .laws import ReferenceLaw, WordProcessLaw, alpha_to_json, iid_law, mean_length, truncate_process
 from .psi import letter_typical
 
 
@@ -67,7 +67,7 @@ class RateResult:
     alpha: float
     h_rel: float
     m_q: float
-    psi_bracket: EntropyBracket | None  # None when H_rel is infinite
+    psi_bracket: EntropyBracket | None  # None where the letter term is not computed
     depth: int
 
     def to_json(self) -> dict:
@@ -75,7 +75,7 @@ class RateResult:
         return {
             "annealed": self.annealed,
             "quenched": [self.quenched.lo, self.quenched.hi],
-            "alpha": self.alpha,
+            "alpha": alpha_to_json(self.alpha),
             "components": {
                 "H_rel": self.h_rel,
                 "m_Q": self.m_q,
@@ -91,20 +91,26 @@ def ann_rate(Q: WordProcessLaw, ref: ReferenceLaw) -> float:
 
 
 def fin_rate(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> Interval:
-    """Quenched rate on finite-mean laws, as a bracket at depth L:
-    H_rel + (alpha - 1) * m_Q * [psi relative-entropy bracket]."""
+    """Quenched rate at tail exponent alpha in [1, inf], as a bracket at
+    depth L: H_rel + (alpha - 1) * m_Q * [psi relative-entropy bracket]."""
     return fin_rate_result(Q, ref, alpha, L).quenched
 
 
 def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) -> RateResult:
-    """`fin_rate` with its components.  An infinite H_rel makes the rate
-    infinite, so the psi bracket is then not computed (None)."""
-    if not (1.0 < alpha < math.inf):
-        raise InputError("fin_rate needs alpha in (1, inf); use boundary_rate otherwise")
+    """`fin_rate` with its components.  The psi bracket is None where it
+    cannot move the rate: H_rel = inf, alpha = 1 (weight 0), and alpha = inf,
+    where inf * 0 = 0 on letter-typical laws and the rate is inf elsewhere."""
+    if not alpha >= 1.0:
+        raise InputError(f"alpha must lie in [1, inf], got {alpha}")
     h_rel = spec_rel_entropy(Q, ref)
     m_q = mean_length(Q)
+    b = None
     if math.isinf(h_rel):
-        b, quenched = None, INF_INTERVAL
+        quenched = INF_INTERVAL
+    elif alpha == 1.0:
+        quenched = point(h_rel)
+    elif math.isinf(alpha):
+        quenched = point(h_rel) if letter_typical(Q, ref.nu)[0] else INF_INTERVAL
     else:
         # h_rel + c * [psi relative-entropy bracket], rounded outward so
         # exact zeros of the rate stay inside the bracket.
@@ -142,20 +148,6 @@ def que_rate_ladder(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float,
         prev = tr
         out.append((tr, fin_rate(truncate_process(Q, tr), ref, alpha, L)))
     return out
-
-
-def boundary_rate(Q: WordProcessLaw, ref: ReferenceLaw, mode: str) -> Interval:
-    """Rate at the tail-exponent boundary: alpha = 1 collapses to the
-    annealed rate; alpha = infinity is the annealed rate on letter-typical
-    laws and infinite elsewhere."""
-    if mode not in ("one", "infinity"):
-        raise InputError(f"boundary mode must be 'one' or 'infinity', got {mode!r}")
-    a = ann_rate(Q, ref)
-    if math.isinf(a):
-        return INF_INTERVAL
-    if mode == "one":
-        return point(a)
-    return point(a) if letter_typical(Q, ref.nu)[0] else INF_INTERVAL
 
 
 def boxed_reference(ref: ReferenceLaw, nbhd: Neighbourhood) -> dict:

@@ -106,11 +106,18 @@ def test_deep_rate_fits_in_memory(tmp_path):
     (["quench-slopes", "--n", "1000000", "--jmax", "1000"], None, 24 * 10**9),
     (["simulate", "--n-letters", "0", "--n-words", "1000000000"], None, 24 * 10**9),
     (["ergodic", "--n-words", "1000000000", "--k", "1"], None, 24 * 10**9),
+    # per word: a cut point and a word, each a tuple slot and an object
+    (["simulate", "--n-letters", "0", "--n-words", "10000000"], None,
+     10**7 * (16 + sys.getsizeof(4 * 10**7) + sys.getsizeof("a"))),
+    # 648 bytes a Generator, 28 a cell of the first scan block (trials x 5M)
+    (["waiting-time", "--m", "10,20", "--trials", "20000000", "--tol", "0.034"], None,
+     648 * 2 * 10**7 + 28 * (5 * 20 * 2 * 10**7 + 2**16)),
 ], ids=["psi-long-word", "core-lemma-horizon", "quench-slopes-medium", "simulate-words",
-        "ergodic-words"])
+        "ergodic-words", "simulate-word-objects", "waiting-time-generators"])
 def test_budget_checked_before_allocation(tmp_path, argv, word, need):
     # Each of these allocated past 1.5 GiB of address space and died with a
-    # numpy ArrayMemoryError; the byte budget must stop it first.
+    # numpy ArrayMemoryError or a MemoryError; the byte budget must stop it
+    # first.
     cfg = dict(BASE_CFG)
     if word is not None:
         cfg["word_law"] = {"variant": "iid", "words": [word], "probs": [1.0]}
@@ -216,6 +223,52 @@ def test_depth_below_one_rejected(cfg_path, capsys, argv):
     assert "depth" in capsys.readouterr().err
 
 
+H_BASE = 1.3929174504023254  # annealed rate of the BASE_CFG word law
+TYPICAL_LAW = {"variant": "iid", "words": ["a", "b"], "probs": [0.5, 0.5]}
+H_TYPICAL = 0.35319667956240763
+
+
+@pytest.mark.parametrize("alpha, word_law, expected", [
+    ("one", None, {"alpha": "one", "annealed": H_BASE, "quenched": [H_BASE, H_BASE]}),
+    ("1", None, {"alpha": "one", "annealed": H_BASE, "quenched": [H_BASE, H_BASE]}),
+    ("infinity", None, {"alpha": "infinity", "annealed": H_BASE,
+                        "quenched": [math.inf, math.inf]}),
+    ("inf", None, {"alpha": "infinity", "annealed": H_BASE, "quenched": [math.inf, math.inf]}),
+    ("infinity", TYPICAL_LAW, {"alpha": "infinity", "annealed": H_TYPICAL,
+                               "quenched": [H_TYPICAL, H_TYPICAL]}),
+    ("2.0", None, {"alpha": 2.0, "annealed": H_BASE,
+                   "quenched": [1.7067880316969117, 1.7394910406823991],
+                   "components": {"H_rel": H_BASE, "m_Q": 1.5,
+                                  "psi_bracket": [0.2092470541964041, 0.23104906018670268]}}),
+], ids=["one", "1", "infinity", "inf", "infinity-typical", "2.0"])
+def test_rate_artifact_values_across_alpha(tmp_path, alpha, word_law, expected):
+    # the values the rate command wrote when alpha = one / infinity took a
+    # path of their own: one function for every alpha in [1, inf] keeps
+    # them, adds the components there, and reads 1 and inf as the same ends
+    cfg = dict(BASE_CFG, word_law=word_law or BASE_CFG["word_law"])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rate.json"
+    assert run(["rate", "--config", str(path), "--alpha", alpha, "--depth", "6",
+                "--format", "json", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    for key, value in dict(expected, depth=6).items():
+        assert doc[key] == value, key
+    assert doc["config"]["params"]["alpha"] == alpha
+    if alpha != "2.0":
+        assert doc["components"]["psi_bracket"] is None
+        assert doc["components"]["H_rel"] == doc["annealed"]
+
+
+def test_ladder_reads_alpha_names(cfg_path, capsys):
+    outs = []
+    for alpha in ("one", "1", "infinity", "inf"):
+        assert run(["ladder", "--config", cfg_path, "--alpha", alpha, "--tr", "1,2",
+                    "--depth", "4"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] != outs[2] == outs[3]
+
+
 def test_rate_infinity_needs_no_depth(tmp_path, capsys):
     # uniform on the words xyzx: every 3-letter marginal is uniform, the
     # 4-letter one is not, so the rate is infinite whatever --depth says
@@ -313,7 +366,10 @@ def test_conv_tail_rejects_empty_range(capsys, argv, name):
     (["quench-slopes", "--n", "5..3", "--jmax", "3"], "N_list"),
     (["quench-slopes", "--n", "0,2", "--jmax", "3"], "N_list"),
     (["simulate", "--n-letters", "-5", "--n-words", "3"], "n_letters"),
-], ids=["quench-slopes-no-levels", "quench-slopes-level-0", "simulate-negative-letters"])
+    (["rate", "--alpha", "0.5", "--depth", "4"], "alpha"),
+    (["rate", "--alpha", "nan", "--depth", "4"], "alpha"),
+], ids=["quench-slopes-no-levels", "quench-slopes-level-0", "simulate-negative-letters",
+        "rate-alpha-below-one", "rate-alpha-nan"])
 def test_bad_count_names_parameter(cfg_path, capsys, argv, name):
     code = run(argv + ["--config", cfg_path])
     err = capsys.readouterr().err

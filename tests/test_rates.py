@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cutwords.entropy as entropy
+import cutwords.psi as psi
 from cutwords.errors import InfeasibleError, InputError
 from cutwords.interval import INF_INTERVAL
 from cutwords.laws import (
@@ -21,7 +22,6 @@ from cutwords.rates import (
     Constraint,
     Neighbourhood,
     ann_rate,
-    boundary_rate,
     boxed_reference,
     contraction_upper,
     fin_rate,
@@ -73,28 +73,45 @@ def test_fin_rate_alpha_monotone(ref_default):
     assert r3.lo >= r15.lo - 1e-12
 
 
-def test_fin_rate_rejects_boundary_alphas(ref_default):
-    Q = iid_law({"a": 1.0})
-    with pytest.raises(InputError):
-        fin_rate(Q, ref_default, ALPHA_ONE, 4)
-    with pytest.raises(InputError):
-        fin_rate(Q, ref_default, ALPHA_INF, 4)
+@pytest.mark.parametrize("alpha", [0.5, math.nan])
+def test_fin_rate_rejects_alpha_below_one(ref_default, alpha):
+    with pytest.raises(InputError, match="alpha"):
+        fin_rate(iid_law({"a": 1.0}), ref_default, alpha, 4)
 
 
 def test_boundary_rate_alpha_one_equals_annealed(ref_default):
     Q = iid_law({"a": 0.5, "bb": 0.5})
-    iv = boundary_rate(Q, ref_default, "one")
+    iv = fin_rate(Q, ref_default, ALPHA_ONE, 4)
     assert iv.lo == pytest.approx(ann_rate(Q, ref_default), abs=1e-12)
     assert iv.width == pytest.approx(0.0, abs=1e-12)
 
 
+def test_boundary_rate_alpha_one_builds_no_hidden_chain(ref_default, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hidden_chain called at alpha = 1")
+
+    monkeypatch.setattr(entropy, "hidden_chain", refuse)
+    monkeypatch.setattr(psi, "hidden_chain", refuse)
+    res = fin_rate_result(iid_law({"ab": 1.0}), ref_default, ALPHA_ONE, 8)
+    assert res.quenched.lo == res.quenched.hi == res.h_rel
+    assert res.psi_bracket is None
+
+
 def test_boundary_rate_alpha_inf(ref_default, nu_ab):
     # reference law is letter-typical: rate 0
-    iv = boundary_rate(ref_default.as_iid_process(), ref_default, "infinity")
+    iv = fin_rate(ref_default.as_iid_process(), ref_default, ALPHA_INF, 4)
     assert iv.contains(0.0)
     # alternating-word law is not: rate infinite
-    iv = boundary_rate(iid_law({"ab": 1.0}), ref_default, "infinity")
+    iv = fin_rate(iid_law({"ab": 1.0}), ref_default, ALPHA_INF, 4)
     assert math.isinf(iv.lo)
+
+
+def test_ladder_and_contraction_at_alpha_inf_not_typical(ref_default):
+    # the alternating word is not letter-typical, at every truncation too
+    Q = iid_law({"ab": 1.0})
+    ladder = que_rate_ladder(Q, ref_default, ALPHA_INF, [1, 2, 3], 4)
+    assert [iv for _, iv in ladder] == [INF_INTERVAL] * 3
+    assert contraction_upper({"ab": 1.0}, ref_default, ALPHA_INF, 4) == (INF_INTERVAL, False)
 
 
 def repeat_first_letter_words(m):
@@ -110,7 +127,7 @@ def test_boundary_rate_alpha_inf_sees_deep_correlations(nu_ab, m):
     words = repeat_first_letter_words(m)
     Q = iid_law({w: 1.0 / len(words) for w in words})
     assert math.isfinite(ann_rate(Q, ref))
-    assert boundary_rate(Q, ref, "infinity") == INF_INTERVAL
+    assert fin_rate(Q, ref, ALPHA_INF, 4) == INF_INTERVAL
 
 
 def test_contraction_upper_not_exact_for_deep_correlations(nu_ab):
