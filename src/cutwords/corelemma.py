@@ -2,14 +2,15 @@
 tail bound.
 
 S_N(omega) sums, over N-tuples of marked positions, the product of the
-power-law weights of consecutive gaps.  One batched FFT kernel,
-`s_n_levels`, evaluates log S_n for n = 1..N on a block of mark rows
-exactly (up to fp), rescaling each row by its own S_n between levels; the
-single-row `s_n_eval` and the Monte Carlo `s_n_mean_check` are thin
-callers.  The mean check spreads its trial blocks over every usable core
-on plain threads, which share the work because numpy and scipy release the
-GIL in the FFTs, ufuncs and Philox fills.  The fractional-moment bound on
-the a.s. decay rate is maximized numerically.
+power-law weights of consecutive gaps.  One FFT kernel evaluates log S_n
+for n = 1..N on a block of mark rows exactly (up to fp), rescaling each row
+by its own S_n between levels, in a workspace that each worker makes once
+and reuses for every level and block.  One block runner spreads the blocks
+over the usable cores, as many as the byte budget holds workspaces for, on
+plain threads, which share the work because numpy releases the GIL in the
+FFTs, ufuncs and Philox fills; `s_n_levels`, its one-row caller `s_n_eval`
+and the Monte Carlo `s_n_mean_check` are its callers.  The
+fractional-moment bound on the a.s. decay rate is maximized numerically.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import scipy.fft
 from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
+from . import errors
 from .errors import InputError, check_budget
 from .laws import RenewalLaw
 
-# Trials per mean-check kernel call: bounds each thread's (rows, nfft) FFT
-# buffers, and is small enough that the blocks spread evenly over the cores.
+# Trials per mean-check block: bounds each worker's workspace, and is small
+# enough that the blocks spread evenly over the cores.
 MEAN_CHECK_BLOCK = 64
 
 
@@ -43,17 +45,120 @@ def zeta_partial(s: float, T: int) -> float:
     return float(np.sum(d ** (-s)))
 
 
+def _draw_marks(p: float, seed: int, trial: int, out: np.ndarray) -> None:
+    """Fill the float row `out` with trial `trial`'s Bernoulli(p) marks."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    rng.random(out=out)
+    np.less(out, p, out=out, casting="unsafe")
+
+
 def bernoulli_omega(p: float, T: int, seed: int, trial: int = 0) -> np.ndarray:
     """Deterministic Bernoulli(p) mark sequence omega_1..omega_T.
 
     Counter-based keying by (seed, trial) makes trials independent of how
     they are grouped into blocks.
     """
-    check_budget(f"mark sequence of horizon {T}", 16 * T)  # uniforms and marks
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+    check_budget(f"mark sequence of horizon {T}", 8 * T)
     out = np.empty(T)
-    np.less(rng.random(T), p, out=out, casting="unsafe")
+    _draw_marks(p, seed, trial, out)
     return out
+
+
+class _Workspace:
+    """One worker's S_n buffers for blocks of up to `rows` mark rows at
+    horizon T, made once and reused for every level of every block: the
+    kernel weights and spectrum, the marks, one real (rows, nfft) buffer,
+    which stays 0 outside positions 1..T between levels, and its complex
+    spectrum.  A block of fewer rows uses the leading rows."""
+
+    def __init__(self, alpha: float, rows: int, T: int):
+        if math.isnan(alpha):
+            raise InputError("alpha must be a number, got nan")
+        for name, (shape, dtype) in self.layout(rows, T).items():
+            setattr(self, name, np.zeros(shape, dtype))
+        self.weights[:] = np.arange(1, T + 1, dtype=float) ** (-alpha)
+        # the kernel's spectrum, from a row of the buffer that is zeroed after
+        kernel = self.buf[0]
+        kernel[1 : T + 1] = self.weights
+        np.fft.rfft(kernel, out=self.kf)
+        kernel[:] = 0.0
+
+    @staticmethod
+    def layout(rows: int, T: int) -> dict[str, tuple[tuple[int, ...], type]]:
+        """Shape and dtype of each array.  Circular wraparound with
+        nfft >= 2T only aliases onto index 0, which stays 0 (omega_0 = 0),
+        so outputs at 1..T stay exact."""
+        nfft = scipy.fft.next_fast_len(2 * T)
+        return {"weights": ((T,), float), "kf": ((nfft // 2 + 1,), complex),
+                "marks": ((rows, T), float), "buf": ((rows, nfft), float),
+                "spec": ((rows, nfft // 2 + 1), complex)}
+
+    @classmethod
+    def nbytes(cls, rows: int, T: int) -> int:
+        """Bytes of all the arrays."""
+        return sum(math.prod(shape) * np.dtype(dtype).itemsize
+                   for shape, dtype in cls.layout(rows, T).values())
+
+
+def _block_levels(ws: _Workspace, rows: int, N: int) -> np.ndarray:
+    """log S_n for n = 1..N of the first `rows` mark rows of `ws`, shape
+    (N, rows).  Each level is one in-place FFT convolution; before it each
+    row is divided by its own S_n, so deep levels stay representable."""
+    omega, buf, spec = ws.marks[:rows], ws.buf[:rows], ws.spec[:rows]
+    T = omega.shape[1]
+    f = buf[:, 1 : T + 1]
+    np.multiply(omega, ws.weights, out=f)
+    logs = np.empty((N, rows))
+    with np.errstate(divide="ignore"):
+        for n in range(N):
+            if n:
+                f /= np.where(s > 0.0, s, 1.0)[:, None]
+                np.fft.rfft(buf, out=spec)
+                spec *= ws.kf
+                np.fft.irfft(spec, n=buf.shape[1], out=buf)
+                buf[:, 0] = 0.0
+                buf[:, T + 1 :] = 0.0
+                np.maximum(f, 0.0, out=f)
+                f *= omega
+            s = f.sum(axis=1)
+            logs[n] = np.log(s)
+    logs = np.cumsum(logs, axis=0)
+    logs[np.arange(1, N + 1)[:, None] > np.count_nonzero(omega, axis=1)] = -math.inf
+    return logs
+
+
+def _run_blocks(alpha: float, N: int, T: int, rows: int, size: int, fill) -> np.ndarray:
+    """log S_n for n = 1..N of `rows` mark rows, shape (N, rows), in blocks
+    of `size` rows: fill(marks, lo) writes rows lo, lo + 1, ... into the
+    block's marks.  With W workers the calling thread takes blocks 0, W,
+    2W, ... and W - 1 pool threads, alive only during the call, take the
+    rest; one block runs on the calling thread and starts no thread.  Each
+    worker has its own workspace; before any is made, the workers are cut
+    to as many as the budget holds, and only a workspace that alone is over
+    the budget raises."""
+    if N < 1 or T < N:
+        raise InputError("need horizon T >= N >= 1")
+    size = max(min(size, rows), 1)
+    need = _Workspace.nbytes(size, T)
+    check_budget(f"S_n workspace of {size} rows at horizon {T}", need)
+    workers = max(min(_worker_count(), -(-rows // size), errors.BUDGET_BYTES // need), 1)
+    spaces = [_Workspace(alpha, size, T) for _ in range(workers)]
+    logs = np.empty((N, rows))
+
+    def work(first: int) -> None:
+        ws = spaces[first]
+        for lo in range(first * size, rows, workers * size):
+            hi = min(lo + size, rows)
+            fill(ws.marks[: hi - lo], lo)
+            logs[:, lo:hi] = _block_levels(ws, hi - lo, N)
+
+    # A pool starts threads only for submitted tasks, so one worker starts none.
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        futures = [pool.submit(work, k) for k in range(1, workers)]
+        work(0)
+        for fut in futures:
+            fut.result()
+    return logs
 
 
 def s_n_levels(omega_rows: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
@@ -61,9 +166,10 @@ def s_n_levels(omega_rows: np.ndarray, alpha: float, N: int, T: int) -> np.ndarr
 
     omega_rows has shape (rows, T') and the horizon is min(T, T'); the
     result has shape (N, rows) and is exactly -inf at levels above a row's
-    mark count.  Each level is one
-    FFT convolution over a (rows, nfft) buffer; before the next level each
-    row is divided by its own S_n, so deep levels stay representable.
+    mark count.  The rows run in ceil(rows / W)-row blocks, one for each of
+    the W usable cores (a worker takes several when the budget cuts the
+    workers); each row's result depends only on its own marks, so the split
+    does not change it.  A single row runs on the calling thread.
 
     Accuracy floor: the FFT round-off is absolute, about eps times the
     largest entry of the level being convolved, and negative round-off is
@@ -75,35 +181,11 @@ def s_n_levels(omega_rows: np.ndarray, alpha: float, N: int, T: int) -> np.ndarr
     """
     omega = np.asarray(omega_rows, dtype=float)[:, :T]
     rows, T = omega.shape
-    if N < 1 or T < N:
-        raise InputError("need horizon T >= N >= 1")
-    # Circular wraparound with nfft >= 2T only aliases onto index 0, which
-    # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
-    nfft = scipy.fft.next_fast_len(2 * T)
-    # the buffer, its spectrum and the inverse transform, live at once
-    check_budget(f"S_n kernel over {rows} rows x {nfft} FFT points", 3 * 8 * rows * nfft)
-    kernel = np.zeros(nfft)
-    kernel[1 : T + 1] = np.arange(1, T + 1, dtype=float) ** (-alpha)
-    kf = scipy.fft.rfft(kernel)
-    buf = np.zeros((rows, nfft))
-    f = buf[:, 1 : T + 1]
-    np.multiply(omega, kernel[1 : T + 1], out=f)
-    logs = np.empty((N, rows))
-    with np.errstate(divide="ignore"):
-        for n in range(N):
-            if n:
-                f /= np.where(s > 0.0, s, 1.0)[:, None]
-                spec = scipy.fft.rfft(buf, axis=1)
-                spec *= kf
-                conv = scipy.fft.irfft(spec, n=nfft, axis=1, overwrite_x=True)
-                np.maximum(conv[:, 1 : T + 1], 0.0, out=f)
-                del spec, conv  # free them before the next level's transform
-                f *= omega
-            s = f.sum(axis=1)
-            logs[n] = np.log(s)
-    logs = np.cumsum(logs, axis=0)
-    logs[np.arange(1, N + 1)[:, None] > np.count_nonzero(omega, axis=1)] = -math.inf
-    return logs
+
+    def fill(marks: np.ndarray, lo: int) -> None:
+        marks[:] = omega[lo : lo + len(marks)]
+
+    return _run_blocks(alpha, N, T, rows, max(-(-rows // _worker_count()), 1), fill)
 
 
 def s_n_eval(omega: np.ndarray, alpha: float, N: int, T: int) -> float:
@@ -164,35 +246,23 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     """Monte Carlo mean of S_n for n = 1..N against the exact target
     (p * zeta_T(alpha))^n with the horizon-truncated zeta sum.
 
-    Trials run in blocks of MEAN_CHECK_BLOCK spread over every usable
-    core: with W workers the calling thread takes blocks 0, W, 2W, ... and
-    W - 1 pool threads, alive only during the call, take the rest.  Per-trial
-    RNG is keyed by (seed, trial index) and each trial's S_n depends only on
-    its own marks, so the result does not depend on how trials are blocked
-    or on the worker count.  Needs 0 < p < 1, T >= N >= 1 and trials >= 2
+    Trials run in blocks of MEAN_CHECK_BLOCK on the S_n block runner; each
+    block draws its marks inside its worker, straight into the worker's
+    workspace.  Per-trial RNG is keyed by (seed, trial index) and each
+    trial's S_n depends only on its own marks, so the result does not
+    depend on how trials are blocked or on the worker count.  Needs 0 < p < 1, T >= N >= 1 and trials >= 2
     (the sample deviation needs two trials).
     """
     if not (0.0 < p < 1.0):
         raise InputError(f"p must lie in (0, 1), got {p}")
     if trials < 2:
         raise InputError(f"trials must be at least 2, got {trials}")
-    values = np.empty((N, trials))
-    starts = range(0, trials, MEAN_CHECK_BLOCK)
-    workers = min(_worker_count(), len(starts))
 
-    def run_blocks(first: int) -> None:
-        for lo in starts[first::workers]:
-            hi = min(lo + MEAN_CHECK_BLOCK, trials)
-            # Built inside the call, so each block's marks are freed before the next.
-            values[:, lo:hi] = np.exp(s_n_levels(
-                np.stack([bernoulli_omega(p, T, seed, trial=t) for t in range(lo, hi)]), alpha, N, T))
+    def fill(marks: np.ndarray, lo: int) -> None:
+        for i, row in enumerate(marks):
+            _draw_marks(p, seed, lo + i, row)
 
-    # A pool starts threads only for submitted tasks, so one worker starts none.
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        futures = [pool.submit(run_blocks, k) for k in range(1, workers)]
-        run_blocks(0)
-        for fut in futures:
-            fut.result()
+    values = np.exp(_run_blocks(alpha, N, T, trials, MEAN_CHECK_BLOCK, fill))
 
     zt = zeta_partial(alpha, T)
     levels = []

@@ -137,8 +137,9 @@ def make_algebraic_renewal(alpha: float, cap: int) -> RenewalLaw:
     The normalizing constant C = 1/sum(n^-alpha) satisfies
     rho(n) <= C * n^(-alpha) with equality on the support.
     """
-    if alpha <= 1:
-        raise InputError("algebraic constructor needs alpha > 1; use boundary constructors")
+    if not alpha > 1:
+        raise InputError(f"alpha must exceed 1 for the algebraic constructor, got {alpha}; "
+                         "build a law at alpha <= 1 with renewal_from_atoms")
     if cap < 1:
         raise InputError("cap must be >= 1")
     weights = {n: float(n) ** (-alpha) for n in range(1, cap + 1)}

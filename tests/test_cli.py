@@ -102,7 +102,7 @@ def test_deep_rate_fits_in_memory(tmp_path):
 @pytest.mark.parametrize("argv, word, need", [
     (["psi", "--depth", "1"], "a" * 20_000, 20_000**2 * 8),
     (["core-lemma", "--alpha", "2", "--p", "0.2", "--n", "1,2", "--horizon", "1000000000"],
-     None, 16 * 10**9),
+     None, 8 * 10**9),
     (["quench-slopes", "--n", "1000000", "--jmax", "1000"], None, 24 * 10**9),
     (["simulate", "--n-letters", "0", "--n-words", "1000000000"], None, 24 * 10**9),
     (["ergodic", "--n-words", "1000000000", "--k", "1"], None, 24 * 10**9),

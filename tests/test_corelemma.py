@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import zeta
 
-from cutwords import corelemma
+from cutwords import corelemma, errors
 from cutwords.corelemma import (
     MEAN_CHECK_BLOCK,
     bernoulli_omega,
@@ -20,7 +22,7 @@ from cutwords.corelemma import (
     s_n_mean_check,
     zeta_partial,
 )
-from cutwords.errors import InputError
+from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import make_algebraic_renewal, renewal_from_atoms
 
 
@@ -62,6 +64,17 @@ def test_s_n_too_few_marks_sentinel():
 def test_s_n_rejects_bad_horizon():
     with pytest.raises(InputError):
         s_n_eval(np.ones(3), 2.0, 4, 3)
+
+
+def test_s_n_rejects_nan_alpha():
+    with pytest.raises(InputError, match=r"^alpha "):
+        s_n_eval(np.ones(5), math.nan, 2, 5)
+    # a finite horizon keeps alpha <= 1 and alpha = inf valid; at inf only
+    # gaps of 1 weigh, so S_2 counts the one tuple (1, 2)
+    for alpha in (0.5, 1.0):
+        assert s_n_eval(np.ones(5), alpha, 2, 5) == pytest.approx(brute_s_n(np.ones(5), alpha, 2, 5),
+                                                                  abs=1e-12)
+    assert s_n_eval(np.ones(5), math.inf, 2, 5) == 0.0
 
 
 def test_s_n_matches_brute_force_exhaustive():
@@ -161,13 +174,14 @@ def test_mean_check_small_run_and_row_independence():
     (dict(trials=0), "trials"),
     (dict(trials=1), "trials"),
     (dict(p=1.5), "p"),
+    (dict(N=-1), "need"),
 ])
 def test_mean_check_rejects_bad_input(monkeypatch, kwargs, name):
     # rejected before any block runs, so no thread starts
     def no_blocks(*args):
         raise AssertionError("a block ran")
 
-    monkeypatch.setattr(corelemma, "s_n_levels", no_blocks)
+    monkeypatch.setattr(corelemma, "_block_levels", no_blocks)
     args = dict(alpha=2.0, p=0.2, N=2, T=100, trials=10, seed=1) | kwargs
     with pytest.raises(InputError, match=rf"^{name} "):
         s_n_mean_check(**args)
@@ -194,19 +208,114 @@ def test_mean_check_raises_pool_thread_error(monkeypatch):
     # with two workers the block at lo = MEAN_CHECK_BLOCK runs on the pool thread
     p, T, seed = 0.2, 500, 4
     first_block_row = bernoulli_omega(p, T, seed, trial=0)
-    real = corelemma.s_n_levels
+    real = corelemma._block_levels
 
-    def fails_past_first_block(omega_rows, *args):
-        if not np.array_equal(omega_rows[0], first_block_row):
+    def fails_past_first_block(ws, rows, N):
+        if not np.array_equal(ws.marks[0], first_block_row):
             raise RuntimeError("block at lo >= MEAN_CHECK_BLOCK failed")
-        return real(omega_rows, *args)
+        return real(ws, rows, N)
 
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
-    monkeypatch.setattr(corelemma, "s_n_levels", fails_past_first_block)
+    monkeypatch.setattr(corelemma, "_block_levels", fails_past_first_block)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="lo >= MEAN_CHECK_BLOCK"):
         s_n_mean_check(2.0, p, 2, T, 2 * MEAN_CHECK_BLOCK, seed=seed)
     assert threading.active_count() == before
+
+
+def test_s_n_levels_independent_of_worker_count(monkeypatch):
+    # rows are split into ceil(rows / W)-row blocks: 5, 3 + 2 and 2 + 2 + 1,
+    # each written to its own columns of one shared result
+    T, N = 3000, 6
+    rows = np.stack([bernoulli_omega(0.2, T, seed=4, trial=t) for t in range(5)])
+    logs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(corelemma, "_worker_count", lambda: workers)
+            logs.append(s_n_levels(rows, 2.0, N, T))
+    finally:
+        sys.setswitchinterval(interval)
+    assert (logs[0] == logs[1]).all() and (logs[0] == logs[2]).all()
+    assert logs[0][-1, 0] == s_n_eval(rows[0], 2.0, N, T)
+    # the block of rows 3..4 runs on the pool thread; its error reaches the caller
+    real = corelemma._block_levels
+
+    def fails_past_first_block(ws, n_rows, N):
+        if not np.array_equal(ws.marks[0], rows[0]):
+            raise RuntimeError("block past the first failed")
+        return real(ws, n_rows, N)
+
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
+    monkeypatch.setattr(corelemma, "_block_levels", fails_past_first_block)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="past the first"):
+        s_n_levels(rows, 2.0, N, T)
+    assert threading.active_count() == before
+
+
+def test_s_n_levels_allocates_nothing_per_level(monkeypatch):
+    # every level reuses the workspace: the peak does not grow with N beyond
+    # the (N, rows) results, and sits less than one (rows, nfft) buffer
+    # above the workspace bytes the budget check charges
+    T, n_rows = 3000, 5
+    rows = np.stack([bernoulli_omega(0.2, T, seed=4, trial=t) for t in range(n_rows)])
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
+    peaks = {}
+    for N in (2, 20):
+        tracemalloc.start()
+        try:
+            s_n_levels(rows, 2.0, N, T)
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert 0 <= peaks[20] - peaks[2] <= 3 * 8 * n_rows * (20 - 2)
+    one_buffer = 8 * n_rows * scipy.fft.next_fast_len(2 * T)
+    assert peaks[20] - corelemma._Workspace.nbytes(n_rows, T) < one_buffer
+
+
+def test_mean_check_workers_cut_to_budget(monkeypatch):
+    # at T = 10^4 a 64-row workspace takes about 26 MB, so 16 cores would
+    # need 413 MB of workspaces; the budget holds 10 of them, and the run
+    # uses 10 workers instead of refusing
+    T, trials = 10_000, 11 * MEAN_CHECK_BLOCK
+    need = corelemma._Workspace.nbytes(MEAN_CHECK_BLOCK, T)
+    assert 11 * need > errors.BUDGET_BYTES
+    made = []
+
+    class Counted(corelemma._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(corelemma, "_Workspace", Counted)
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 16)
+    wide = s_n_mean_check(2.0, 0.1, 3, T, trials, seed=8)
+    assert len(made) == errors.BUDGET_BYTES // need
+    made.clear()
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
+    assert wide == s_n_mean_check(2.0, 0.1, 3, T, trials, seed=8)
+    assert len(made) == 1
+
+
+def test_only_a_workspace_over_budget_raises(monkeypatch):
+    T = 500
+    need = corelemma._Workspace.nbytes(MEAN_CHECK_BLOCK, T)
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 4)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    ref = s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+    with pytest.raises(SizeBudgetError, match=f"workspace of {MEAN_CHECK_BLOCK} rows .* needs {need} bytes"):
+        s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
+    monkeypatch.undo()
+    assert ref == s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
+
+
+def test_workspace_budget_is_what_it_allocates():
+    for rows, T in ((1, 3), (5, 3000), (64, 1001)):
+        ws = corelemma._Workspace(2.0, rows, T)
+        assert sum(a.nbytes for a in vars(ws).values()) == corelemma._Workspace.nbytes(rows, T)
 
 
 def test_no_threads_left_by_import_or_mean_check(monkeypatch):

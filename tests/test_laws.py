@@ -46,6 +46,13 @@ def test_make_algebraic_renewal_values():
     assert rho.c_rho == pytest.approx(1.0 / norm)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 0.5, math.nan])
+def test_make_algebraic_renewal_rejects_alpha_at_most_one_or_nan(alpha):
+    # the message names the parameter and the constructor that does build such a law
+    with pytest.raises(InputError, match=r"^alpha .*renewal_from_atoms"):
+        make_algebraic_renewal(alpha, 4)
+
+
 def test_renewal_law_json_roundtrip_boundary_alphas():
     for alpha in (ALPHA_ONE, 2.5, ALPHA_INF):
         rho = renewal_from_atoms({1: 0.25, 2: 0.75}, alpha)
