@@ -368,8 +368,9 @@ def test_conv_tail_rejects_empty_range(capsys, argv, name):
     (["simulate", "--n-letters", "-5", "--n-words", "3"], "n_letters"),
     (["rate", "--alpha", "0.5", "--depth", "4"], "alpha"),
     (["rate", "--alpha", "nan", "--depth", "4"], "alpha"),
+    (["core-lemma", "--alpha", "2", "--p", "0.2", "--n", "1,2", "--horizon", "-5"], "horizon"),
 ], ids=["quench-slopes-no-levels", "quench-slopes-level-0", "simulate-negative-letters",
-        "rate-alpha-below-one", "rate-alpha-nan"])
+        "rate-alpha-below-one", "rate-alpha-nan", "core-lemma-negative-horizon"])
 def test_bad_count_names_parameter(cfg_path, capsys, argv, name):
     code = run(argv + ["--config", cfg_path])
     err = capsys.readouterr().err

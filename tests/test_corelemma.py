@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def brute_s_n(omega, alpha, N, T):
 def test_zeta_partial_converges():
     assert zeta_partial(2.0, 10**6) == pytest.approx(float(zeta(2.0)), abs=1e-5)
     assert zeta_partial(2.0, 3) == pytest.approx(1 + 0.25 + 1 / 9)
+
+
+def correctly_rounded_sum(xs):
+    """The float nearest to the exact sum of the floats xs."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = max(d for _, d in ratios)
+    return float(Fraction(sum(n * (den // d) for n, d in ratios), den))
+
+
+@pytest.mark.parametrize("s, T", [(2.0, 200_000), (3.0, 777)])
+def test_zeta_partial_correctly_rounded(s, T):
+    # numpy's pairwise sum is one ulp off at both points
+    terms = np.arange(1, T + 1, dtype=float) ** (-s)
+    assert zeta_partial(s, T) == correctly_rounded_sum(terms.tolist())
 
 
 def test_s_n_examples():
@@ -100,6 +115,21 @@ def test_s_n_matches_brute_force_T12():
             assert s_n_eval(om, 2.0, N, 12) == pytest.approx(
                 brute_s_n(om, 2.0, N, 12), abs=1e-12
             )
+
+
+@pytest.mark.parametrize("marked", [range(1, 9), range(33, 41), [1, 2, 3, 4, 37, 38, 39, 40]],
+                         ids=["start", "end", "both-ends"])
+def test_s_n_levels_two_chains_match_brute_force(marked):
+    # odd and even levels read the two chains through both sides of the
+    # pairing; clustered marks put the mass of F and G at opposite ends
+    T, N = 40, 6
+    om = np.zeros(T)
+    om[np.array(marked) - 1] = 1.0
+    for alpha in (1.5, 2.0):
+        logs = s_n_levels(om[None, :], alpha, N, T)[:, 0]
+        for n in range(1, N + 1):
+            assert logs[n - 1] == pytest.approx(brute_s_n(om, alpha, n, T), abs=1e-12)
+            assert logs[n - 1] == s_n_eval(om, alpha, n, T)
 
 
 def test_s_n_fft_path_matches_direct():
@@ -253,6 +283,65 @@ def test_s_n_levels_independent_of_worker_count(monkeypatch):
     with pytest.raises(RuntimeError, match="past the first"):
         s_n_levels(rows, 2.0, N, T)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("T, N, n_rows", [(corelemma.SPLIT_HORIZON + 1, 9, 1),
+                                           (corelemma.SPLIT_HORIZON, 8, 3), (3000, 8, 1)])
+def test_split_chains_independent_of_worker_count(monkeypatch, T, N, n_rows):
+    # one worker runs both chains; from SPLIT_HORIZON on, a row left over
+    # after whole rounds of blocks runs its chains on two threads: one row
+    # at 2 and 3 workers, the third of 3 rows at 2, and all 3 rows on six
+    # threads at 4; a short switch interval makes a lost or misplaced write show
+    rows = np.stack([bernoulli_omega(0.2, T, seed=11, trial=t) for t in range(n_rows)])
+    logs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3, 4):
+            monkeypatch.setattr(corelemma, "_worker_count", lambda: workers)
+            logs.append(s_n_levels(rows, 2.0, N, T))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all((logs[0] == other).all() for other in logs[1:])
+    assert logs[0][-1, -1] == s_n_eval(rows[-1], 2.0, N, T)
+
+
+def test_backward_chain_thread_error_reaches_caller(monkeypatch):
+    # with two cores a single long row's backward chain steps on a pool thread
+    real = corelemma._step
+
+    def fails_off_main_thread(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("backward step failed")
+        return real(*args)
+
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
+    monkeypatch.setattr(corelemma, "_step", fails_off_main_thread)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="backward step failed"):
+        s_n_eval(bernoulli_omega(0.2, corelemma.SPLIT_HORIZON, seed=2), 2.0, 5,
+                 corelemma.SPLIT_HORIZON)
+    assert threading.active_count() == before
+
+
+def test_s_n_levels_shrinks_blocks_to_fit_budget(monkeypatch):
+    # two workspaces of 4 rows are over the budget and two of 2 rows are
+    # not: the 8 rows run as 4 blocks of 2 on both cores, not on one core
+    T, N = 3000, 5
+    rows = np.stack([bernoulli_omega(0.2, T, seed=7, trial=t) for t in range(8)])
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
+    ref = s_n_levels(rows, 2.0, N, T)
+    made = []
+
+    class Counted(corelemma._Workspace):
+        def __init__(self, alpha, n_rows, T):
+            super().__init__(alpha, n_rows, T)
+            made.append(n_rows)
+
+    monkeypatch.setattr(corelemma, "_Workspace", Counted)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 2 * Counted.nbytes(3, T))
+    assert (s_n_levels(rows, 2.0, N, T) == ref).all()
+    assert made == [2, 2]
 
 
 def test_s_n_levels_allocates_nothing_per_level(monkeypatch):
