@@ -2,20 +2,13 @@
 tail bound.
 
 S_N(omega) sums, over N-tuples of marked positions, the product of the
-power-law weights of consecutive gaps.  One FFT kernel evaluates log S_n
-for n = 1..N on a block of mark rows exactly (up to fp) from two chains per
-row, a forward one over the tuples ending at each mark and a backward one
-over those starting there, which meet in the middle: the N - 1
-convolutions split into two halves that can run at once.  Each chain
-rescales each row by its own sum between steps, in a workspace that each
-worker makes once and reuses for every step and block.  One block runner
-spreads the blocks over the usable cores, as many as the byte budget holds
-workspaces for, and with fewer blocks than cores, from SPLIT_HORIZON on,
-runs each block's two chains on two threads; the threads share the work
-because numpy releases the GIL in the FFTs, ufuncs and Philox fills.  `s_n_levels`, its one-row
-caller `s_n_eval` and the Monte Carlo `s_n_mean_check` are its callers.
-The fractional-moment bound on the a.s. decay rate is maximized
-numerically.
+power-law weights of consecutive gaps.  `s_n_levels` and its one-row
+caller `s_n_eval` evaluate log S_n for n = 1..N on given rows in mark
+space, with exact weights within blocks of marks and a sum of exponentials
+with positive weights between them.  The Monte Carlo `s_n_mean_check`
+runs an FFT chain in one workspace per worker, its trial blocks spread
+over the usable cores.  The fractional-moment bound on the a.s. decay
+rate is maximized numerically.
 """
 
 from __future__ import annotations
@@ -28,22 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 from scipy.optimize import minimize_scalar
-from scipy.special import zeta
+from scipy.special import gammainccinv, zeta
 
 from . import errors
 from .errors import InputError, check_budget
 from .laws import RenewalLaw
 
-# Trials per mean-check block, each with a forward and a backward chain:
-# bounds each worker's workspace, and is small enough that the blocks spread
-# evenly over the cores.
-MEAN_CHECK_BLOCK = 32
+# Trials per mean-check block: bounds each worker's workspace, and is small
+# enough that the blocks spread evenly over the cores.
+MEAN_CHECK_BLOCK = 64
 
-# Horizon from which the two chains of a block may run on two threads.  On
-# the 2-core host measured, a single row ran 10% slower on two threads at
-# T = 64 000 (the per-step join costs more than the second thread gains
-# while a step's FFTs stay in cache) and 1.5x faster at T = 128 000.
-SPLIT_HORIZON = 1 << 16
+# Marks per block of the mark-space kernel.  A row with at most this many
+# marks is one block of exact weights and needs no exponential sum.
+KERNEL_BLOCK = 64
 
 
 def _worker_count() -> int:
@@ -77,17 +67,132 @@ def bernoulli_omega(p: float, T: int, seed: int, trial: int = 0) -> np.ndarray:
     return out
 
 
-class _Workspace:
-    """One worker's S_n buffers for blocks of up to `rows` mark rows at
-    horizon T, made once and reused for every step of every block: the
-    kernel weights and spectrum, the marks, one real (2 rows, nfft) buffer
-    that holds the rows' forward chains and then their backward chains, and
-    which stays 0 outside positions 1..T between steps, its complex
-    spectrum, and (rows, T) of scratch for the level sums and the backward
-    vectors one step back.  A block of fewer rows uses the leading rows.
-    `pool`, when the runner sets it, runs the backward chain's steps."""
+def _exp_sum(alpha: float, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rates lam and weights w > 0 with sum_r w_r exp(-lam_r d) = d^-alpha
+    to a relative error of at most 3 eps = 3 * 2^-53 in exact arithmetic,
+    for 1 <= d <= T: the trapezoid rule in s on d^-alpha =
+    Gamma(alpha)^-1 int exp(alpha s - d e^s) ds (Beylkin & Monzon 2005).
+    In the strip |Im s| < a < pi/2 the integrand's modulus integrates to
+    (cos a)^-alpha times the true value, so step h errs by at most
+    2 (cos a)^-alpha / (exp(2 pi a / h) - 1) relative (Trefethen & Weideman
+    2014, Thm 5.1); h is the largest step that keeps this below eps for an
+    a on a grid, and shrinks roughly like alpha^-1/2.  The nodes stop where
+    the cut tails fall below eps: the left one, below (d e^s)^alpha /
+    Gamma(alpha + 1), at d = T, the right one, Q(alpha, d e^s), at d = 1.
+    """
+    eps, a = 2.0**-53, np.linspace(0.01, 1.56, 156)
+    with np.errstate(over="ignore"):
+        h = float(np.max(2 * np.pi * a / np.log1p(2 * np.cos(a) ** -alpha / eps)))
+    lo = (math.log(eps) + math.lgamma(alpha + 1)) / alpha - math.log(T)
+    hi = math.log(gammainccinv(alpha, eps))
+    s = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
+    return np.exp(s), h * np.exp(alpha * s - math.lgamma(alpha))
 
-    pool: ThreadPoolExecutor | None = None
+
+def _row_levels(x: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
+    """log S_n for n = 1..min(N, marks) of a row of horizon T, in mark
+    space, from the ascending indices x of its marks (index i is position
+    i + 1).
+
+    F_1(y) = y^-alpha at each mark y, F_{t+1}(y) = sum over marks u < y of
+    F_t(u) (y - u)^-alpha, and S_t sums F_t.  Blocks of KERNEL_BLOCK marks
+    run left to right, each through all levels.  Within a block the
+    weights are exact, a lower triangle; earlier blocks reach it through
+    one state per level, sum_u F_t(u) exp(-lam_r (c - u)) over their marks
+    u (`_exp_sum`, c the block's first mark), which then decays to the next
+    block's first mark and takes in this block's F_t.  A last rate 0 with
+    weight 0 makes the state's last entry the running S_t.  Each level's
+    values carry one power-of-two scale, raised (exactly) whenever a value
+    would reach 1.  Level t depends only on the levels below it, so it is
+    the same for every N >= t.
+    """
+    B, m = KERNEL_BLOCK, len(x)
+    levels = min(N, m)
+    lam, w = _exp_sum(alpha, T) if m > B else (np.empty(0), np.empty(0))
+    lam, w = np.append(lam, 0.0), np.append(w, 0.0)
+    R = len(lam)
+    # per-level vectors, in and out tables and their temporary, the triangle's temporaries
+    check_budget(f"S_n kernel of {levels} levels and {R} exponentials",
+                 8 * ((levels + B) * (R + B) + 2 * B * R + 2 * B * B))
+    z = np.zeros((levels, R + B))  # per level: the state, then the block's F
+    scale = [-(1 << 30)] * levels  # log2 scales; the start value marks an empty level
+    for lo in range(0, m, B):
+        xb = x[lo : lo + B]
+        b = len(xb)
+        nxt = x[lo + B] if lo + B < m else xb[-1]
+        a = np.empty((b, R + b))  # weights to the block's marks: from the state, then exact
+        np.exp(np.multiply.outer(xb - xb[0], -lam), out=a[:, :R])
+        a[:, :R] *= w
+        d = np.subtract.outer(xb, xb, dtype=float)
+        np.power(np.where(d > 0, d, np.inf), -alpha, out=a[:, R:])
+        o = np.exp(np.multiply.outer(nxt - xb, -lam))  # from the block's marks to the next state
+        decay = o[0]  # from the block's first mark, where its state sits
+        states, cols, ins = z[:, :R], z[:, R : R + b], z[:, : R + b]
+        prev = 0
+        for t in range(levels):
+            raw = (xb + 1.0) ** -alpha if t == 0 else a @ ins[t - 1]
+            peak = raw.max()
+            if peak > 0.0:
+                top = prev + math.frexp(peak)[1]
+                if top > scale[t]:  # a value above the level's scale: rescale its state
+                    np.ldexp(states[t], scale[t] - top, out=states[t])
+                    scale[t] = top
+                np.ldexp(raw, prev - scale[t], out=cols[t])
+            else:
+                cols[t] = 0.0
+            prev = scale[t]
+        for state, col in zip(states, cols):
+            state *= decay
+            state += col @ o
+    return np.log(z[:, R - 1]) + np.array(scale) * math.log(2.0)
+
+
+def s_n_levels(omega_rows: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
+    """log S_n for n = 1..N over the first T positions of each mark row.
+
+    omega_rows has shape (rows, T') and the horizon is min(T, T'); its
+    nonzero entries are the marks.  The result has shape (N, rows) and is
+    exactly -inf at levels above a row's mark count.  Rows run one after
+    another on the calling thread, in mark space (`_row_levels`), whose
+    memory beyond the mark indices does not grow with the mark count.
+    Needs alpha > 0; at alpha = inf only gaps of 1 weigh, so S_n is 1 when
+    positions 1..n are all marked and 0 otherwise.
+
+    Accuracy: the exponential sum's weights are all positive and its
+    relative error on 1..T is at most delta = 3 * 2^-53 in exact
+    arithmetic, so S_n moves by a factor within (1 +- delta)^(n - 1).
+    Every other step adds or multiplies positive numbers, so the round-off
+    is relative too: no floor below which small terms are lost.
+    """
+    if not alpha > 0.0:
+        raise InputError(f"alpha must be a number > 0, got {alpha}")
+    omega = np.asarray(omega_rows)[:, :T]
+    rows, T = omega.shape
+    if N < 1 or T < N:
+        raise InputError("need horizon T >= N >= 1")
+    logs = np.full((N, rows), -math.inf)
+    for i, row in enumerate(omega):
+        if alpha == math.inf:
+            run = int(np.argmin(np.append(row, 0) != 0))  # positions 1..run are marked
+            top = np.zeros(min(run, N))
+        else:
+            top = _row_levels(np.flatnonzero(row), alpha, N, T)
+        logs[: len(top), i] = top
+    return logs
+
+
+def s_n_eval(omega: np.ndarray, alpha: float, N: int, T: int) -> float:
+    """log S_N for the first T positions of omega; -inf when fewer than N
+    marks exist in the horizon."""
+    return float(s_n_levels(np.asarray(omega)[None, :T], alpha, N, T)[-1, 0])
+
+
+class _Workspace:
+    """One worker's FFT buffers for blocks of up to `rows` mark rows at
+    horizon T, made once and reused for every level of every block: the
+    kernel weights and spectrum, the marks, one real (rows, nfft) buffer,
+    which stays 0 outside positions 1..T between levels, and its complex
+    spectrum.  A block of fewer rows uses the leading rows."""
 
     def __init__(self, alpha: float, rows: int, T: int):
         if math.isnan(alpha):
@@ -108,8 +213,8 @@ class _Workspace:
         so outputs at 1..T stay exact."""
         nfft = scipy.fft.next_fast_len(2 * T)
         return {"weights": ((T,), float), "kf": ((nfft // 2 + 1,), complex),
-                "marks": ((rows, T), float), "buf": ((2 * rows, nfft), float),
-                "spec": ((2 * rows, nfft // 2 + 1), complex), "prev": ((rows, T), float)}
+                "marks": ((rows, T), float), "buf": ((rows, nfft), float),
+                "spec": ((rows, nfft // 2 + 1), complex)}
 
     @classmethod
     def nbytes(cls, rows: int, T: int) -> int:
@@ -118,174 +223,70 @@ class _Workspace:
                    for shape, dtype in cls.layout(rows, T).values())
 
 
-def _step(ws: _Workspace, chains: slice, mask: np.ndarray, sums: np.ndarray) -> np.ndarray:
-    """One step of the buffer rows `chains`, in place: divide each row by
-    its sum, convolve it with the kernel, clip the round-off below 0 and
-    multiply by `mask`.  Returns the new row sums."""
-    buf, spec = ws.buf[chains], ws.spec[chains]
-    T = mask.shape[1]
-    v = buf[:, 1 : T + 1]
-    v *= (1.0 / np.where(sums > 0.0, sums, 1.0))[:, None]
-    np.fft.rfft(buf, out=spec)
-    spec *= ws.kf
-    np.fft.irfft(spec, n=buf.shape[1], out=buf)
-    buf[:, 0] = 0.0
-    buf[:, T + 1 :] = 0.0
-    np.maximum(v, 0.0, out=v)
-    v *= mask
-    return v.sum(axis=1)
-
-
 def _block_levels(ws: _Workspace, rows: int, N: int) -> np.ndarray:
     """log S_n for n = 1..N of the first `rows` mark rows of `ws`, shape
-    (N, rows), from two chains per row that meet in the middle.
-
-    The forward chain F_1 = omega * w, F_{t+1} = omega * (F_t conv k) holds
-    the sums over mark tuples ending at each position.  The backward chain
-    is the same recursion on the reversed marks, from G_1 = omega, so G_m
-    holds the sums over m-tuples starting at each position.  Level n is one
-    fixed pairing, S_n = <F_a, G_b> with a = floor(n/2) + 1 and
-    b = ceil(n/2), so it does not depend on N; as G_1 = omega, S_1 and S_2
-    are the sums of F_1 and F_2.  Step t makes F_{t+1} and, unless n = 2t is
-    the last level, G_{t+1}: N - 1 convolutions in all.  Before each step a
-    chain divides each row by its own sum and adds the sum's log to the
-    row's scale, so deep levels stay representable.  With `ws.pool` set,
-    each step's backward convolution runs on a pool thread while the
-    calling thread does the forward one, so G_t, which level 2t pairs with
-    F_{t+1}, is kept first."""
-    omega, prev = ws.marks[:rows], ws.prev[:rows]
+    (N, rows), from the forward chain F_1 = omega * w,
+    F_{t+1} = omega * (F_t conv k), one in-place FFT convolution a level.
+    Before each convolution each row is divided by its own S_t, whose log
+    joins the row's scale, so deep levels stay representable; the round-off
+    below 0 is clipped."""
+    omega, buf, spec = ws.marks[:rows], ws.buf[:rows], ws.spec[:rows]
     T = omega.shape[1]
-    fwd, bwd = slice(0, rows), slice(rows, 2 * rows)
-    f, h = ws.buf[fwd, 1 : T + 1], ws.buf[bwd, 1 : T + 1]
-    rev, g = omega[:, ::-1], h[:, ::-1]  # g: the backward vector at positions 1..T
-    count = np.count_nonzero(omega, axis=1)
+    f = buf[:, 1 : T + 1]
     np.multiply(omega, ws.weights, out=f)
-    h[:] = rev
-    sf, sg = f.sum(axis=1), count.astype(float)
-    lf, lg, sums = np.zeros(rows), np.zeros(rows), np.empty(rows)
     logs = np.empty((N, rows))
-
-    def paired(v: np.ndarray) -> np.ndarray:
-        # log <F, v> plus both scales, a row at a time into one scratch row
-        # (a kept row in place), so the product is still in cache for its sum
-        for i in range(rows):
-            out = prev[i] if v is prev else prev[0]
-            np.multiply(f[i], v[i], out=out)
-            sums[i] = out.sum()
-        return np.log(sums) + lf + lg
-
+    scale = np.zeros(rows)
     with np.errstate(divide="ignore"):
-        logs[0] = np.log(sf)
-        for t in range(1, N // 2 + 1):
-            backward = 2 * t < N  # G_{t+1} is needed for level 2t + 1
-            concurrent = backward and ws.pool is not None
-            if concurrent:
-                np.copyto(prev, g)
-                job = ws.pool.submit(_step, ws, bwd, rev, sg)
-            lf += np.log(sf)
-            sf = _step(ws, fwd, omega, sf)
-            logs[2 * t - 1] = np.log(sf) + lf if t == 1 else paired(prev if concurrent else g)
-            if backward:
-                lg += np.log(sg)
-                sg = job.result() if concurrent else _step(ws, bwd, rev, sg)
-                logs[2 * t] = paired(g)
-    logs[np.arange(1, N + 1)[:, None] > count] = -math.inf
+        for n in range(N):
+            if n:
+                scale += np.log(s)
+                f /= np.where(s > 0.0, s, 1.0)[:, None]
+                np.fft.rfft(buf, out=spec)
+                spec *= ws.kf
+                np.fft.irfft(spec, n=buf.shape[1], out=buf)
+                buf[:, 0] = 0.0
+                buf[:, T + 1 :] = 0.0
+                np.maximum(f, 0.0, out=f)
+                f *= omega
+            s = f.sum(axis=1)
+            logs[n] = np.log(s) + scale
+    logs[np.arange(1, N + 1)[:, None] > np.count_nonzero(omega, axis=1)] = -math.inf
     return logs
 
 
-def _run_blocks(alpha: float, N: int, T: int, rows: int, size: int, fill) -> np.ndarray:
-    """log S_n for n = 1..N of `rows` mark rows, shape (N, rows), in blocks
-    of `size` rows: fill(marks, lo) writes rows lo, lo + 1, ... into the
-    block's marks.  With W workers the calling thread takes blocks 0, W,
-    2W, ... and W - 1 pool threads, alive only during the call, take the
-    rest.  A worker runs both chains of its blocks, except with fewer
-    blocks than cores at T >= SPLIT_HORIZON: then each block's backward
-    chain runs on a pool thread of its own, so a single such row starts one
-    pool thread; otherwise a single block starts none.  Each worker has its
-    own workspace; before any is made, the workers are cut to as many as
-    the budget holds, and only a workspace that alone is over the budget
-    raises."""
+def _run_blocks(alpha: float, p: float, N: int, T: int, trials: int, seed: int) -> np.ndarray:
+    """log S_n for n = 1..N of the mean check's trials, shape (N, trials),
+    in blocks of MEAN_CHECK_BLOCK trials, each drawing its marks straight
+    into its worker's workspace.  With W workers the calling thread takes
+    blocks 0, W, 2W, ... and W - 1 pool threads, alive only during the
+    call, take the rest; one block runs on the calling thread and starts no
+    thread.  Before any workspace is made, the workers are cut to as many
+    as the budget holds, and only a workspace that alone is over the
+    budget raises."""
     if N < 1 or T < N:
         raise InputError("need horizon T >= N >= 1")
-    size = max(min(size, rows), 1)
+    size = min(MEAN_CHECK_BLOCK, trials)
     need = _Workspace.nbytes(size, T)
     check_budget(f"S_n workspace of {size} rows at horizon {T}", need)
-    cores, blocks = _worker_count(), -(-rows // size)
-    workers = max(min(cores, blocks, errors.BUDGET_BYTES // need), 1)
-    split = blocks < cores and T >= SPLIT_HORIZON
+    workers = max(min(_worker_count(), -(-trials // size), errors.BUDGET_BYTES // need), 1)
     spaces = [_Workspace(alpha, size, T) for _ in range(workers)]
-    logs = np.empty((N, rows))
+    logs = np.empty((N, trials))
 
     def work(first: int) -> None:
         ws = spaces[first]
-        for lo in range(first * size, rows, workers * size):
-            hi = min(lo + size, rows)
-            fill(ws.marks[: hi - lo], lo)
+        for lo in range(first * size, trials, workers * size):
+            hi = min(lo + size, trials)
+            for i in range(hi - lo):
+                _draw_marks(p, seed, lo + i, ws.marks[i])
             logs[:, lo:hi] = _block_levels(ws, hi - lo, N)
 
-    # A pool starts threads only for submitted tasks, so one worker without
-    # a split starts none; with a split, each block's backward chain has a
-    # thread that no block task can take.
-    with ThreadPoolExecutor(max_workers=max(workers - 1 + split * workers, 1)) as pool:
-        for ws in spaces if split else ():
-            ws.pool = pool
+    # A pool starts threads only for submitted tasks, so one worker starts none.
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
         futures = [pool.submit(work, k) for k in range(1, workers)]
         work(0)
         for fut in futures:
             fut.result()
     return logs
-
-
-def s_n_levels(omega_rows: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
-    """log S_n for n = 1..N over the first T positions of each mark row.
-
-    omega_rows has shape (rows, T') and the horizon is min(T, T'); its
-    nonzero entries are the marks.  The result has shape (N, rows) and is
-    exactly -inf at levels above a row's mark count.  With W usable cores,
-    the largest multiple of W rows runs in W blocks of equal size, one for
-    each core, or in kW blocks when W workspaces of that size would be over
-    the budget; the remaining rows, fewer than W, run after them as blocks
-    of one row, whose two chains run at once from T = SPLIT_HORIZON on.
-    Each row's result depends only on its own marks, so the split does not
-    change it.
-
-    Accuracy floor: the FFT round-off is absolute, about eps times the
-    largest entry of the vector being convolved, and negative round-off is
-    clipped to 0.  Entries far below that scale lose relative accuracy, and
-    so does S_n when they carry it: with marks only at 1, 2 and T = 512,
-    log S_3 is off the explicit sum by about 2e-7 at alpha = 4 and 7e-2 at
-    alpha = 6 (G_2(2) = 510^-alpha beside entries near 1).  The checks
-    against explicit sums in the tests stay at T <= 600 and alpha <= 2, so
-    they do not probe this regime.
-    """
-    omega = np.asarray(omega_rows)[:, :T] != 0
-    cores = _worker_count()
-    whole = len(omega) - len(omega) % cores
-    parts = [part for part in (omega[:whole], omega[whole:]) if len(part)] or [omega]
-    return np.concatenate([_part_levels(part, alpha, N, cores) for part in parts], axis=1)
-
-
-def _part_levels(omega: np.ndarray, alpha: float, N: int, cores: int) -> np.ndarray:
-    """s_n_levels of the rows of omega in blocks of ceil(rows / W) rows for
-    W = min(cores, rows), or of ceil(rows / kW) rows for the least k that
-    lets W workspaces fit the budget together."""
-    rows, T = omega.shape
-    workers = max(min(cores, rows), 1)
-    blocks = workers
-    while (blocks < rows
-           and workers * _Workspace.nbytes(-(-rows // blocks), T) > errors.BUDGET_BYTES):
-        blocks += workers
-
-    def fill(marks: np.ndarray, lo: int) -> None:
-        marks[:] = omega[lo : lo + len(marks)]
-
-    return _run_blocks(alpha, N, T, rows, -(-rows // blocks), fill)
-
-
-def s_n_eval(omega: np.ndarray, alpha: float, N: int, T: int) -> float:
-    """log S_N for the first T positions of omega; -inf when fewer than N
-    marks exist in the horizon."""
-    return float(s_n_levels(np.asarray(omega, dtype=float)[None, :T], alpha, N, T)[-1, 0])
 
 
 def phi_bounds(alpha: float, p: float):
@@ -340,7 +341,7 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     """Monte Carlo mean of S_n for n = 1..N against the exact target
     (p * zeta_T(alpha))^n with the horizon-truncated zeta sum.
 
-    Trials run in blocks of MEAN_CHECK_BLOCK on the S_n block runner; each
+    Trials run in blocks of MEAN_CHECK_BLOCK on the FFT block runner; each
     block draws its marks inside its worker, straight into the worker's
     workspace.  Per-trial RNG is keyed by (seed, trial index) and each
     trial's S_n depends only on its own marks, so the result does not
@@ -352,12 +353,7 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
         raise InputError(f"p must lie in (0, 1), got {p}")
     if trials < 2:
         raise InputError(f"trials must be at least 2, got {trials}")
-
-    def fill(marks: np.ndarray, lo: int) -> None:
-        for i, row in enumerate(marks):
-            _draw_marks(p, seed, lo + i, row)
-
-    values = np.exp(_run_blocks(alpha, N, T, trials, MEAN_CHECK_BLOCK, fill))
+    values = np.exp(_run_blocks(alpha, p, N, T, trials, seed))
 
     zt = zeta_partial(alpha, T)
     levels = []

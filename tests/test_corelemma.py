@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.fft
 from scipy.special import zeta
 
 from cutwords import corelemma, errors
@@ -90,6 +89,10 @@ def test_s_n_rejects_nan_alpha():
         assert s_n_eval(np.ones(5), alpha, 2, 5) == pytest.approx(brute_s_n(np.ones(5), alpha, 2, 5),
                                                                   abs=1e-12)
     assert s_n_eval(np.ones(5), math.inf, 2, 5) == 0.0
+    # the exponential sum needs alpha > 0
+    for alpha in (0.0, -1.0):
+        with pytest.raises(InputError, match=r"^alpha "):
+            s_n_eval(np.ones(5), alpha, 2, 5)
 
 
 def test_s_n_matches_brute_force_exhaustive():
@@ -117,19 +120,59 @@ def test_s_n_matches_brute_force_T12():
             )
 
 
-@pytest.mark.parametrize("marked", [range(1, 9), range(33, 41), [1, 2, 3, 4, 37, 38, 39, 40]],
-                         ids=["start", "end", "both-ends"])
-def test_s_n_levels_two_chains_match_brute_force(marked):
-    # odd and even levels read the two chains through both sides of the
-    # pairing; clustered marks put the mass of F and G at opposite ends
-    T, N = 40, 6
+def dense_dp_s_n(omega, alpha, N, T):
+    """log S_n for n = 1..N by the O(m^2) DP over the marks in long double."""
+    x = np.flatnonzero(omega[:T]).astype(np.longdouble) + 1
+    d = x[:, None] - x[None, :]
+    k = np.where(d > 0, d, np.longdouble(np.inf)) ** -np.longdouble(alpha)
+    f = x ** -np.longdouble(alpha)
+    logs = []
+    for _ in range(N):
+        logs.append(float(np.log(f.sum())))
+        f = k @ f
+    return logs
+
+
+def marks_at(positions, T):
     om = np.zeros(T)
-    om[np.array(marked) - 1] = 1.0
-    for alpha in (1.5, 2.0):
-        logs = s_n_levels(om[None, :], alpha, N, T)[:, 0]
+    om[np.array(positions) - 1] = 1.0
+    return om
+
+
+@pytest.mark.parametrize("omega, N, alphas", [
+    (marks_at(range(1, 9), 40), 6, (1.5, 2.0)),
+    (marks_at(range(33, 41), 40), 6, (1.5, 2.0)),
+    (marks_at([1, 2, 3, 4, 37, 38, 39, 40], 40), 6, (1.5, 2.0)),
+    (marks_at([1, 2, 10**5, 2 * 10**5], 2 * 10**5), 3, (4.0, 6.0)),
+    (marks_at([1, 2, 512], 512), 3, (6.0,)),
+    (bernoulli_omega(0.05, 40_000, seed=5), 40, (2.0, 4.0, 6.0)),
+], ids=["start", "end", "both-ends", "sparse", "sparse-512", "bernoulli"])
+def test_s_n_levels_match_oracles(omega, N, alphas):
+    # clustered marks put the mass at opposite ends; far-apart marks make
+    # terms that span many orders of magnitude; the Bernoulli row has 2 097
+    # marks, so it runs 33 blocks through the exponential sum
+    T = len(omega)
+    for alpha in alphas:
+        logs = s_n_levels(omega[None, :], alpha, N, T)[:, 0]
+        if omega.sum() > 12:
+            want = dense_dp_s_n(omega, alpha, N, T)
+        else:
+            want = [brute_s_n(omega, alpha, n, T) for n in range(1, N + 1)]
+        assert logs == pytest.approx(want, abs=1e-12, rel=0)
         for n in range(1, N + 1):
-            assert logs[n - 1] == pytest.approx(brute_s_n(om, alpha, n, T), abs=1e-12)
-            assert logs[n - 1] == s_n_eval(om, alpha, n, T)
+            assert logs[n - 1] == s_n_eval(omega, alpha, n, T)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 4.0, 6.0, 12.0])
+def test_exp_sum_positive_and_accurate(alpha):
+    T = 200_000
+    lam, w = corelemma._exp_sum(alpha, T)
+    assert (w > 0).all() and (lam > 0).all()
+    d = np.arange(1, T + 1, dtype=float)
+    total = np.zeros(T)
+    for rate, weight in zip(lam, w):
+        total += weight * np.exp(-rate * d)
+    assert np.max(np.abs(total * d**alpha - 1.0)) <= 1e-13
 
 
 def test_s_n_fft_path_matches_direct():
@@ -253,117 +296,6 @@ def test_mean_check_raises_pool_thread_error(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_s_n_levels_independent_of_worker_count(monkeypatch):
-    # rows are split into ceil(rows / W)-row blocks: 5, 3 + 2 and 2 + 2 + 1,
-    # each written to its own columns of one shared result
-    T, N = 3000, 6
-    rows = np.stack([bernoulli_omega(0.2, T, seed=4, trial=t) for t in range(5)])
-    logs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(corelemma, "_worker_count", lambda: workers)
-            logs.append(s_n_levels(rows, 2.0, N, T))
-    finally:
-        sys.setswitchinterval(interval)
-    assert (logs[0] == logs[1]).all() and (logs[0] == logs[2]).all()
-    assert logs[0][-1, 0] == s_n_eval(rows[0], 2.0, N, T)
-    # the block of rows 3..4 runs on the pool thread; its error reaches the caller
-    real = corelemma._block_levels
-
-    def fails_past_first_block(ws, n_rows, N):
-        if not np.array_equal(ws.marks[0], rows[0]):
-            raise RuntimeError("block past the first failed")
-        return real(ws, n_rows, N)
-
-    monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
-    monkeypatch.setattr(corelemma, "_block_levels", fails_past_first_block)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="past the first"):
-        s_n_levels(rows, 2.0, N, T)
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("T, N, n_rows", [(corelemma.SPLIT_HORIZON + 1, 9, 1),
-                                           (corelemma.SPLIT_HORIZON, 8, 3), (3000, 8, 1)])
-def test_split_chains_independent_of_worker_count(monkeypatch, T, N, n_rows):
-    # one worker runs both chains; from SPLIT_HORIZON on, a row left over
-    # after whole rounds of blocks runs its chains on two threads: one row
-    # at 2 and 3 workers, the third of 3 rows at 2, and all 3 rows on six
-    # threads at 4; a short switch interval makes a lost or misplaced write show
-    rows = np.stack([bernoulli_omega(0.2, T, seed=11, trial=t) for t in range(n_rows)])
-    logs = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3, 4):
-            monkeypatch.setattr(corelemma, "_worker_count", lambda: workers)
-            logs.append(s_n_levels(rows, 2.0, N, T))
-    finally:
-        sys.setswitchinterval(interval)
-    assert all((logs[0] == other).all() for other in logs[1:])
-    assert logs[0][-1, -1] == s_n_eval(rows[-1], 2.0, N, T)
-
-
-def test_backward_chain_thread_error_reaches_caller(monkeypatch):
-    # with two cores a single long row's backward chain steps on a pool thread
-    real = corelemma._step
-
-    def fails_off_main_thread(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise RuntimeError("backward step failed")
-        return real(*args)
-
-    monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
-    monkeypatch.setattr(corelemma, "_step", fails_off_main_thread)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="backward step failed"):
-        s_n_eval(bernoulli_omega(0.2, corelemma.SPLIT_HORIZON, seed=2), 2.0, 5,
-                 corelemma.SPLIT_HORIZON)
-    assert threading.active_count() == before
-
-
-def test_s_n_levels_shrinks_blocks_to_fit_budget(monkeypatch):
-    # two workspaces of 4 rows are over the budget and two of 2 rows are
-    # not: the 8 rows run as 4 blocks of 2 on both cores, not on one core
-    T, N = 3000, 5
-    rows = np.stack([bernoulli_omega(0.2, T, seed=7, trial=t) for t in range(8)])
-    monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
-    ref = s_n_levels(rows, 2.0, N, T)
-    made = []
-
-    class Counted(corelemma._Workspace):
-        def __init__(self, alpha, n_rows, T):
-            super().__init__(alpha, n_rows, T)
-            made.append(n_rows)
-
-    monkeypatch.setattr(corelemma, "_Workspace", Counted)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", 2 * Counted.nbytes(3, T))
-    assert (s_n_levels(rows, 2.0, N, T) == ref).all()
-    assert made == [2, 2]
-
-
-def test_s_n_levels_allocates_nothing_per_level(monkeypatch):
-    # every level reuses the workspace: the peak does not grow with N beyond
-    # the (N, rows) results, and sits less than one (rows, nfft) buffer
-    # above the workspace bytes the budget check charges
-    T, n_rows = 3000, 5
-    rows = np.stack([bernoulli_omega(0.2, T, seed=4, trial=t) for t in range(n_rows)])
-    monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
-    peaks = {}
-    for N in (2, 20):
-        tracemalloc.start()
-        try:
-            s_n_levels(rows, 2.0, N, T)
-            peaks[N] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert 0 <= peaks[20] - peaks[2] <= 3 * 8 * n_rows * (20 - 2)
-    one_buffer = 8 * n_rows * scipy.fft.next_fast_len(2 * T)
-    assert peaks[20] - corelemma._Workspace.nbytes(n_rows, T) < one_buffer
-
-
 def test_mean_check_workers_cut_to_budget(monkeypatch):
     # at T = 10^4 a 64-row workspace takes about 26 MB, so 16 cores would
     # need 413 MB of workspaces; the budget holds 10 of them, and the run
@@ -405,6 +337,42 @@ def test_workspace_budget_is_what_it_allocates():
     for rows, T in ((1, 3), (5, 3000), (64, 1001)):
         ws = corelemma._Workspace(2.0, rows, T)
         assert sum(a.nbytes for a in vars(ws).values()) == corelemma._Workspace.nbytes(rows, T)
+
+
+def test_s_n_levels_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 4)
+    rows = np.stack([bernoulli_omega(0.1, 5000, seed=4, trial=t) for t in range(3)])
+    before = threading.active_count()
+    s_n_levels(rows, 2.0, 8, 5000)
+    assert threading.active_count() == before
+
+
+def test_s_n_levels_kernel_budget(monkeypatch):
+    # checked before the kernel allocates: 40 levels, 155 exponentials at
+    # alpha = 2, T = 2 * 10^5, plus the one that carries the running sum
+    om = bernoulli_omega(0.01, 200_000, seed=3)[None, :]
+    need = 8 * ((40 + 64) * (156 + 64) + 2 * 64 * 156 + 2 * 64 * 64)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+    with pytest.raises(SizeBudgetError, match=f"S_n kernel of 40 levels and 156 exponentials needs {need} bytes"):
+        s_n_levels(om, 2.0, 40, 200_000)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    assert s_n_levels(om, 2.0, 40, 200_000).shape == (40, 1)
+
+
+def test_s_n_levels_memory_independent_of_mark_count():
+    # beyond the 8 bytes of each mark's index, the peak is the kernel's
+    # tables and per-level vectors, whose size does not depend on the marks
+    beyond = {}
+    for p in (0.01, 0.1):
+        om = bernoulli_omega(p, 200_000, seed=3)[None, :]
+        tracemalloc.start()
+        try:
+            s_n_levels(om, 2.0, 40, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond[p] = peak - 8 * int(np.count_nonzero(om))
+    assert beyond[0.1] <= beyond[0.01]
 
 
 def test_no_threads_left_by_import_or_mean_check(monkeypatch):
