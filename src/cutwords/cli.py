@@ -174,7 +174,7 @@ def cmd_ergodic(rc: RunConfig, cfg: dict) -> str:
     gap = mclab.ergodic_gap(nu, rho, p["n_words"], p["k"], rc.seed)
     n = p["n_words"]
     # 5 max_w sqrt(q(w)/N) at the largest atom, rho(j) times max(nu) j times,
-    # multiplied in the order of `ReferenceLaw.enumerate_atoms`
+    # multiplied in the order of `ReferenceLaw.word_prob`
     top = max(nu.probs.values())
     q_max = max(math.prod([top] * j, start=r) for j, r in rho.probs.items())
     clt = 5.0 * math.sqrt(q_max / n)
@@ -220,7 +220,7 @@ def cmd_ladder(rc: RunConfig, cfg: dict) -> str:
     p = rc.params
     ref = laws.ReferenceLaw(_load(cfg, "renewal_law"), _load(cfg, "letter_law"))
     Q = _load(cfg, "word_law")
-    ladder = rates.que_rate_ladder(Q, ref, p["alpha"], p["tr_list"], p["depth"])
+    ladder = rates.que_rate_ladder(Q, ref, laws.alpha_from_json(p["alpha"]), p["tr_list"], p["depth"])
     rows = [(tr, iv.lo, iv.hi, p["depth"], iv.width) for tr, iv in ladder]
     _emit(rc, {"ladder": [{"tr": tr, "lower": iv.lo, "upper": iv.hi} for tr, iv in ladder]},
           header=["tr", "lower", "upper", "L", "width"], rows=rows, row_keys=("ladder",))
@@ -301,7 +301,7 @@ COMMANDS = {
     "psi": (cmd_psi, [("--depth", "depth", int)]),
     "entropy": (cmd_entropy, [("--depth", "depth", int)]),
     "rate": (cmd_rate, [("--alpha", "alpha", _alpha_or_boundary), ("--depth", "depth", int)]),
-    "ladder": (cmd_ladder, [("--alpha", "alpha", laws.alpha_from_json), ("--depth", "depth", int),
+    "ladder": (cmd_ladder, [("--alpha", "alpha", _alpha_or_boundary), ("--depth", "depth", int),
                             ("--tr", "tr_list", parse_int_list)]),
     "quench-enum": (cmd_quench_enum, [("--n-words", "n_words", int), ("--jmax", "jmax", int)]),
     "quench-slopes": (cmd_quench_slopes, [("--n", "n_list", parse_int_list),

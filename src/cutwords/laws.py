@@ -6,6 +6,7 @@ balance.  Logs are natural (nats) everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -18,7 +19,10 @@ from .words import Alphabet, cut, truncate_word
 
 MASS_TOL = 1e-12
 STATIONARY_TOL = 1e-10
-MAX_WORD_SET = 64
+# Bytes per entry of a word law's transition table while it is built: the
+# frozen table's Python float and tuple slot (32, measured with tracemalloc),
+# three float64 copies (24) and boolean masks, rounded up for the row tuples.
+TABLE_ENTRY_BYTES = 64
 
 # The ends of the quenched rate's tail exponents [1, inf], by JSON name.
 ALPHA_ONE = 1.0
@@ -179,21 +183,9 @@ class ReferenceLaw:
 
     def enumerate_atoms(self) -> dict:
         """All words up to the cap with their probs: |E| + ... + |E|^cap atoms."""
-        import itertools
-
-        out = {}
         letters = self.nu.alphabet.symbols
-        for n in range(1, self.rho.max_jump + 1):
-            rp = self.rho.prob(n)
-            if rp == 0.0:
-                continue
-            for tup in itertools.product(letters, repeat=n):
-                w = "".join(tup)
-                p = rp
-                for c in w:
-                    p *= self.nu.prob(c)
-                out[w] = p
-        return out
+        return {w: self.word_prob(w) for n in self.rho.support
+                for w in map("".join, itertools.product(letters, repeat=n))}
 
     def as_iid_process(self) -> "WordProcessLaw":
         """The reference law viewed as an i.i.d. word process on the capped support."""
@@ -216,8 +208,6 @@ class WordProcessLaw:
     def __post_init__(self):
         if len(self.words) == 0:
             raise InputError("word set must be non-empty")
-        if len(self.words) > MAX_WORD_SET:
-            raise InputError(f"word set capped at {MAX_WORD_SET} words, got {len(self.words)}")
         if len(set(self.words)) != len(self.words):
             raise InputError("word set must contain distinct words")
         for w in self.words:
@@ -263,15 +253,28 @@ class WordProcessLaw:
 
 
 def _irreducible(P: np.ndarray) -> bool:
-    k = P.shape[0]
-    reach = P > 0
-    closure = np.eye(k, dtype=bool) | reach
-    for _ in range(k):
-        closure = closure | (closure @ closure)
-    return bool(closure.all())
+    """Whether every word reaches every word: the 0/1 reachability matrix,
+    as floats so that the products run through BLAS, is squared until it is
+    all ones or stops changing."""
+    closure = (P > 0).astype(float)
+    np.fill_diagonal(closure, 1.0)
+    while not closure.all():
+        grown = closure @ closure
+        np.minimum(grown, 1.0, out=grown)
+        if np.array_equal(grown, closure):
+            return False
+        closure = grown
+    return True
 
 
-def _law(words, P: np.ndarray, pi: np.ndarray) -> WordProcessLaw:
+def _law(words, P: np.ndarray, pi: np.ndarray | None = None) -> WordProcessLaw:
+    """The law of `words` with transition table P and stationary row pi, by
+    default P's (`stationary_row`).  The k x k table is checked against the
+    byte budget before any copy of it is made."""
+    k = len(P)
+    check_budget(f"transition table of {k} words", TABLE_ENTRY_BYTES * k * k)
+    if pi is None:
+        pi = stationary_row(P)
     return WordProcessLaw(
         words=tuple(words),
         transition=tuple(tuple(float(x) for x in row) for row in P),
@@ -284,7 +287,7 @@ def iid_law(word_probs: dict) -> WordProcessLaw:
     word probabilities (zero atoms dropped)."""
     items = sorted((w, p) for w, p in word_probs.items() if p > 0)
     p = np.array([p for _, p in items], dtype=float)
-    return _law((w for w, _ in items), np.tile(p, (len(p), 1)), p)
+    return _law((w for w, _ in items), np.broadcast_to(p, (len(p), len(p))), p)
 
 
 def stationary_row(P: np.ndarray) -> np.ndarray:
@@ -314,8 +317,7 @@ def stationary_row(P: np.ndarray) -> np.ndarray:
 
 
 def markov_law(words: tuple, P: np.ndarray) -> WordProcessLaw:
-    P = np.asarray(P, dtype=float)
-    return _law(words, P, stationary_row(P))
+    return _law(words, np.asarray(P, dtype=float))
 
 
 def mean_length(Q: WordProcessLaw) -> float:

@@ -260,12 +260,16 @@ def test_rate_artifact_values_across_alpha(tmp_path, alpha, word_law, expected):
         assert doc["components"]["H_rel"] == doc["annealed"]
 
 
-def test_ladder_reads_alpha_names(cfg_path, capsys):
+def test_ladder_reads_alpha_names(cfg_path, tmp_path, capsys):
+    # the artifact's config keeps the text as given, as `rate` does, not a
+    # float that JSON would spell Infinity
     outs = []
     for alpha in ("one", "1", "infinity", "inf"):
+        out = tmp_path / f"ladder-{alpha}.json"
         assert run(["ladder", "--config", cfg_path, "--alpha", alpha, "--tr", "1,2",
-                    "--depth", "4"]) == 0
+                    "--depth", "4", "--out", str(out), "--format", "json"]) == 0
         outs.append(capsys.readouterr().out)
+        assert json.loads(out.read_text())["config"]["params"]["alpha"] == alpha
     assert outs[0] == outs[1] != outs[2] == outs[3]
 
 

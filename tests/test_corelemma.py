@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.special import zeta
 
 from cutwords import corelemma, errors
@@ -248,6 +249,9 @@ def test_mean_check_small_run_and_row_independence():
     (dict(trials=1), "trials"),
     (dict(p=1.5), "p"),
     (dict(N=-1), "need"),
+    (dict(alpha=0.0), "alpha"),
+    (dict(alpha=-1.0), "alpha"),
+    (dict(alpha=math.nan), "alpha"),
 ])
 def test_mean_check_rejects_bad_input(monkeypatch, kwargs, name):
     # rejected before any block runs, so no thread starts
@@ -283,10 +287,10 @@ def test_mean_check_raises_pool_thread_error(monkeypatch):
     first_block_row = bernoulli_omega(p, T, seed, trial=0)
     real = corelemma._block_levels
 
-    def fails_past_first_block(ws, rows, N):
-        if not np.array_equal(ws.marks[0], first_block_row):
+    def fails_past_first_block(omega, *args):
+        if not np.array_equal(omega[0], first_block_row):
             raise RuntimeError("block at lo >= MEAN_CHECK_BLOCK failed")
-        return real(ws, rows, N)
+        return real(omega, *args)
 
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
     monkeypatch.setattr(corelemma, "_block_levels", fails_past_first_block)
@@ -296,33 +300,40 @@ def test_mean_check_raises_pool_thread_error(monkeypatch):
     assert threading.active_count() == before
 
 
+def mean_check_bytes(rows, T):
+    """The mean check's shared kernel weights and spectrum, and one worker's
+    marks, buffer and spectrum of `rows` rows, in bytes."""
+    nfft = scipy.fft.next_fast_len(2 * T)
+    return 8 * T + 16 * (nfft // 2 + 1), rows * (8 * T + 8 * nfft + 16 * (nfft // 2 + 1))
+
+
 def test_mean_check_workers_cut_to_budget(monkeypatch):
-    # at T = 10^4 a 64-row workspace takes about 26 MB, so 16 cores would
-    # need 413 MB of workspaces; the budget holds 10 of them, and the run
+    # at T = 10^4 one worker's 64 rows take about 26 MB, so 16 cores would
+    # need 410 MB; the budget holds the kernel and 10 workers, and the run
     # uses 10 workers instead of refusing
     T, trials = 10_000, 11 * MEAN_CHECK_BLOCK
-    need = corelemma._Workspace.nbytes(MEAN_CHECK_BLOCK, T)
-    assert 11 * need > errors.BUDGET_BYTES
-    made = []
+    shared, need = mean_check_bytes(MEAN_CHECK_BLOCK, T)
+    assert shared + 10 * need <= errors.BUDGET_BYTES < shared + 11 * need
+    real, threads = corelemma._block_levels, set()
 
-    class Counted(corelemma._Workspace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
+    def counted(*args):
+        threads.add(threading.get_ident())
+        return real(*args)
 
-    monkeypatch.setattr(corelemma, "_Workspace", Counted)
+    monkeypatch.setattr(corelemma, "_block_levels", counted)
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 16)
     wide = s_n_mean_check(2.0, 0.1, 3, T, trials, seed=8)
-    assert len(made) == errors.BUDGET_BYTES // need
-    made.clear()
+    assert len(threads) == 10
+    threads.clear()
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
     assert wide == s_n_mean_check(2.0, 0.1, 3, T, trials, seed=8)
-    assert len(made) == 1
+    assert threads == {threading.get_ident()}
 
 
 def test_only_a_workspace_over_budget_raises(monkeypatch):
+    # the budget holds the kernel and one worker's arrays, not two workers
     T = 500
-    need = corelemma._Workspace.nbytes(MEAN_CHECK_BLOCK, T)
+    need = sum(mean_check_bytes(MEAN_CHECK_BLOCK, T))
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 4)
     monkeypatch.setattr(errors, "BUDGET_BYTES", need)
     ref = s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
@@ -333,10 +344,32 @@ def test_only_a_workspace_over_budget_raises(monkeypatch):
     assert ref == s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
 
 
-def test_workspace_budget_is_what_it_allocates():
-    for rows, T in ((1, 3), (5, 3000), (64, 1001)):
-        ws = corelemma._Workspace(2.0, rows, T)
-        assert sum(a.nbytes for a in vars(ws).values()) == corelemma._Workspace.nbytes(rows, T)
+def test_workspace_budget_is_what_it_allocates(monkeypatch):
+    # at the first block's start a one-worker call holds the kernel, the
+    # (N, trials) result and the worker's arrays, besides a few kB of
+    # Python objects; the budget message states the kernel and the arrays
+    real, held = corelemma._block_levels, []
+
+    def measured(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return real(*args)
+
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
+    monkeypatch.setattr(corelemma, "_block_levels", measured)
+    N = 2
+    for rows, T in ((2, 3), (5, 3000), (64, 1001)):
+        need = sum(mean_check_bytes(rows, T))
+        monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+        with pytest.raises(SizeBudgetError, match=f"needs {need} bytes"):
+            s_n_mean_check(2.0, 0.2, N, T, rows, seed=1)
+        monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+        held.clear()
+        tracemalloc.start()
+        try:
+            s_n_mean_check(2.0, 0.2, N, T, rows, seed=1)
+        finally:
+            tracemalloc.stop()
+        assert 0 <= held[0] - 8 * N * rows - need < 8192
 
 
 def test_s_n_levels_starts_no_thread(monkeypatch):

@@ -1,14 +1,17 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutwords.errors import InputError
+from cutwords import errors
+from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import (
     ALPHA_INF,
     ALPHA_ONE,
+    TABLE_ENTRY_BYTES,
     LetterLaw,
     ReferenceLaw,
     RenewalLaw,
@@ -121,6 +124,53 @@ def test_markov_law_requires_irreducible():
     P = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(InputError):
         markov_law(("a", "b"), P)
+
+
+def test_reference_law_of_126_words_has_rate_zero():
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, 6), LetterLaw.uniform("ab"))
+    Q = ref.as_iid_process()
+    assert len(Q.words) == 126
+    iv = fin_rate(Q, ref, 2.0, 8)
+    assert iv.lo <= 0.0 <= iv.hi and iv.hi - iv.lo <= 2e-13
+
+
+def peak_bytes(build):
+    """tracemalloc's peak while build() runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_word_law_table_budget(monkeypatch):
+    # refused before anything k x k is made; the count covers what building takes
+    k = 300
+    need = TABLE_ENTRY_BYTES * k * k
+    probs = {f"w{i}": 1.0 / k for i in range(k)}
+    cycle = np.roll(np.eye(k), 1, axis=1)
+    builds = (lambda: iid_law(probs), lambda: markov_law(tuple(probs), cycle))
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+    for build in builds:
+        peak, caught = peak_bytes(lambda: pytest.raises(SizeBudgetError, build))
+        caught.match(f"transition table of {k} words needs {need} bytes")
+        assert peak < 8 * k * k
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    for build in builds:
+        peak, Q = peak_bytes(build)
+        assert len(Q.words) == k and peak <= need
+
+
+def test_cyclic_markov_law_on_1000_words():
+    # reachability closes after 10 squarings; cut the cycle and it never does
+    k = 1000
+    P = np.roll(np.eye(k), 1, axis=1)
+    Q = markov_law(tuple(f"w{i}" for i in range(k)), P)
+    assert np.allclose(Q.stationary, 1.0 / k, rtol=1e-12, atol=0)
+    P[-1] = np.eye(k)[-1]
+    with pytest.raises(InputError, match="irreducible"):
+        markov_law(tuple(f"w{i}" for i in range(k)), P)
 
 
 @given(st.integers(min_value=2, max_value=5), st.data())
