@@ -117,9 +117,26 @@ def _load(cfg: dict, key: str):
     return _coerce(key, cfg[key], _FIELDS[key])
 
 
+def _json_value(v):
+    """v as strict JSON (RFC 8259) holds it: +-inf by the names
+    `laws.alpha_to_json` uses; a NaN, which JSON has no form for, raises
+    before anything is written."""
+    if isinstance(v, float) and not math.isfinite(v):
+        if math.isnan(v):
+            raise ValueError("a result is NaN, which a JSON artifact cannot hold")
+        return "infinity" if v > 0 else "-infinity"
+    if isinstance(v, dict):
+        return {k: _json_value(x) for k, x in v.items()}
+    # a sampled path's cut points and words are kept, not copied
+    if isinstance(v, (list, tuple)) and not set(map(type, v)) <= {int, str}:
+        return [_json_value(x) for x in v]
+    return v
+
+
 def _write_json(path: str, doc: dict):
+    doc = _json_value(doc)
     with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -277,8 +277,8 @@ def _law(words, P: np.ndarray, pi: np.ndarray | None = None) -> WordProcessLaw:
         pi = stationary_row(P)
     return WordProcessLaw(
         words=tuple(words),
-        transition=tuple(tuple(float(x) for x in row) for row in P),
-        stationary=tuple(float(x) for x in pi),
+        transition=tuple(map(tuple, P.tolist())),
+        stationary=tuple(pi.tolist()),
     )
 
 
@@ -357,13 +357,38 @@ def _rng_streams(seed: int):
     return letters, jumps
 
 
+def choice_cdf(p) -> np.ndarray:
+    """`Generator.choice`'s own inverse-cdf table for probabilities p: it
+    maps a uniform u in [0, 1) to the index #{e : cdf[e] <= u}."""
+    cdf = np.cumsum(p, dtype=float)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _choose(rng, p, size: int) -> np.ndarray:
+    """rng.choice(len(p), size, p=p) value for value, in the smallest
+    unsigned dtype: the same uniforms through the same table, the count
+    #{e : cdf[e] <= u} summed one comparison per table entry.  Its time
+    grows with the table; at the small alphabets and supports of this
+    package that beats a binary search per uniform."""
+    cdf = choice_cdf(p)
+    u = rng.random(size)
+    idx = np.zeros(size, np.min_scalar_type(len(cdf) - 1))
+    for c in cdf[:-1]:  # u < 1 = cdf[-1]
+        idx += u >= c
+    return idx
+
+
 def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):
     """Numpy internals of sample_path: (letter indices, cumulative cut points).
 
-    The letter sequence is auto-extended when n_letters is too short to
-    host n_words jumps.  Each draw is checked against the byte budget before
-    it is made: per jump its uniform, support index and value, per letter
-    its uniform and index, at 8 bytes each.
+    The letter indices, in the smallest unsigned dtype, and the jumps are
+    those of `Generator.choice` on the same two streams, value for value
+    (`_choose`).  The letter sequence is auto-extended when n_letters is
+    too short to host n_words jumps.  Each draw is checked against the byte
+    budget before it is made: per jump its uniform, support index and value,
+    per letter its uniform and index, at 8 bytes each, an upper bound that
+    also covers the one-byte comparison mask beside each narrow index.
     """
     if n_words < 1:
         raise InputError(f"n_words must be >= 1, got {n_words}")
@@ -371,16 +396,12 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
         raise InputError(f"n_letters must be >= 0, got {n_letters}")
     check_budget(f"{n_words} jumps", 24 * n_words)
     letters_rng, jumps_rng = _rng_streams(seed)
-    support = np.array(rho.support)
-    jump_p = np.array([rho.probs[int(n)] for n in support])
-    taus = jumps_rng.choice(support, size=n_words, p=jump_p)
-    points = np.cumsum(taus)
-    need = int(points[-1])
-    total = max(n_letters, need)
+    support = rho.support
+    points = np.array(support)[_choose(jumps_rng, [rho.probs[n] for n in support], n_words)]
+    np.cumsum(points, out=points)
+    total = max(n_letters, int(points[-1]))
     check_budget(f"{total} letters", 16 * total)
-    letter_p = nu.prob_vector()
-    x = letters_rng.choice(len(letter_p), size=total, p=letter_p)
-    return x, points
+    return _choose(letters_rng, nu.prob_vector(), total), points
 
 
 def sample_path(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):
@@ -391,7 +412,10 @@ def sample_path(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, se
     word = 16 + sys.getsizeof(n_words * rho.max_jump) + max(map(sys.getsizeof, nu.alphabet.symbols))
     check_budget(f"{n_words} cut points and words", word * n_words)
     x_idx, points = sample_arrays(nu, rho, n_letters, n_words, seed)
-    symbols = nu.alphabet.symbols
-    x = "".join(symbols[i] for i in x_idx)
-    pts = tuple(int(j) for j in points)
+    # letters are single characters: X is their code points, decoded at once;
+    # code points, bytes and string take at most 12 bytes a letter, within
+    # the 16 that sample_arrays checked
+    code_points = np.array([ord(c) for c in nu.alphabet.symbols], dtype="<u4")
+    x = code_points[x_idx].tobytes().decode("utf-32-le")
+    pts = tuple(points.tolist())
     return x, pts, cut(x, pts)

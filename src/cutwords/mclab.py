@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, check_budget
 from .entropy import rel_entropy
-from .laws import LetterLaw, ReferenceLaw, RenewalLaw, sample_arrays
+from .laws import LetterLaw, ReferenceLaw, RenewalLaw, choice_cdf, sample_arrays
 from .rates import Neighbourhood, boxed_reference, i_projection
 from .words import cut, empirical_patterns
 
@@ -44,7 +44,15 @@ def _reference_vector(ref: ReferenceLaw, lengths, offsets, total) -> np.ndarray:
 
 def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> float:
     """Sup-norm gap between the k-word marginal of the empirical process of
-    N sampled words and the reference product law."""
+    N sampled words and the reference product law.
+
+    Every word id is read off one base-E code per letter position: code[j]
+    holds the L = max word length letters ending at j (letters before the
+    first read as 0), so the word of length n ending at j has the value
+    code[j] mod E^n.  One gather at the cut points and one integer division
+    by E^n give all N ids, once each length's offset is added.  The budget
+    bounds total^k <= 2^24 and E^L <= total, so the codes and ids fit int32.
+    """
     if k not in (1, 2):
         raise InputError("pattern depth must be 1 or 2")
     E = len(nu.alphabet)
@@ -53,17 +61,17 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     check_budget(f"{total}^{k} word-pattern frequencies and reference", 2 * 8 * total**k)
 
     x, points = sample_arrays(nu, rho, 0, N, seed)
+    code = np.zeros(len(x), dtype=np.int32)
+    for t in range(lengths[-1] - 1, -1, -1):
+        code *= E
+        code[t:] += x[: max(len(x) - t, 0)]
     lens = np.diff(points, prepend=0)
-    starts = points - lens
-    ids = np.zeros(N, dtype=np.int64)
-    for n in lengths:
-        sel = np.nonzero(lens == n)[0]
-        if len(sel) == 0:
-            continue
-        val = np.zeros(len(sel), dtype=np.int64)
-        for t in range(n):
-            val = val * E + x[starts[sel] + t]
-        ids[sel] = offsets[n] + val
+    points -= 1  # the last letter of each word
+    ids = code[points]
+    del x, code, points
+    by_length = range(lengths[-1] + 1)
+    ids %= np.array([E**n for n in by_length], dtype=np.int32)[lens]
+    ids += np.array([offsets.get(n, 0) for n in by_length], dtype=np.int32)[lens]
 
     ref_vec = _reference_vector(ReferenceLaw(rho, nu), lengths, offsets, total)
     if k == 2:
@@ -304,14 +312,21 @@ def _first_typical_shifts(gens, cdf: np.ndarray, M: int, allowed: np.ndarray,
     typical, per trial, or -1 when none is.
 
     Trial t's letters come from gens[t].random() in draw order: rng.choice
-    with probabilities p maps a uniform u to the letter #{e : cdf[e] <= u},
-    so the letter exceeds e exactly when u >= cdf[e], however the stream is
-    chunked.  The unfinished trials advance together: each round draws one
-    chunk per trial into a (live trials x chunk) block, prefixed with the
-    trial's last M uniforms, and tests every window ending in the chunk at
-    once.  allowed[e, c] says whether count c of letter e is within
-    tolerance.
+    with probabilities p maps a uniform u to the letter #{e : cdf[e] <= u}
+    (`choice_cdf`), so the letter exceeds e exactly when u >= cdf[e],
+    however the stream is chunked.  The unfinished trials advance together:
+    each round draws one chunk per trial into a (live trials x chunk) block,
+    prefixed with the trial's last M uniforms, and tests every window ending
+    in the chunk at once.  allowed[e, c] says whether count c of letter e is
+    within tolerance.  One cumsum per letter e < E - 1 gives each window's
+    count g of letters > e; letter 0's test reads the first g as count
+    M - g, and at E = 2 the last letter's test reads the same g as its
+    count, so both are one lookup in a table on g.
     """
+    E = len(cdf)
+    if E == 1:  # every window has the one count vector (M), which waiting_time checked
+        return np.ones(len(gens), dtype=np.int64)
+    first = allowed[0, ::-1] & allowed[1] if E == 2 else allowed[0, ::-1]
     hits = np.full(len(gens), -1, dtype=np.int64)
     live = np.arange(len(gens))
     tail = np.stack([g.random(M) for g in gens])
@@ -321,17 +336,20 @@ def _first_typical_shifts(gens, cdf: np.ndarray, M: int, allowed: np.ndarray,
         k = min(k, horizon_cap + M + 1 - end)  # last window starts at horizon_cap+1
         u = np.empty((live.size, M + k))
         u[:, :M] = tail
-        for row, t in zip(u[:, M:], live):
+        for row, t in zip(u[:, M:], live.tolist()):
             gens[t].random(out=row)
-        # window at block column s = 1..k; above = its count of letters > e-1
-        ok = np.ones((live.size, k), dtype=bool)
-        above = M
+        # window at block column s = 1..k; gt = its count of letters > e
         for e, c in enumerate(cdf[:-1]):
-            cs = np.cumsum(u >= c, axis=1, dtype=np.int32)
+            # as uint8 the letters sum to int32 faster than as bool
+            cs = np.cumsum((u >= c).view(np.uint8), axis=1, dtype=np.int32)
             gt = cs[:, M:] - cs[:, :k]
-            ok &= allowed[e, above - gt]
+            if e == 0:
+                ok = first.take(gt)
+            else:
+                ok &= allowed[e].take(above - gt)
             above = gt
-        ok &= allowed[-1, above]
+        if E > 2:
+            ok &= allowed[-1].take(above)
         found = ok.any(axis=1)
         hits[live[found]] = end - M + 1 + ok[found].argmax(axis=1)
         tail = u[~found, -M:]
@@ -370,9 +388,7 @@ def waiting_time(nu: LetterLaw, target: LetterLaw, M_list, trials: int,
         raise InputError("target and medium letter laws must share the alphabet")
     targets = [target.prob(c) for c in nu.alphabet.symbols]
     predicted = rel_entropy(target.probs, nu.probs)
-    # rng.choice's own inverse-cdf table
-    cdf = nu.prob_vector().cumsum()
-    cdf /= cdf[-1]
+    cdf = choice_cdf(nu.prob_vector())
 
     # The typical set can be exactly empty when no integer count vector
     # fits inside the tolerance box; that would censor every trial, so
@@ -390,8 +406,8 @@ def waiting_time(nu: LetterLaw, target: LetterLaw, M_list, trials: int,
                          f"to fit a slope, got {list(M_list)}")
 
     # Checked before any generator is built: 647 bytes a Generator by tracemalloc
-    # (numpy 2.4, CPython 3.11), and the first and largest block at 28 bytes a
-    # cell (uniforms, four int32 count arrays and four masks)
+    # (numpy 2.4, CPython 3.11), and the first and largest block at most 28
+    # bytes a cell (uniforms, at most four int32 count arrays and four masks)
     M = max(M_list)
     check_budget(f"{trials} trials at M={M}", 648 * trials + 28 * (5 * M * trials + WAIT_BLOCK_CELLS))
     per_m = []

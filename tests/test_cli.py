@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cutwords import errors
+from cutwords import cli, errors
 from cutwords.cli import DEFAULT_SEED, build_parser, main
 from cutwords.corelemma import bernoulli_omega, s_n_eval
 from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal
@@ -232,8 +232,9 @@ H_TYPICAL = 0.35319667956240763
     ("one", None, {"alpha": "one", "annealed": H_BASE, "quenched": [H_BASE, H_BASE]}),
     ("1", None, {"alpha": "one", "annealed": H_BASE, "quenched": [H_BASE, H_BASE]}),
     ("infinity", None, {"alpha": "infinity", "annealed": H_BASE,
-                        "quenched": [math.inf, math.inf]}),
-    ("inf", None, {"alpha": "infinity", "annealed": H_BASE, "quenched": [math.inf, math.inf]}),
+                        "quenched": ["infinity", "infinity"]}),
+    ("inf", None, {"alpha": "infinity", "annealed": H_BASE,
+                   "quenched": ["infinity", "infinity"]}),
     ("infinity", TYPICAL_LAW, {"alpha": "infinity", "annealed": H_TYPICAL,
                                "quenched": [H_TYPICAL, H_TYPICAL]}),
     ("2.0", None, {"alpha": 2.0, "annealed": H_BASE,
@@ -287,7 +288,36 @@ def test_rate_infinity_needs_no_depth(tmp_path, capsys):
     assert code == 0
     assert "quenched=[inf,inf]" in capsys.readouterr().out
     doc = json.loads(out.read_text())
-    assert doc["quenched"] == [float("inf")] * 2 and doc["depth"] == 3
+    assert doc["quenched"] == ["infinity"] * 2 and doc["depth"] == 3
+
+
+def strict_json(text: str):
+    """json.loads without Python's extensions: NaN and Infinity raise."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_infinite_results_are_strict_json(cfg_path, tmp_path):
+    # at alpha = infinity on iid{a, bb} the rate and the ladder's last level
+    # are infinite, which RFC 8259 JSON has no number for: they are named
+    for argv, last in ((["rate", "--depth", "4"], lambda doc: doc["quenched"]),
+                       (["ladder", "--tr", "1,2", "--depth", "4"],
+                        lambda doc: [doc["ladder"][-1]["lower"], doc["ladder"][-1]["upper"]])):
+        out = tmp_path / f"{argv[0]}.json"
+        assert run(argv + ["--config", cfg_path, "--alpha", "infinity", "--format", "json",
+                           "--out", str(out)]) == 0
+        assert last(strict_json(out.read_text())) == ["infinity", "infinity"]
+
+
+def test_json_artifact_refuses_nan_before_writing(tmp_path):
+    out = tmp_path / "nan.json"
+    with pytest.raises(ValueError, match="NaN"):
+        cli._write_json(str(out), {"ok": [1.0, -math.inf], "bad": (2.0, math.nan)})
+    assert not out.exists()
+    cli._write_json(str(out), {"ok": [1.0, -math.inf]})
+    assert strict_json(out.read_text()) == {"ok": [1.0, "-infinity"]}
 
 
 def test_quench_enum_roundtrip(cfg_path, capsys):
@@ -506,7 +536,7 @@ def test_rate_and_entropy_on_letters_outside_nu(tmp_path, capsys):
         code = run(["rate", "--config", str(path), "--alpha", alpha, "--depth", "4",
                     "--format", "json", "--out", str(out)])
         assert code == 0, alpha
-        assert json.loads(out.read_text())["quenched"] == [float("inf")] * 2
+        assert json.loads(out.read_text())["quenched"] == ["infinity"] * 2
     assert json.loads(out.read_text())["components"]["psi_bracket"] is None
     capsys.readouterr()
     assert run(["entropy", "--config", str(path), "--depth", "4"]) == 1

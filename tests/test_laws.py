@@ -21,11 +21,13 @@ from cutwords.laws import (
     markov_law,
     mean_length,
     renewal_from_atoms,
+    sample_arrays,
     sample_path,
     stationary_row,
     truncate_process,
 )
 from cutwords.rates import fin_rate, que_rate_ladder
+from cutwords.words import cut
 
 
 def test_letter_law_validation():
@@ -256,3 +258,52 @@ def test_sample_path_cut_consistency(nu_ab, rho_default):
     for w, j in zip(sentence, pts):
         assert x[acc:j] == w
         acc = j
+
+
+def choice_sample_arrays(nu, rho, n_letters, n_words, seed):
+    """sample_arrays drawn by Generator.choice on the same two streams: the
+    oracle for its inverse-cdf draws."""
+    def stream(purpose):
+        return np.random.Generator(np.random.Philox(key=np.array([seed, purpose], dtype=np.uint64)))
+
+    support = np.array(rho.support)
+    taus = stream(1).choice(support, size=n_words, p=np.array([rho.probs[n] for n in rho.support]))
+    points = np.cumsum(taus)
+    total = max(n_letters, int(points[-1]))
+    return stream(0).choice(len(nu.alphabet), size=total, p=nu.prob_vector()), points
+
+
+def choice_sample_path(nu, rho, n_letters, n_words, seed):
+    x_idx, points = choice_sample_arrays(nu, rho, n_letters, n_words, seed)
+    x = "".join(nu.alphabet.symbols[i] for i in x_idx)
+    pts = tuple(int(j) for j in points)
+    return x, pts, cut(x, pts)
+
+
+# (letter law, renewal law, n_letters); 40 letters and 100 atoms take a
+# comparison pass per table entry, and 300 atoms a two-byte index
+SAMPLE_CASES = {
+    "uniform-ab": (LetterLaw.uniform("ab"), make_algebraic_renewal(2.0, 4), 0),
+    "skewed-abc": (LetterLaw.from_probs("abc", [0.7, 0.2, 0.1]), make_algebraic_renewal(1.5, 6), 0),
+    "one-letter": (LetterLaw.uniform("a"), make_algebraic_renewal(2.0, 3), 0),
+    "atoms-2-5": (LetterLaw.uniform("ab"), renewal_from_atoms({2: 0.3, 5: 0.7}, 2.0), 0),
+    "cap-16": (LetterLaw.uniform("ab"), make_algebraic_renewal(2.0, 16), 0),
+    "long-medium": (LetterLaw.from_probs("ab", [0.3, 0.7]), make_algebraic_renewal(2.0, 4), 50_000),
+    "40-letters": (LetterLaw.uniform("".join(map(chr, range(0x3b1, 0x3b1 + 40)))),
+                   make_algebraic_renewal(2.0, 3), 0),
+    "cap-100": (LetterLaw.uniform("ab"), make_algebraic_renewal(1.2, 100), 0),
+    "cap-300": (LetterLaw.uniform("ab"), make_algebraic_renewal(1.2, 300), 0),
+}
+
+
+@pytest.mark.parametrize("case", list(SAMPLE_CASES))
+def test_sampling_equals_generator_choice(case):
+    nu, rho, n_letters = SAMPLE_CASES[case]
+    for seed in (0, 7, 12648430):
+        for n_words in (1, 9, 10_000):
+            x, points = sample_arrays(nu, rho, n_letters, n_words, seed)
+            want_x, want_points = choice_sample_arrays(nu, rho, n_letters, n_words, seed)
+            assert np.array_equal(x, want_x) and np.array_equal(points, want_points)
+            assert x.dtype.itemsize == 1
+            assert sample_path(nu, rho, n_letters, n_words, seed) == \
+                choice_sample_path(nu, rho, n_letters, n_words, seed)

@@ -1,6 +1,8 @@
 import itertools
 import math
+import tracemalloc
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -8,7 +10,13 @@ import pytest
 from cutwords import errors
 from cutwords.entropy import rel_entropy
 from cutwords.errors import InputError, SizeBudgetError
-from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal, renewal_from_atoms
+from cutwords.laws import (
+    LetterLaw,
+    ReferenceLaw,
+    make_algebraic_renewal,
+    renewal_from_atoms,
+    sample_arrays,
+)
 from cutwords.mclab import (
     ergodic_gap,
     quenched_prob_brute,
@@ -192,6 +200,72 @@ def test_ergodic_gap_deterministic_law():
     assert ergodic_gap(nu, rho, 500, 2, seed=0) == 0.0
 
 
+def per_length_ergodic_gap(nu, rho, N, k, seed):
+    """ergodic_gap with each word encoded length by length from its first
+    letter: the oracle for the one-gather encoding, with the same
+    reference vector arithmetic."""
+    E = len(nu.alphabet)
+    lengths = rho.support
+    offsets = dict(zip(lengths, itertools.accumulate((E**n for n in lengths), initial=0)))
+    total = sum(E**n for n in lengths)
+    x, points = sample_arrays(nu, rho, 0, N, seed)
+    lens = np.diff(points, prepend=0)
+    starts = points - lens
+    ids = np.zeros(N, dtype=np.int64)
+    for n in lengths:
+        sel = np.nonzero(lens == n)[0]
+        val = np.zeros(len(sel), dtype=np.int64)
+        for t in range(n):
+            val = val * E + x[starts[sel] + t]
+        ids[sel] = offsets[n] + val
+    ref = np.zeros(total)
+    v = nu.prob_vector()
+    for n in lengths:
+        ref[offsets[n] : offsets[n] + E**n] = rho.prob(n) * reduce(np.kron, [v] * n)
+    if k == 2:
+        ids = ids * total + np.roll(ids, -1)
+    freq = np.bincount(ids, minlength=total**k) / N
+    freq -= ref if k == 1 else np.kron(ref, ref)
+    return float(np.max(np.abs(freq)))
+
+
+ERGODIC_CASES = {
+    "uniform-ab": (LetterLaw.uniform("ab"), make_algebraic_renewal(2.0, 4), (1, 2)),
+    "skewed-abc": (LetterLaw.from_probs("abc", [0.7, 0.2, 0.1]), make_algebraic_renewal(1.5, 6),
+                   (1, 2)),
+    "one-letter": (LetterLaw.uniform("a"), make_algebraic_renewal(2.0, 3), (1, 2)),
+    "atoms-2-5": (LetterLaw.uniform("ab"), renewal_from_atoms({2: 0.3, 5: 0.7}, 2.0), (1, 2)),
+    "cap-16": (LetterLaw.uniform("ab"), make_algebraic_renewal(2.0, 16), (1,)),  # k=2: over budget
+}
+
+
+@pytest.mark.parametrize("case", list(ERGODIC_CASES))
+def test_ergodic_gap_equals_per_length_encoding(case):
+    # paths of 1-3 words can be shorter than the longest word, whose codes
+    # read the letters before the first as 0
+    nu, rho, depths = ERGODIC_CASES[case]
+    for N, seeds in ((30_000, (0, 7, 12648430)), (1, range(20)), (2, range(20)), (3, range(20))):
+        for k in depths:
+            for seed in seeds:
+                assert ergodic_gap(nu, rho, N, k, seed) == \
+                    per_length_ergodic_gap(nu, rho, N, k, seed), (N, k, seed)
+
+
+def test_ergodic_gap_memory_per_word(nu_ab):
+    # one-byte letters, int32 codes and ids: about 31 bytes a word are
+    # measured, 56 leaves room for allocator and numpy version changes
+    rho = make_algebraic_renewal(2.0, 4)
+    N = 200_000
+    for k in (1, 2):
+        tracemalloc.start()
+        try:
+            ergodic_gap(nu_ab, rho, N, k, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 56 * N, (k, peak / N)
+
+
 def test_ergodic_gap_depth_validation(nu_ab):
     rho = make_algebraic_renewal(2.0, 3)
     with pytest.raises(InputError):
@@ -342,6 +416,14 @@ def test_waiting_time_matches_full_draw_oracle(cfg, trials, cap, doubles, censor
     assert res.per_m == per_m
     assert (doublings > 0) == doubles
     assert (sum(c for *_, c in per_m) > 0) == censors
+
+
+def test_waiting_time_single_letter_hits_at_once():
+    # one letter: every window is typical, so every trial hits at shift 1
+    nu = LetterLaw.uniform("a")
+    args = (nu, nu, [3, 5], 4, 0.0, 1)
+    res = waiting_time(*args)
+    assert res.per_m == ((3, 0.0, 4, 0), (5, 0.0, 4, 0)) == waiting_time_oracle(*args)[0]
 
 
 @pytest.mark.parametrize("kwargs, name", [
