@@ -190,10 +190,9 @@ def cmd_ergodic(rc: RunConfig, cfg: dict) -> str:
     rho = _load(cfg, "renewal_law")
     gap = mclab.ergodic_gap(nu, rho, p["n_words"], p["k"], rc.seed)
     n = p["n_words"]
-    # 5 max_w sqrt(q(w)/N) at the largest atom, rho(j) times max(nu) j times,
-    # multiplied in the order of `ReferenceLaw.word_prob`
-    top = max(nu.probs.values())
-    q_max = max(math.prod([top] * j, start=r) for j, r in rho.probs.items())
+    # 5 max_w sqrt(q(w)/N), at the largest atom: a most likely letter j times
+    top = max(nu.probs, key=nu.probs.get)
+    q_max = max(map(laws.ReferenceLaw(rho, nu).word_prob, (top * j for j in rho.support)))
     clt = 5.0 * math.sqrt(q_max / n)
     _emit(rc, {"gap": gap, "clt_bound": clt, "N": n, "k": p["k"]},
           header=["N", "k", "gap", "clt_bound"], rows=[(n, p["k"], gap, clt)],

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
 from scipy.special import xlogy
 
 from .errors import InputError
@@ -54,9 +53,8 @@ def entropy(mu: dict) -> float:
 def entropy_rate(Q: WordProcessLaw) -> float:
     """Specific entropy per word: the stationary average of the row entropies
     (h(q) for i.i.d. words)."""
-    P = np.asarray(Q.transition)
-    pi = np.asarray(Q.stationary)
-    return float(-(pi[:, None] * xlogy(P, P)).sum())
+    P = Q.transition
+    return float(-(Q.stationary[:, None] * xlogy(P, P)).sum())
 
 
 def expected_log_rho(Q: WordProcessLaw, ref: ReferenceLaw) -> float:

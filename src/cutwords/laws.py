@@ -20,9 +20,10 @@ from .words import Alphabet, cut, truncate_word
 MASS_TOL = 1e-12
 STATIONARY_TOL = 1e-10
 # Bytes per entry of a word law's transition table while it is built: the
-# frozen table's Python float and tuple slot (32, measured with tracemalloc),
-# three float64 copies (24) and boolean masks, rounded up for the row tuples.
-TABLE_ENTRY_BYTES = 64
+# float64 table `_law` is given, beside `stationary_row`'s working copy and
+# its rank-one temporary (8 each); the stored copy and a 1-byte mask come
+# after those two are freed.
+TABLE_ENTRY_BYTES = 24
 
 # The ends of the quenched rate's tail exponents [1, inf], by JSON name.
 ALPHA_ONE = 1.0
@@ -192,18 +193,19 @@ class ReferenceLaw:
         return iid_law(self.enumerate_atoms())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WordProcessLaw:
     """Stationary Markov law on word sequences.
 
-    `transition` is row-stochastic over `words` and `stationary` is its
-    verified stationary row.  An i.i.d. law is the case whose rows all equal
-    the word probabilities, which are then the stationary row too.
+    `transition` (k x k) is row-stochastic over `words` and `stationary`
+    (k) is its verified, positive stationary row: read-only float64 arrays
+    that `_law` builds.  An i.i.d. law is the case whose rows all equal the
+    word probabilities, which are then the stationary row too.
     """
 
     words: tuple
-    transition: tuple  # tuple of row tuples
-    stationary: tuple
+    transition: np.ndarray
+    stationary: np.ndarray
 
     def __post_init__(self):
         if len(self.words) == 0:
@@ -213,7 +215,7 @@ class WordProcessLaw:
         for w in self.words:
             if len(w) == 0:
                 raise InputError("words must be non-empty")
-        P = np.asarray(self.transition, dtype=float)
+        P, pi = self.transition, self.stationary
         k = len(self.words)
         if P.shape != (k, k):
             raise InputError("transition table must be square over the word set")
@@ -222,9 +224,8 @@ class WordProcessLaw:
         rows = P.sum(axis=1)
         if np.max(np.abs(rows - 1.0)) > MASS_TOL:
             raise InputError("transition rows must sum to 1")
-        if not _irreducible(P):
+        if not np.all(pi > 0):  # for `stationary_row`, iff P is irreducible
             raise InputError("Markov word chain must be irreducible")
-        pi = np.asarray(self.stationary, dtype=float)
         if np.max(np.abs(pi @ P - pi)) > STATIONARY_TOL:
             raise InputError("stationary row fails pi P = pi within 1e-10")
 
@@ -234,11 +235,11 @@ class WordProcessLaw:
 
     def marginal(self) -> dict:
         """Single-word marginal (canonical word order)."""
-        return dict(sorted(zip(self.words, self.stationary)))
+        return dict(sorted(zip(self.words, self.stationary.tolist())))
 
     def to_json(self) -> dict:
         return {"variant": "markov", "words": list(self.words),
-                "transition": [list(r) for r in self.transition]}
+                "transition": self.transition.tolist()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "WordProcessLaw":
@@ -252,34 +253,18 @@ class WordProcessLaw:
         raise InputError(f"unknown word-process variant {doc['variant']!r}")
 
 
-def _irreducible(P: np.ndarray) -> bool:
-    """Whether every word reaches every word: the 0/1 reachability matrix,
-    as floats so that the products run through BLAS, is squared until it is
-    all ones or stops changing."""
-    closure = (P > 0).astype(float)
-    np.fill_diagonal(closure, 1.0)
-    while not closure.all():
-        grown = closure @ closure
-        np.minimum(grown, 1.0, out=grown)
-        if np.array_equal(grown, closure):
-            return False
-        closure = grown
-    return True
-
-
 def _law(words, P: np.ndarray, pi: np.ndarray | None = None) -> WordProcessLaw:
     """The law of `words` with transition table P and stationary row pi, by
-    default P's (`stationary_row`).  The k x k table is checked against the
-    byte budget before any copy of it is made."""
+    default P's (`stationary_row`), stored as read-only C-ordered float64
+    copies.  The k x k table is checked against the byte budget before
+    `stationary_row` or the copy runs."""
     k = len(P)
     check_budget(f"transition table of {k} words", TABLE_ENTRY_BYTES * k * k)
     if pi is None:
         pi = stationary_row(P)
-    return WordProcessLaw(
-        words=tuple(words),
-        transition=tuple(map(tuple, P.tolist())),
-        stationary=tuple(pi.tolist()),
-    )
+    P, pi = (np.array(a, dtype=float, order="C") for a in (P, pi))
+    P.flags.writeable = pi.flags.writeable = False
+    return WordProcessLaw(tuple(words), P, pi)
 
 
 def iid_law(word_probs: dict) -> WordProcessLaw:
@@ -296,15 +281,16 @@ def stationary_row(P: np.ndarray) -> np.ndarray:
 
     Censoring the chain to states 0..m-1 one state at a time and then
     back-substituting takes no differences, so every entry comes out
-    non-negative and accurate to relative precision, however small.
-    `WordProcessLaw` checks irreducibility and verifies pi P = pi.
+    non-negative and accurate to relative precision, however small.  So
+    it also decides irreducibility: an entry is exactly 0 for a state not
+    reached from every state, and nan (an outflow of 0) for one with no way
+    out; `WordProcessLaw` rejects both, and verifies pi P = pi.  An entry
+    that underflows below 5e-324 would read as unreached.
     """
     A = np.array(P, dtype=float)
     k = len(A)
     if A.shape != (k, k):
         raise InputError("transition table must be square over the word set")
-    # a reducible P makes some outflow 0, and the nan it leaves is rejected
-    # by WordProcessLaw's irreducibility check
     with np.errstate(divide="ignore", invalid="ignore"):
         for m in range(k - 1, 0, -1):
             A[:m, m] /= A[m, :m].sum()  # outflow from state m to the states kept
@@ -317,6 +303,7 @@ def stationary_row(P: np.ndarray) -> np.ndarray:
 
 
 def markov_law(words: tuple, P: np.ndarray) -> WordProcessLaw:
+    """The chain over `words` with table P, if irreducible (`stationary_row`)."""
     return _law(words, np.asarray(P, dtype=float))
 
 
@@ -342,12 +329,12 @@ def truncate_process(Q: WordProcessLaw, tr: int) -> WordProcessLaw:
     new_words = sorted(set(trunc))
     label = np.array([new_words.index(t) for t in trunc])
     member = (label[:, None] == np.arange(len(new_words))).astype(float)
-    agg = np.asarray(Q.transition) @ member  # mass from each word into each clipped word
+    agg = Q.transition @ member  # mass from each word into each clipped word
     rows = agg[[trunc.index(u) for u in new_words]]  # one word per clipped word
     if np.max(np.abs(agg - rows[label])) > MASS_TOL:
         raise InputError(f"truncation at tr={tr} is not lumpable: words that clip alike "
                          "put different mass on the clipped words")
-    return _law(new_words, rows, np.asarray(Q.stationary) @ member)
+    return _law(new_words, rows, Q.stationary @ member)
 
 
 def _rng_streams(seed: int):
@@ -412,10 +399,13 @@ def sample_path(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, se
     word = 16 + sys.getsizeof(n_words * rho.max_jump) + max(map(sys.getsizeof, nu.alphabet.symbols))
     check_budget(f"{n_words} cut points and words", word * n_words)
     x_idx, points = sample_arrays(nu, rho, n_letters, n_words, seed)
-    # letters are single characters: X is their code points, decoded at once;
-    # code points, bytes and string take at most 12 bytes a letter, within
-    # the 16 that sample_arrays checked
-    code_points = np.array([ord(c) for c in nu.alphabet.symbols], dtype="<u4")
-    x = code_points[x_idx].tobytes().decode("utf-32-le")
+    x = letter_string(nu, x_idx)
     pts = tuple(points.tolist())
     return x, pts, cut(x, pts)
+
+
+def letter_string(nu: LetterLaw, x_idx: np.ndarray) -> str:
+    """The letters of indices x_idx, decoded from their code points at once:
+    at most 12 bytes a letter, within the 16 that `sample_arrays` checks."""
+    code_points = np.array([ord(c) for c in nu.alphabet.symbols], dtype="<u4")
+    return code_points[x_idx].tobytes().decode("utf-32-le")

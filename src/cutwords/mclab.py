@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputError, check_budget
 from .entropy import rel_entropy
-from .laws import LetterLaw, ReferenceLaw, RenewalLaw, choice_cdf, sample_arrays
+from .laws import (LetterLaw, ReferenceLaw, RenewalLaw, _choose, _rng_streams, choice_cdf,
+                   letter_string, sample_arrays)
 from .rates import Neighbourhood, boxed_reference, i_projection
 from .words import cut, empirical_patterns
 
@@ -52,13 +53,19 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     code[j] mod E^n.  One gather at the cut points and one integer division
     by E^n give all N ids, once each length's offset is added.  The budget
     bounds total^k <= 2^24 and E^L <= total, so the codes and ids fit int32.
+
+    Checked before anything is drawn: 24 bytes a word (cut point, length,
+    id, an int32 temporary; at k = 2 pair ids and bincount's intp copy), 16
+    a letter as `sample_arrays` checks, for at most max_jump letters a word,
+    and the float64 counts, frequencies and reference.
     """
     if k not in (1, 2):
         raise InputError("pattern depth must be 1 or 2")
     E = len(nu.alphabet)
     lengths = list(rho.support)
     offsets, total = _word_id_layout(E, lengths)
-    check_budget(f"{total}^{k} word-pattern frequencies and reference", 2 * 8 * total**k)
+    check_budget(f"ergodic gap of {N} words over {total}^{k} word patterns",
+                 (24 + 16 * rho.max_jump) * N + 8 * (2 * total**k + total))
 
     x, points = sample_arrays(nu, rho, 0, N, seed)
     code = np.zeros(len(x), dtype=np.int32)
@@ -246,9 +253,9 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
 
     The state of the cut-point DP after N words does not depend on the
     target N, so one pass up to max(N_list) gives every entry; each equals
-    `quenched_prob_enum` at that N exactly.  The medium of max(N_list) * Jmax
-    letters is checked against the byte budget before it is drawn, and the
-    pass before it runs.
+    `quenched_prob_enum` at that N exactly.  The medium, the first
+    max(N_list) * Jmax letters of `sample_path`'s X at this seed, is checked
+    against the byte budget before it is drawn, and the pass before it runs.
 
     The annealed companion uses the reference word marginal with jumps
     restricted to Jmax and renormalized; the discarded renewal mass is
@@ -260,11 +267,10 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     if not N_list or min(N_list) < 1:
         raise InputError(f"N_list must list levels N >= 1, got {list(N_list)}")
     n_letters = max(N_list) * Jmax
-    # the uniform draw, the letter indices and the joined list, per letter
-    check_budget(f"medium of {n_letters} letters", 3 * 8 * n_letters)
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    x_idx = rng.choice(len(nu_x.alphabet), size=n_letters, p=nu_x.prob_vector())
-    X = "".join(nu_x.alphabet.symbols[i] for i in x_idx)
+    # drawn as sample_arrays draws letters, so checked at its 16 bytes a letter
+    check_budget(f"medium of {n_letters} letters", 16 * n_letters)
+    letters_rng, _ = _rng_streams(seed)
+    X = letter_string(nu_x, _choose(letters_rng, nu_x.prob_vector(), n_letters))
 
     incs = [d for d in rho.support if d <= Jmax]
     kept = sum(rho.probs[d] for d in incs)

@@ -47,8 +47,9 @@ class HiddenChain:
 def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
     """Build the (word, offset) chain for Q.
 
-    `alphabet` fixes the letter order; defaults to sorted letters
-    occurring in Q's words.
+    A word's states are consecutive; its last one moves to the words' first
+    ones by Q's transition row.  `alphabet` fixes the letter order; defaults
+    to sorted letters occurring in Q's words.
     """
     if alphabet is None:
         alphabet = tuple(sorted({c for w in Q.words for c in w}))
@@ -58,27 +59,17 @@ def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
             if c not in letter_idx:
                 raise InputError(f"letter {c!r} of word {w!r} is not in the alphabet "
                                  f"{''.join(alphabet)!r}")
-    states = []
-    for wi, w in enumerate(Q.words):
-        for k in range(len(w)):
-            states.append((wi, k))
-    n = len(states)
+    lengths = np.array([len(w) for w in Q.words])
+    ends = np.cumsum(lengths) - 1  # each word's last state
+    n = int(ends[-1]) + 1
     check_budget(f"hidden chain of {n} states", n * n * 8)
-    state_pos = {s: i for i, s in enumerate(states)}
-    emit = np.array([letter_idx[Q.words[wi][k]] for wi, k in states])
-
-    marg = Q.marginal()
-    m_q = mean_length(Q)
-    init = np.array([marg[Q.words[wi]] / m_q for wi, _ in states])
+    emit = np.array([letter_idx[c] for w in Q.words for c in w])
+    init = np.repeat(Q.stationary, lengths) / mean_length(Q)
 
     trans = np.zeros((n, n))
-    for si, (wi, k) in enumerate(states):
-        if k + 1 < len(Q.words[wi]):
-            trans[si, state_pos[(wi, k + 1)]] = 1.0
-        else:
-            for wj, p in enumerate(Q.transition[wi]):
-                if p > 0:
-                    trans[si, state_pos[(wj, 0)]] += p
+    # the next letter's state; a word's last row is then overwritten whole
+    trans[np.arange(n - 1), np.arange(1, n)] = 1.0
+    trans[ends[:, None], ends - lengths + 1] = Q.transition
     return HiddenChain(
         alphabet=tuple(alphabet),
         emit=emit,

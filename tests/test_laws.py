@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cutwords import errors
 from cutwords.errors import InputError, SizeBudgetError
@@ -85,7 +86,7 @@ def test_reference_atoms_sum_to_one(ref_default):
 
 def test_iid_law_basics():
     Q = iid_law({"a": 0.25, "bb": 0.75})
-    assert Q.transition == (tuple(Q.marginal().values()),) * 2
+    assert np.array_equal(Q.transition, [list(Q.marginal().values())] * 2)
     assert mean_length(Q) == pytest.approx(0.25 + 2 * 0.75)
     assert Q.marginal() == {"a": 0.25, "bb": 0.75}
 
@@ -128,6 +129,80 @@ def test_markov_law_requires_irreducible():
         markov_law(("a", "b"), P)
 
 
+def irreducible(P: np.ndarray) -> bool:
+    """Whether every word reaches every word: the 0/1 reachability matrix,
+    as floats so that the products run through BLAS, is squared until it is
+    all ones or stops changing.  The oracle for markov_law's check."""
+    closure = (P > 0).astype(float)
+    np.fill_diagonal(closure, 1.0)
+    while not closure.all():
+        grown = closure @ closure
+        np.minimum(grown, 1.0, out=grown)
+        if np.array_equal(grown, closure):
+            return False
+        closure = grown
+    return True
+
+
+def weighted_patterns():
+    """(0/1 pattern, positive weights) of a k x k table, k <= 6."""
+    return st.integers(min_value=1, max_value=6).flatmap(lambda k: st.tuples(
+        st.lists(st.lists(st.booleans(), min_size=k, max_size=k), min_size=k, max_size=k),
+        st.lists(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=k, max_size=k),
+                 min_size=k, max_size=k)))
+
+
+def ones(k):
+    return [[1.0] * k] * k
+
+
+@given(weighted_patterns())
+@settings(max_examples=300, deadline=None)
+@example(([[1, 1, 0], [0, 1, 1], [0, 1, 1]], ones(3)))  # word 0 is transient
+@example(([[1, 0, 0], [0, 1, 1], [0, 1, 1]], ones(3)))  # two closed classes
+@example(([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], ones(4)))  # two cycles
+@example(([[0, 1, 0], [0, 0, 1], [1, 0, 0]], ones(3)))  # one cycle of period 3
+@example(([[0, 1, 1, 0], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 1, 0]], ones(4)))  # period 2
+@example(([[0, 0, 1], [0, 0, 1], [0, 0, 1]], ones(3)))  # words 0 and 1 transient
+def test_markov_law_accepts_exactly_the_irreducible(case):
+    pattern, weights = case
+    P = np.array(pattern, dtype=bool) * np.array(weights)
+    empty = ~P.any(axis=1)
+    P[empty, np.nonzero(empty)[0]] = 1.0  # every row needs mass to sum to 1
+    P /= P.sum(axis=1, keepdims=True)
+    words = tuple(f"w{i}" for i in range(len(P)))
+    if irreducible(P):
+        Q = markov_law(words, P)
+        assert np.all(Q.stationary > 0) and np.array_equal(Q.transition, P)
+    else:
+        with pytest.raises(InputError, match="irreducible"):
+            markov_law(words, P)
+
+
+def test_word_law_tables_are_read_only_float64():
+    P = np.array([[0.1, 0.3, 0.6], [1 / 3, 1 / 3, 1 / 3], [0.7, 0.2, 0.1]])
+    for Q in (markov_law(("a", "ab", "b"), P), iid_law({"a": 0.25, "bb": 0.75})):
+        for table in (Q.transition, Q.stationary):
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            with pytest.raises(ValueError):
+                table[0] = 0.5
+    assert P.flags.writeable  # the caller's table is copied, not frozen
+
+
+def test_word_law_json_holds_python_floats():
+    P = np.array([[0.1, 0.3, 0.6], [1 / 3, 1 / 3, 1 / 3], [0.7, 0.2, 0.1]])
+    Q = markov_law(("a", "ab", "b"), P)
+    doc = Q.to_json()
+    assert all(type(p) is float for row in doc["transition"] for p in row)
+    assert all(type(p) is float for p in Q.marginal().values())
+    # the bytes written while the tables were tuples of Python floats
+    assert json.dumps(doc) == (
+        '{"variant": "markov", "words": ["a", "ab", "b"], "transition": [[0.1, 0.3, 0.6], '
+        '[0.3333333333333333, 0.3333333333333333, 0.3333333333333333], [0.7, 0.2, 0.1]]}')
+    assert json.dumps(Q.marginal()) == \
+        '{"a": 0.37470725995316156, "ab": 0.27400468384074944, "b": 0.351288056206089}'
+
+
 def test_reference_law_of_126_words_has_rate_zero():
     ref = ReferenceLaw(make_algebraic_renewal(2.0, 6), LetterLaw.uniform("ab"))
     Q = ref.as_iid_process()
@@ -165,7 +240,8 @@ def test_word_law_table_budget(monkeypatch):
 
 
 def test_cyclic_markov_law_on_1000_words():
-    # reachability closes after 10 squarings; cut the cycle and it never does
+    # every stationary entry is 1/k; cut the cycle and the last word absorbs,
+    # so no other word is reached from it and their entries are exactly 0
     k = 1000
     P = np.roll(np.eye(k), 1, axis=1)
     Q = markov_law(tuple(f"w{i}" for i in range(k)), P)

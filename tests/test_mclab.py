@@ -266,6 +266,35 @@ def test_ergodic_gap_memory_per_word(nu_ab):
         assert peak <= 56 * N, (k, peak / N)
 
 
+@pytest.mark.parametrize("case", ["uniform-ab", "skewed-abc", "atoms-2-5"])
+def test_ergodic_gap_budget_is_what_it_allocates(monkeypatch, case):
+    # checked before anything is drawn, the bytes bound the peak of the whole
+    # call: 24 a word, 16 for each of at most max_jump letters a word, and
+    # counts, frequencies and reference over `total` words
+    nu, rho, depths = ERGODIC_CASES[case]
+    N = 200_000
+    total = sum(len(nu.alphabet) ** n for n in rho.support)
+    for k in depths:
+        need = (24 + 16 * rho.max_jump) * N + 8 * (2 * total**k + total)
+        monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeBudgetError, match=f"ergodic gap of {N} words .* needs {need} bytes"):
+                ergodic_gap(nu, rho, N, k, seed=7)
+            assert tracemalloc.get_traced_memory()[1] < 8192
+        finally:
+            tracemalloc.stop()
+        monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+        tracemalloc.start()
+        try:
+            gap = ergodic_gap(nu, rho, N, k, seed=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (k, peak, need)
+        assert gap == per_length_ergodic_gap(nu, rho, N, k, seed=7)
+
+
 def test_ergodic_gap_depth_validation(nu_ab):
     rho = make_algebraic_renewal(2.0, 3)
     with pytest.raises(InputError):

@@ -66,6 +66,38 @@ def test_hidden_chain_init_is_stationary():
     assert np.allclose(ch.trans.sum(axis=1), 1.0, atol=1e-12)
 
 
+def loop_hidden_chain(Q, alphabet):
+    """(emit, init, trans) of the (word, offset) chain built state by state:
+    the reference for hidden_chain's array assignments."""
+    states = [(wi, k) for wi, w in enumerate(Q.words) for k in range(len(w))]
+    pos = {s: i for i, s in enumerate(states)}
+    marg = Q.marginal()
+    m_q = sum(len(w) * p for w, p in marg.items())
+    emit = np.array([alphabet.index(Q.words[wi][k]) for wi, k in states])
+    init = np.array([marg[Q.words[wi]] / m_q for wi, _ in states])
+    trans = np.zeros((len(states), len(states)))
+    for si, (wi, k) in enumerate(states):
+        if k + 1 < len(Q.words[wi]):
+            trans[si, pos[(wi, k + 1)]] = 1.0
+        else:
+            for wj, p in enumerate(Q.transition[wi].tolist()):
+                if p > 0:
+                    trans[si, pos[(wj, 0)]] += p
+    return emit, init, trans
+
+
+def test_hidden_chain_equals_state_by_state_build(law_corpus):
+    periodic = markov_law(("a", "ab", "b"), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0],
+                                                      [1.0, 0.0, 0.0]]))
+    reference = ReferenceLaw(make_algebraic_renewal(2.0, 6), LetterLaw.uniform("ab"))
+    laws = [(syms, Q) for _, syms, Q in law_corpus]
+    laws += [("ab", periodic), ("ab", reference.as_iid_process())]
+    for syms, Q in laws:
+        ch = hidden_chain(Q, alphabet=syms)
+        want = loop_hidden_chain(Q, syms)
+        assert all(np.array_equal(a, b) for a, b in zip((ch.emit, ch.init, ch.trans), want))
+
+
 def test_minimize_chain_preserves_series():
     Q = iid_law({"a": 0.3, "ab": 0.25, "bb": 0.25, "bab": 0.2})
     ch = hidden_chain(Q, alphabet="ab")
