@@ -8,7 +8,8 @@ space, with exact weights within blocks of marks and a sum of exponentials
 with positive weights between them.  The Monte Carlo `s_n_mean_check`
 runs an FFT chain over one shared kernel spectrum, its trial blocks spread
 over the usable cores, each core with its own buffers.  The
-fractional-moment bound on the a.s. decay rate is maximized numerically.
+fractional-moment bound on the a.s. decay rate is maximized by
+golden-section search, exact because the objective is concave.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.optimize import minimize_scalar
 from scipy.special import gammainccinv, zeta
 
 from . import errors
@@ -225,20 +225,42 @@ def phi_bounds(alpha: float, p: float):
 
     Upper: alpha log(1/p) from the first-run strategy.  Lower: best
     fractional-moment bound -(1/beta)(log p + log zeta(alpha beta)) over
-    beta in (1/alpha, 1].
+    beta in (1/alpha, 1], found as the maximum of
+    h(u) = -u log p - u phi(alpha/u) over u = 1/beta in [1, alpha) by
+    golden-section search (Kiefer 1953) to a width of 1e-12 in u.
+
+    The search finds the global maximum because h is concave:
+    phi = log zeta is convex on (1, inf), since zeta is a Dirichlet series
+    sum_n exp(-s log n) with positive coefficients (Hoelder's inequality);
+    so is its perspective u phi(alpha/u) in u, and h is a linear function
+    minus it.  At alpha = inf, zeta is 1 and h grows without bound, so the
+    lower side meets the upper.
     """
     if not (alpha > 1.0):
         raise InputError("phi bounds need alpha > 1")
     if not (0.0 < p < 1.0):
         raise InputError("p must lie in (0, 1)")
     upper = alpha * math.log(1.0 / p)
+    if math.isinf(alpha):
+        return upper, upper
 
-    def neg_bound(beta: float) -> float:
-        return (math.log(p) + math.log(float(zeta(alpha * beta)))) / beta
+    def bound(u: float) -> float:
+        return -u * (math.log(p) + math.log(float(zeta(alpha / u))))
 
-    res = minimize_scalar(neg_bound, bounds=(1.0 / alpha + 1e-9, 1.0), method="bounded",
-                          options={"xatol": 1e-12})
-    lower = max(-res.fun, -neg_bound(1.0), 0.0)
+    g = (math.sqrt(5.0) - 1.0) / 2.0  # each step keeps this share of [a, b]
+    a, b = 1.0, alpha
+    c, d = b - g * (b - a), a + g * (b - a)
+    hc, hd = bound(c), bound(d)
+    for _ in range(max(math.ceil((math.log(1e-12) - math.log(b - a)) / math.log(g)), 0)):
+        if hc >= hd:  # by concavity the maximum lies in [a, d]
+            b, d, hd = d, c, hc
+            c = b - g * (b - a)
+            hc = bound(c)
+        else:  # in [c, b]
+            a, c, hc = c, d, hd
+            d = a + g * (b - a)
+            hd = bound(d)
+    lower = max(hc, hd, bound(1.0), 0.0)
     return min(lower, upper), upper
 
 

@@ -257,14 +257,18 @@ def _law(words, P: np.ndarray, pi: np.ndarray | None = None) -> WordProcessLaw:
     """The law of `words` with transition table P and stationary row pi, by
     default P's (`stationary_row`), stored as read-only C-ordered float64
     copies.  The k x k table is checked against the byte budget before
-    `stationary_row` or the copy runs."""
+    `stationary_row` or the copy runs, and an empty word set refused, as
+    `stationary_row` needs a state."""
+    words = tuple(words)
+    if not words:
+        raise InputError("word set must be non-empty")
     k = len(P)
     check_budget(f"transition table of {k} words", TABLE_ENTRY_BYTES * k * k)
     if pi is None:
         pi = stationary_row(P)
     P, pi = (np.array(a, dtype=float, order="C") for a in (P, pi))
     P.flags.writeable = pi.flags.writeable = False
-    return WordProcessLaw(tuple(words), P, pi)
+    return WordProcessLaw(words, P, pi)
 
 
 def iid_law(word_probs: dict) -> WordProcessLaw:

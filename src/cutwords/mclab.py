@@ -55,24 +55,27 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     bounds total^k <= 2^24 and E^L <= total, so the codes and ids fit int32.
 
     Checked before anything is drawn: 24 bytes a word (cut point, length,
-    id, an int32 temporary; at k = 2 pair ids and bincount's intp copy), 16
-    a letter as `sample_arrays` checks, for at most max_jump letters a word,
-    and the float64 counts, frequencies and reference.
+    id, an int32 temporary; at k = 2 pair ids and bincount's intp copy) and
+    the float64 counts, frequencies and reference.  `sample_arrays` checks
+    its draws, and once the number of letters is known, the same bytes plus
+    each letter and its int32 code are checked before the codes are built.
     """
     if k not in (1, 2):
         raise InputError("pattern depth must be 1 or 2")
     E = len(nu.alphabet)
     lengths = list(rho.support)
     offsets, total = _word_id_layout(E, lengths)
-    check_budget(f"ergodic gap of {N} words over {total}^{k} word patterns",
-                 (24 + 16 * rho.max_jump) * N + 8 * (2 * total**k + total))
+    word_bytes = 24 * N + 8 * (2 * total**k + total)
+    check_budget(f"ergodic gap of {N} words over {total}^{k} word patterns", word_bytes)
 
     x, points = sample_arrays(nu, rho, 0, N, seed)
+    check_budget(f"ergodic gap of {N} words and {len(x)} letters over {total}^{k} word patterns",
+                 word_bytes + (x.itemsize + 4) * len(x))
+    lens = np.diff(points, prepend=0)  # its prepended copy is freed before the codes exist
     code = np.zeros(len(x), dtype=np.int32)
     for t in range(lengths[-1] - 1, -1, -1):
         code *= E
         code[t:] += x[: max(len(x) - t, 0)]
-    lens = np.diff(points, prepend=0)
     points -= 1  # the last letter of each word
     ids = code[points]
     del x, code, points

@@ -106,9 +106,9 @@ def test_deep_rate_fits_in_memory(tmp_path):
     # 16 bytes a letter of the medium, as sample_arrays checks letters
     (["quench-slopes", "--n", "1000000", "--jmax", "1000"], None, 16 * 10**9),
     (["simulate", "--n-letters", "0", "--n-words", "1000000000"], None, 24 * 10**9),
-    # per word 24 bytes and 16 for each of at most 4 letters, plus the
-    # 30 + 30 floats of counts, frequencies and reference over 30 words
-    (["ergodic", "--n-words", "1000000000", "--k", "1"], None, 88 * 10**9 + 8 * 90),
+    # per word 24 bytes, plus the 30 + 30 floats of counts, frequencies and
+    # reference over 30 words, checked before anything is drawn
+    (["ergodic", "--n-words", "1000000000", "--k", "1"], None, 24 * 10**9 + 8 * 90),
     # per word: a cut point and a word, each a tuple slot and an object
     (["simulate", "--n-letters", "0", "--n-words", "10000000"], None,
      10**7 * (16 + sys.getsizeof(4 * 10**7) + sys.getsizeof("a"))),

@@ -221,6 +221,34 @@ def test_phi_bounds_ordering():
         phi_bounds(2.0, 1.5)
 
 
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0, 3.0, 6.0])
+def test_phi_bounds_equal_bounded_brent(alpha):
+    # the golden-section search against scipy's bounded Brent over beta, the
+    # search it replaced; scipy.optimize is imported here only, as the package
+    # must not import it
+    from scipy.optimize import minimize_scalar
+
+    for p in (0.01, 0.1, 0.3, 0.5, 0.9, 0.99):
+        def neg_bound(beta):
+            return (math.log(p) + math.log(float(zeta(alpha * beta)))) / beta
+
+        res = minimize_scalar(neg_bound, bounds=(1.0 / alpha + 1e-9, 1.0), method="bounded",
+                              options={"xatol": 1e-12})
+        upper = alpha * math.log(1.0 / p)
+        lo, hi = phi_bounds(alpha, p)
+        assert hi == upper
+        assert lo == pytest.approx(min(max(-res.fun, -neg_bound(1.0), 0.0), upper), abs=1e-12), p
+
+
+def test_phi_bounds_at_extreme_alpha():
+    # alpha = inf: zeta is 1 and the bound -u log p is unbounded; a huge or
+    # nearly 1 alpha still ends the search after a fixed number of steps
+    assert phi_bounds(math.inf, 0.3) == (math.inf, math.inf)
+    lo, hi = phi_bounds(1e300, 0.3)
+    assert 0.0 < lo <= hi
+    assert phi_bounds(1.0 + 1e-13, 0.3)[0] == 0.0
+
+
 def test_mean_check_small_run_and_row_independence():
     # a batch, including a row with fewer marks than N, gives each row's
     # own levels, exactly -inf above the short row's mark count

@@ -1,9 +1,14 @@
 """Every name a library module imports is referenced in that module, every
-module-level private name is referenced somewhere in the package, and only
-`errors.py` raises a size-budget error, so the package keeps one budget."""
+module-level private name is referenced somewhere in the package, only
+`errors.py` raises a size-budget error, so the package keeps one budget, and
+a library module imports at module level no third-party module beyond an
+allow-list, so `import cutwords` stays cheap."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +107,54 @@ def test_guard_sees_budget_errors():
 def test_size_budget_error_only_in_errors(path):
     # a new size limit goes through errors.check_budget, not beside it
     assert budget_errors_raised(path.read_text()) == []
+
+
+# Third-party modules a library module may import at module level.  Each one
+# is paid for by every `import cutwords`, and so by every CLI command:
+# scipy.optimize alone added about 0.2 s and 22 MB.
+ALLOWED_THIRD_PARTY = ("numpy", "scipy.special", "scipy.fft")
+
+
+def heavy_imports(source: str) -> list:
+    """(line, module) of each import that runs when the module is imported
+    (any outside a function body), names a module outside the standard
+    library and the package, and is not under ALLOWED_THIRD_PARTY;
+    `from a import b` names a.b."""
+    found, stack = [], [ast.parse(source)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            names = [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [(node.lineno, f"{node.module}.{alias.name}") for alias in node.names]
+        else:
+            names = []
+        found += [(line, name) for line, name in names
+                  if name.split(".")[0] not in sys.stdlib_module_names | {SRC.name}
+                  and not any(name == m or name.startswith(m + ".") for m in ALLOWED_THIRD_PARTY)]
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_guard_sees_heavy_imports():
+    src = ("from __future__ import annotations\nimport os, numpy as np\n"
+           "from scipy.special import zeta\nimport scipy.fft\nfrom . import errors\n"
+           "from cutwords import laws\nfrom scipy import optimize\nimport scipy.optimize\n"
+           "class K:\n    import pandas\ntry:\n    import numba\nexcept ImportError:\n    pass\n"
+           "def f():\n    from scipy.optimize import brentq\n")
+    assert heavy_imports(src) == [(7, "scipy.optimize"), (8, "scipy.optimize"), (10, "pandas"),
+                                  (12, "numba")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_heavy_imports(path):
+    assert heavy_imports(path.read_text()) == []
+
+
+def test_import_leaves_out_scipy_optimize():
+    # the static guard's counterpart at run time, in a fresh interpreter
+    code = "import sys, cutwords; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -96,6 +96,14 @@ def test_iid_law_drops_zero_atoms():
     assert Q.words == ("a",)
 
 
+def test_empty_word_set_is_refused():
+    # before stationary_row, which raised IndexError on an empty table
+    with pytest.raises(InputError, match="word set must be non-empty"):
+        markov_law((), np.zeros((0, 0)))
+    with pytest.raises(InputError, match="word set must be non-empty"):
+        iid_law({"a": 0.0})
+
+
 def test_markov_stationary_fixed_point():
     P = np.array([[0.1, 0.9], [0.5, 0.5]])
     pi = stationary_row(P)

@@ -268,22 +268,32 @@ def test_ergodic_gap_memory_per_word(nu_ab):
 
 @pytest.mark.parametrize("case", ["uniform-ab", "skewed-abc", "atoms-2-5"])
 def test_ergodic_gap_budget_is_what_it_allocates(monkeypatch, case):
-    # checked before anything is drawn, the bytes bound the peak of the whole
-    # call: 24 a word, 16 for each of at most max_jump letters a word, and
-    # counts, frequencies and reference over `total` words
+    # checked before anything is drawn: 24 bytes a word, and counts,
+    # frequencies and reference over `total` words; `sample_arrays` checks
+    # 16 bytes a letter; once drawn, the first check's bytes plus each letter
+    # and its int32 code.  The largest of the three bounds the whole call.
     nu, rho, depths = ERGODIC_CASES[case]
     N = 200_000
     total = sum(len(nu.alphabet) ** n for n in rho.support)
+    x, _ = sample_arrays(nu, rho, 0, N, seed=7)
+    L, letter_bytes = len(x), x.itemsize
+    del x
     for k in depths:
-        need = (24 + 16 * rho.max_jump) * N + 8 * (2 * total**k + total)
-        monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+        words = 24 * N + 8 * (2 * total**k + total)
+        monkeypatch.setattr(errors, "BUDGET_BYTES", words - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeBudgetError, match=f"ergodic gap of {N} words .* needs {need} bytes"):
+            with pytest.raises(SizeBudgetError, match=f"ergodic gap of {N} words over .* needs {words} bytes"):
                 ergodic_gap(nu, rho, N, k, seed=7)
             assert tracemalloc.get_traced_memory()[1] < 8192
         finally:
             tracemalloc.stop()
+        need, what = max((16 * L, f"{L} letters"),
+                         (words + (letter_bytes + 4) * L, f"ergodic gap of {N} words and {L} letters"))
+        assert need >= words
+        monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+        with pytest.raises(SizeBudgetError, match=f"{what} .*needs {need} bytes"):
+            ergodic_gap(nu, rho, N, k, seed=7)
         monkeypatch.setattr(errors, "BUDGET_BYTES", need)
         tracemalloc.start()
         try:
@@ -293,6 +303,23 @@ def test_ergodic_gap_budget_is_what_it_allocates(monkeypatch, case):
             tracemalloc.stop()
         assert peak <= need, (k, peak, need)
         assert gap == per_length_ergodic_gap(nu, rho, N, k, seed=7)
+
+
+def test_ergodic_gap_checks_letters_once_drawn(monkeypatch, nu_ab):
+    # a long support: checking max_jump = 16 letters a word before the draw
+    # asked for 17.2 MB here; the 4.4 letters a word drawn fit in 8 MiB
+    rho = make_algebraic_renewal(1.1, 16)
+    N, budget = 50_000, 2**23
+    assert (24 + 16 * rho.max_jump) * N > budget
+    monkeypatch.setattr(errors, "BUDGET_BYTES", budget)
+    tracemalloc.start()
+    try:
+        gap = ergodic_gap(nu_ab, rho, N, 1, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+    assert gap == per_length_ergodic_gap(nu_ab, rho, N, 1, seed=7)
 
 
 def test_ergodic_gap_depth_validation(nu_ab):
