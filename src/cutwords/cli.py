@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 validation error, 2 state-space budget exceeded.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -141,17 +142,11 @@ def _write_json(path: str, doc: dict):
 
 
 def _write_csv(path: str, header: list, rows: list, sidecar: dict):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     _write_json(path + ".meta.json", sidecar)
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _disp(x: float, rc: RunConfig) -> float:

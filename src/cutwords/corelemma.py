@@ -25,7 +25,7 @@ from scipy.special import gammainccinv, zeta
 
 from . import errors
 from .errors import InputError, check_budget
-from .laws import RenewalLaw
+from .laws import RenewalLaw, stream
 
 # Trials per mean-check block: bounds each worker's buffers, and is small
 # enough that the blocks spread evenly over the cores.
@@ -48,8 +48,7 @@ def zeta_partial(s: float, T: int) -> float:
 
 def _draw_marks(p: float, seed: int, trial: int, out: np.ndarray) -> None:
     """Fill the float row `out` with trial `trial`'s Bernoulli(p) marks."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
-    rng.random(out=out)
+    stream(seed, trial).random(out=out)
     np.less(out, p, out=out, casting="unsafe")
 
 

@@ -341,11 +341,12 @@ def truncate_process(Q: WordProcessLaw, tr: int) -> WordProcessLaw:
     return _law(new_words, rows, Q.stationary @ member)
 
 
-def _rng_streams(seed: int):
-    """Two deterministic counter-based streams: one for letters, one for jumps."""
-    letters = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    jumps = np.random.Generator(np.random.Philox(key=np.array([seed, 1], dtype=np.uint64)))
-    return letters, jumps
+def stream(seed: int, key: int) -> np.random.Generator:
+    """The Philox stream keyed by (seed, key), the one source of seeded
+    draws.  Keys: 0, `sample_arrays`' letters; 1, its jumps; trial,
+    `corelemma`'s marks of that trial; (M << 32) | t, `waiting_time`'s
+    trial t at window length M.  A draw depends on its key alone."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
 
 
 def choice_cdf(p) -> np.ndarray:
@@ -386,13 +387,12 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     if n_letters < 0:
         raise InputError(f"n_letters must be >= 0, got {n_letters}")
     check_budget(f"{n_words} jumps", 24 * n_words)
-    letters_rng, jumps_rng = _rng_streams(seed)
     support = rho.support
-    points = np.array(support)[_choose(jumps_rng, [rho.probs[n] for n in support], n_words)]
+    points = np.array(support)[_choose(stream(seed, 1), [rho.probs[n] for n in support], n_words)]
     np.cumsum(points, out=points)
     total = max(n_letters, int(points[-1]))
     check_budget(f"{total} letters", 16 * total)
-    return _choose(letters_rng, nu.prob_vector(), total), points
+    return _choose(stream(seed, 0), nu.prob_vector(), total), points
 
 
 def sample_path(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InputError, check_budget
 from .entropy import rel_entropy
-from .laws import (LetterLaw, ReferenceLaw, RenewalLaw, _choose, _rng_streams, choice_cdf,
-                   letter_string, sample_arrays)
+from .laws import (LetterLaw, ReferenceLaw, RenewalLaw, choice_cdf, letter_string,
+                   sample_arrays, stream)
 from .rates import Neighbourhood, boxed_reference, i_projection
 from .words import cut, empirical_patterns
 
@@ -257,8 +257,8 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     The state of the cut-point DP after N words does not depend on the
     target N, so one pass up to max(N_list) gives every entry; each equals
     `quenched_prob_enum` at that N exactly.  The medium, the first
-    max(N_list) * Jmax letters of `sample_path`'s X at this seed, is checked
-    against the byte budget before it is drawn, and the pass before it runs.
+    max(N_list) * Jmax letters of `sample_path`'s X at this seed, is drawn
+    and checked against the byte budget by `sample_arrays`.
 
     The annealed companion uses the reference word marginal with jumps
     restricted to Jmax and renormalized; the discarded renewal mass is
@@ -270,10 +270,7 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     if not N_list or min(N_list) < 1:
         raise InputError(f"N_list must list levels N >= 1, got {list(N_list)}")
     n_letters = max(N_list) * Jmax
-    # drawn as sample_arrays draws letters, so checked at its 16 bytes a letter
-    check_budget(f"medium of {n_letters} letters", 16 * n_letters)
-    letters_rng, _ = _rng_streams(seed)
-    X = letter_string(nu_x, _choose(letters_rng, nu_x.prob_vector(), n_letters))
+    X = letter_string(nu_x, sample_arrays(nu_x, rho, n_letters, 1, seed)[0][:n_letters])
 
     incs = [d for d in rho.support if d <= Jmax]
     kept = sum(rho.probs[d] for d in incs)
@@ -426,9 +423,7 @@ def waiting_time(nu: LetterLaw, target: LetterLaw, M_list, trials: int,
         freqs = np.arange(M + 1) / M
         allowed = np.abs(freqs - np.array(targets)[:, None]) <= tol_typicality + 1e-12
         hits = _first_typical_shifts(
-            [np.random.Generator(np.random.Philox(key=np.array([seed, (M << 32) | t],
-                                                               dtype=np.uint64)))
-             for t in range(trials)], cdf, M, allowed, horizon_cap)
+            [stream(seed, (M << 32) | t) for t in range(trials)], cdf, M, allowed, horizon_cap)
         censored = int(np.count_nonzero(hits < 0))
         mean = math.fsum(math.log(int(h) if h > 0 else horizon_cap) for h in hits) / trials
         per_m.append((int(M), mean, trials, censored))

@@ -163,8 +163,11 @@ def i_projection(ref_marginal: dict, nbhd: Neighbourhood):
     """KL minimizer over box constraints on single-word frequencies.
 
     KKT structure: free atoms keep the reference ratios scaled by a common
-    factor t, boxed atoms are clip(t * ref, box); t solves total mass = 1
-    by bisection (total is non-decreasing in t).  Returns (q*, value in nats).
+    factor t, boxed atoms are clip(t * ref, box); t solves total mass = 1.
+    The total is piecewise linear and non-decreasing in t, with knots at
+    each box's lo/ref and hi/ref, so t is read off the piece after the last
+    knot with total <= 1 (t = 0 if the lower bounds exceed 1 by rounding).
+    Returns (q*, value in nats).
     """
     boxes: dict = {}
     for c in nbhd.constraints:
@@ -190,32 +193,27 @@ def i_projection(ref_marginal: dict, nbhd: Neighbourhood):
     if free_mass == 0.0 and hi_sum < 1.0 - 1e-12:
         raise InfeasibleError(f"all atoms boxed with upper bounds summing to {hi_sum} < 1")
 
+    def mass(w: str, t: float) -> float:
+        lo, hi = boxes.get(w, (-math.inf, math.inf))
+        return min(max(t * ref_marginal[w], lo), hi)
+
     def total(t: float) -> float:
-        s = t * free_mass
-        for w, (lo, hi) in boxes.items():
-            s += min(max(t * ref_marginal[w], lo), hi)
-        return s
+        return sum((mass(w, t) for w in boxes), t * free_mass)
 
-    t_lo, t_hi = 0.0, 1.0
-    while total(t_hi) < 1.0:
-        t_hi *= 2.0
-        if t_hi > 1e18:
-            raise InfeasibleError("constraint set admits no distribution")
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        if total(mid) < 1.0:
-            t_lo = mid
-        else:
-            t_hi = mid
-    t = 0.5 * (t_lo + t_hi)
+    knots = sorted({b / ref_marginal[w] for w, box in boxes.items() for b in box})
+    t0 = max((k for k in knots if total(k) <= 1.0), default=0.0)
+    f0 = total(t0)
+    later = [k for k in knots if k > t0]
+    if f0 >= 1.0:
+        t = t0
+    elif later:
+        t = t0 + (1.0 - f0) * (later[0] - t0) / (total(later[0]) - f0)
+    elif free_mass > 0.0:
+        t = t0 + (1.0 - f0) / free_mass
+    else:
+        raise InfeasibleError("constraint set admits no distribution")
 
-    q_star = {}
-    for w in atoms:
-        if w in boxes:
-            lo, hi = boxes[w]
-            q_star[w] = min(max(t * ref_marginal[w], lo), hi)
-        else:
-            q_star[w] = t * ref_marginal[w]
+    q_star = {w: mass(w, t) for w in atoms}
     # fp cleanup: rescale the free atoms for an exact unit total
     drift = 1.0 - sum(q_star.values())
     if free_mass > 0.0 and abs(drift) > 0.0:

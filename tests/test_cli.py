@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -527,6 +528,31 @@ def test_csv_sidecar_leaves_out_the_rows(cfg_path, tmp_path):
     assert meta["config"]["params"] == doc["config"]["params"]
     rows = (tmp_path / "p.csv").read_text().splitlines()[1:]
     assert {r.split(",")[0]: float(r.split(",")[1]) for r in rows} == doc["table"]
+
+
+def test_csv_fields_with_commas_and_quotes_read_back(tmp_path):
+    # letters "," and '"' are quoted, so csv.reader reads each row back as
+    # its two (psi) or three (simulate) fields
+    cfg = dict(BASE_CFG, letter_law={"alphabet": 'a,"', "probs": [0.5, 0.25, 0.25]},
+               word_law={"variant": "iid", "words": ["a,", '"'], "probs": [0.5, 0.5]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    for argv, width in [(["psi", "--depth", "2"], 2),
+                        (["simulate", "--n-letters", "0", "--n-words", "50"], 3)]:
+        base = argv + ["--config", str(path), "--out"]
+        assert run(base + [str(tmp_path / "a.csv")]) == 0
+        assert run(base + [str(tmp_path / "a.json"), "--format", "json"]) == 0
+        with open(tmp_path / "a.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == width and {len(r) for r in rows} == {width}
+        doc = json.loads((tmp_path / "a.json").read_text())
+        if width == 2:
+            texts = [pat for pat, _ in rows]
+            assert {pat: float(p) for pat, p in rows} == doc["table"]
+        else:
+            texts = [w for _, _, w in rows]
+            assert texts == doc["sentence"]
+        assert any("," in t for t in texts) and any('"' in t for t in texts)
 
 
 def test_rate_and_entropy_on_letters_outside_nu(tmp_path, capsys):

@@ -2,7 +2,8 @@
 module-level private name is referenced somewhere in the package, only
 `errors.py` raises a size-budget error, so the package keeps one budget, and
 a library module imports at module level no third-party module beyond an
-allow-list, so `import cutwords` stays cheap."""
+allow-list, so `import cutwords` stays cheap, and only `laws.py` names a
+random-number constructor, so every seeded draw is keyed by `laws.stream`."""
 
 import ast
 import os
@@ -107,6 +108,37 @@ def test_guard_sees_budget_errors():
 def test_size_budget_error_only_in_errors(path):
     # a new size limit goes through errors.check_budget, not beside it
     assert budget_errors_raised(path.read_text()) == []
+
+
+RNG_CONSTRUCTORS = {"Philox", "default_rng"}
+
+
+def rng_constructors_named(source: str) -> list:
+    """(line, name) of each name, attribute or imported name in
+    RNG_CONSTRUCTORS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", getattr(node, "attr", None))]
+        found += [(node.lineno, name) for name in names if name in RNG_CONSTRUCTORS]
+    return sorted(found)
+
+
+def test_guard_sees_rng_constructors():
+    src = ("import numpy as np\nfrom numpy.random import Philox as P\n"
+           "g = np.random.Generator(np.random.Philox(1))\nr = np.random.default_rng(0)\n"
+           "h = default_rng\nx = np.random.Generator\n")
+    assert rng_constructors_named(src) == [(2, "Philox"), (3, "Philox"), (4, "default_rng"),
+                                           (5, "default_rng")]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "laws.py"],
+                         ids=lambda p: p.name)
+def test_only_laws_constructs_streams(path):
+    # a new seeded draw takes its stream from laws.stream, under a new key
+    assert rng_constructors_named(path.read_text()) == []
 
 
 # Third-party modules a library module may import at module level.  Each one

@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from cutwords import errors
+from cutwords import errors, mclab
 from cutwords.entropy import rel_entropy
 from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import (
@@ -16,6 +16,7 @@ from cutwords.laws import (
     make_algebraic_renewal,
     renewal_from_atoms,
     sample_arrays,
+    sample_path,
 )
 from cutwords.mclab import (
     ergodic_gap,
@@ -412,6 +413,30 @@ def test_slope_series_equals_enum_per_n(nu_ab):
     for n, prob, _ in series.entries:
         assert prob > 0
         assert prob == quenched_prob_enum(X, rho, n, nbhd, jmax)
+
+
+@pytest.mark.parametrize("atoms, jmax, n_list", [
+    ({n: n**-2.0 for n in range(1, 9)}, 8, [3, 7]),
+    ({1: 0.1, 6: 0.9}, 2, [1]),
+], ids=["long", "shorter-than-a-jump"])
+def test_slope_series_medium_is_sample_path_prefix(monkeypatch, atoms, jmax, n_list):
+    # the medium is the first max(N_list) * Jmax letters of sample_path's X
+    # at the seed, also where the one jump sample_arrays draws is longer
+    nu = LetterLaw.from_probs("abc", [0.5, 0.3, 0.2])
+    total = sum(atoms.values())
+    rho = renewal_from_atoms({n: p / total for n, p in atoms.items()}, 2.0)
+    nbhd = Neighbourhood((Constraint(("b",), 0.0, 1.0),))
+    media = []
+    cut_dp = mclab._cut_dp
+    monkeypatch.setattr(mclab, "_cut_dp", lambda X, *args: media.append(X) or cut_dp(X, *args))
+    n = max(n_list) * jmax
+    longer = 0
+    for seed in (0, 5, 12648430):
+        quenched_slope_series(nu, rho, nbhd, n_list, Jmax=jmax, seed=seed)
+        x = sample_path(nu, rho, n, 20, seed)[0]
+        assert len(media[-1]) == n and media[-1] == x[:n]
+        longer += len(sample_path(nu, rho, n, 1, seed)[0]) > n
+    assert longer == (0 if jmax == 8 else 3)
 
 
 def test_enum_budget_error_states_size(monkeypatch):

@@ -263,6 +263,92 @@ def test_i_projection_grid_domination():
         assert kl >= value - 1e-9
 
 
+def bisection_projection(ref: dict, nbhd: Neighbourhood):
+    """The I-projection with t found by doubling and 200 bisection steps on
+    the total mass, the same q* assembly after: the oracle for
+    `i_projection`'s exact solve, on boxes that pass its checks before the
+    search."""
+    boxes = {}
+    for c in nbhd.constraints:
+        lo, hi = boxes.get(c.pattern[0], (0.0, 1.0))
+        boxes[c.pattern[0]] = (max(lo, c.low), min(hi, c.high))
+    atoms = sorted(ref)
+    free_mass = sum(ref[w] for w in atoms if w not in boxes)
+
+    def total(t):
+        s = t * free_mass
+        for w, (lo, hi) in boxes.items():
+            s += min(max(t * ref[w], lo), hi)
+        return s
+
+    t_lo, t_hi = 0.0, 1.0
+    while total(t_hi) < 1.0:
+        t_hi *= 2.0
+        if t_hi > 1e18:
+            raise InfeasibleError("constraint set admits no distribution")
+    for _ in range(200):
+        mid = 0.5 * (t_lo + t_hi)
+        t_lo, t_hi = (mid, t_hi) if total(mid) < 1.0 else (t_lo, mid)
+    t = 0.5 * (t_lo + t_hi)
+    q_star = {w: min(max(t * ref[w], boxes[w][0]), boxes[w][1]) if w in boxes else t * ref[w]
+              for w in atoms}
+    drift = 1.0 - sum(q_star.values())
+    if free_mass > 0.0 and abs(drift) > 0.0:
+        for w in atoms:
+            if w not in boxes:
+                q_star[w] += drift * ref[w] / free_mass
+    return q_star, entropy.rel_entropy(q_star, ref)
+
+
+def agrees_with_bisection(ref: dict, nbhd: Neighbourhood) -> bool:
+    """Whether `i_projection` solves (True) or refuses (False) the boxes,
+    after checking that it meets the bisection to rounding, and that a set
+    passing the checks before the search is refused by both or neither."""
+    try:
+        q_star, value = i_projection(ref, nbhd)
+    except InfeasibleError as exc:
+        if "no distribution" in str(exc):
+            with pytest.raises(InfeasibleError, match="no distribution"):
+                bisection_projection(ref, nbhd)
+        return False
+    want_q, want = bisection_projection(ref, nbhd)
+    assert q_star.keys() == want_q.keys()
+    assert max(abs(q_star[w] - want_q[w]) for w in q_star) <= 1e-15
+    assert abs(value - want) <= 1e-15 * max(1.0, abs(want))
+    return True
+
+
+@pytest.mark.parametrize("ref, boxes, solved", [
+    # lower bounds sum past 1 by rounding: t = 0
+    ({"a": 0.25, "b": 0.75}, {"a": (0.5 + 2.5e-13, 1.0), "b": (0.5 + 2.5e-13, 1.0)}, True),
+    # every word boxed, upper bounds short of 1: refused by the search
+    ({"a": 0.25, "b": 0.75}, {"a": (0.0, 0.5 - 2.5e-13), "b": (0.0, 0.5 - 2.5e-13)}, False),
+    # upper bounds sum to exactly 1: t on the last knot
+    ({"a": 0.25, "b": 0.75}, {"a": (0.0, 0.5), "b": (0.0, 0.5)}, True),
+    # a point box: t past the last knot, on the free mass alone
+    ({"a": 0.25, "b": 0.5, "c": 0.25}, {"a": (0.2, 0.2)}, True),
+], ids=["lo-sum-over-1", "hi-sum-under-1", "hi-sum-1", "past-last-knot"])
+def test_i_projection_edges_equal_bisection(ref, boxes, solved):
+    nbhd = Neighbourhood(tuple(Constraint((w,), lo, hi) for w, (lo, hi) in boxes.items()))
+    assert agrees_with_bisection(ref, nbhd) == solved
+
+
+def test_i_projection_equals_bisection():
+    # random box sets on up to 6 atoms, some reference mass left free and some not
+    rng = np.random.default_rng(5)
+    solved = 0
+    for _ in range(1500):
+        k = int(rng.integers(1, 7))
+        ref = {f"w{i}": float(p) for i, p in enumerate(rng.dirichlet(np.full(k, rng.choice([0.3, 1, 3]))))}
+        cons = []
+        for w in rng.choice(list(ref), size=int(rng.integers(1, k + 1)), replace=False):
+            lo, hi = sorted(rng.random(2))
+            cons.append(Constraint((str(w),), 0.0 if rng.random() < 0.2 else float(lo),
+                                   1.0 if rng.random() < 0.2 else float(hi)))
+        solved += agrees_with_bisection(ref, Neighbourhood(tuple(cons)))
+    assert 900 < solved < 1200
+
+
 def test_contraction_upper_exact_at_reference(ref_default):
     marginal = ref_default.enumerate_atoms()
     iv, exact = contraction_upper(marginal, ref_default, 2.0, 6)
