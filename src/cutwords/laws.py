@@ -343,7 +343,8 @@ def truncate_process(Q: WordProcessLaw, tr: int) -> WordProcessLaw:
 
 def stream(seed: int, key: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, key), the one source of seeded
-    draws.  Keys: 0, `sample_arrays`' letters; 1, its jumps; trial,
+    draws.  Keys: 0, the letters of `sample_arrays` and of
+    `quenched_slope_series`' medium; 1, `sample_arrays`' jumps; trial,
     `corelemma`'s marks of that trial; (M << 32) | t, `waiting_time`'s
     trial t at window length M.  A draw depends on its key alone."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))

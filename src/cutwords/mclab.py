@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError, check_budget
 from .entropy import rel_entropy
-from .laws import (LetterLaw, ReferenceLaw, RenewalLaw, choice_cdf, letter_string,
+from .laws import (LetterLaw, ReferenceLaw, RenewalLaw, _choose, choice_cdf, letter_string,
                    sample_arrays, stream)
 from .rates import Neighbourhood, boxed_reference, i_projection
 from .words import cut, empirical_patterns
@@ -258,7 +258,8 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     target N, so one pass up to max(N_list) gives every entry; each equals
     `quenched_prob_enum` at that N exactly.  The medium, the first
     max(N_list) * Jmax letters of `sample_path`'s X at this seed, is drawn
-    and checked against the byte budget by `sample_arrays`.
+    alone on the letters' stream, at `sample_arrays`' 16 bytes a letter, so
+    no jump is drawn and a long jump adds no letters.
 
     The annealed companion uses the reference word marginal with jumps
     restricted to Jmax and renormalized; the discarded renewal mass is
@@ -270,7 +271,8 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     if not N_list or min(N_list) < 1:
         raise InputError(f"N_list must list levels N >= 1, got {list(N_list)}")
     n_letters = max(N_list) * Jmax
-    X = letter_string(nu_x, sample_arrays(nu_x, rho, n_letters, 1, seed)[0][:n_letters])
+    check_budget(f"medium of {n_letters} letters", 16 * n_letters)
+    X = letter_string(nu_x, _choose(stream(seed, 0), nu_x.prob_vector(), n_letters))
 
     incs = [d for d in rho.support if d <= Jmax]
     kept = sum(rho.probs[d] for d in incs)

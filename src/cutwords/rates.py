@@ -4,6 +4,7 @@ onto single-word-marginal neighbourhoods."""
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -166,7 +167,8 @@ def i_projection(ref_marginal: dict, nbhd: Neighbourhood):
     factor t, boxed atoms are clip(t * ref, box); t solves total mass = 1.
     The total is piecewise linear and non-decreasing in t, with knots at
     each box's lo/ref and hi/ref, so t is read off the piece after the last
-    knot with total <= 1 (t = 0 if the lower bounds exceed 1 by rounding).
+    knot with total <= 1, found by binary search over the knots (t = 0 if
+    the lower bounds exceed 1 by rounding).
     Returns (q*, value in nats).
     """
     boxes: dict = {}
@@ -201,13 +203,13 @@ def i_projection(ref_marginal: dict, nbhd: Neighbourhood):
         return sum((mass(w, t) for w in boxes), t * free_mass)
 
     knots = sorted({b / ref_marginal[w] for w, box in boxes.items() for b in box})
-    t0 = max((k for k in knots if total(k) <= 1.0), default=0.0)
+    i = bisect.bisect_right(knots, 1.0, key=total)  # knots[:i] have total <= 1
+    t0 = knots[i - 1] if i else 0.0
     f0 = total(t0)
-    later = [k for k in knots if k > t0]
     if f0 >= 1.0:
         t = t0
-    elif later:
-        t = t0 + (1.0 - f0) * (later[0] - t0) / (total(later[0]) - f0)
+    elif i < len(knots):
+        t = t0 + (1.0 - f0) * (knots[i] - t0) / (total(knots[i]) - f0)
     elif free_mass > 0.0:
         t = t0 + (1.0 - f0) / free_mass
     else:

@@ -135,6 +135,22 @@ def test_budget_checked_before_allocation(tmp_path, argv, word, need):
     assert line.endswith(f" needs {need} bytes, over the budget of {errors.BUDGET_BYTES}")
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_quench_slopes_medium_ignores_long_jumps(tmp_path, capsys, seed):
+    # a renewal atom past the budget's letters, beyond Jmax: the medium is
+    # N * Jmax letters whatever jump the seed would draw first
+    cfg = dict(BASE_CFG, renewal_law={"alpha": 2.0, "atoms": [[1, 0.5], [10**8, 0.5]]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert 16 * 10**8 > errors.BUDGET_BYTES
+    out = tmp_path / "q.json"
+    code = run(["quench-slopes", "--config", str(path), "--n", "1,3", "--jmax", "1",
+                "--seed", str(seed), "--format", "json", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert [e["N"] for e in doc["entries"]] == [1, 3] and doc["discarded_mass"] == 0.5
+
+
 def test_quench_enum_budget_exit_code(tmp_path, capsys):
     # two constraints at N=300: 1201 positions x 301^2 counts, 8 bytes a
     # cell in each of three arrays, far over 2^28 bytes

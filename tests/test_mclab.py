@@ -421,7 +421,7 @@ def test_slope_series_equals_enum_per_n(nu_ab):
 ], ids=["long", "shorter-than-a-jump"])
 def test_slope_series_medium_is_sample_path_prefix(monkeypatch, atoms, jmax, n_list):
     # the medium is the first max(N_list) * Jmax letters of sample_path's X
-    # at the seed, also where the one jump sample_arrays draws is longer
+    # at the seed, also where a jump is longer than the medium
     nu = LetterLaw.from_probs("abc", [0.5, 0.3, 0.2])
     total = sum(atoms.values())
     rho = renewal_from_atoms({n: p / total for n, p in atoms.items()}, 2.0)
@@ -430,13 +430,10 @@ def test_slope_series_medium_is_sample_path_prefix(monkeypatch, atoms, jmax, n_l
     cut_dp = mclab._cut_dp
     monkeypatch.setattr(mclab, "_cut_dp", lambda X, *args: media.append(X) or cut_dp(X, *args))
     n = max(n_list) * jmax
-    longer = 0
     for seed in (0, 5, 12648430):
         quenched_slope_series(nu, rho, nbhd, n_list, Jmax=jmax, seed=seed)
         x = sample_path(nu, rho, n, 20, seed)[0]
         assert len(media[-1]) == n and media[-1] == x[:n]
-        longer += len(sample_path(nu, rho, n, 1, seed)[0]) > n
-    assert longer == (0 if jmax == 8 else 3)
 
 
 def test_enum_budget_error_states_size(monkeypatch):
