@@ -6,10 +6,11 @@ power-law weights of consecutive gaps.  `s_n_levels` and its one-row
 caller `s_n_eval` evaluate log S_n for n = 1..N on given rows in mark
 space, with exact weights within blocks of marks and a sum of exponentials
 with positive weights between them.  The Monte Carlo `s_n_mean_check`
-runs an FFT chain over one shared kernel spectrum, its trial blocks spread
-over the usable cores, each core with its own buffers.  The
-fractional-moment bound on the a.s. decay rate is maximized by
-golden-section search, exact because the objective is concave.
+runs an FFT chain over one shared kernel spectrum, its trial blocks sized
+in bytes to about a core's cache and spread over the usable cores, each
+core with its own buffers.  The fractional-moment bound on the a.s. decay
+rate is maximized by golden-section search, exact because the objective
+is concave.
 """
 
 from __future__ import annotations
@@ -20,16 +21,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from scipy.special import gammainccinv, zeta
 
 from . import errors
 from .errors import InputError, check_budget
 from .laws import RenewalLaw, stream
 
-# Trials per mean-check block: bounds each worker's buffers, and is small
-# enough that the blocks spread evenly over the cores.
-MEAN_CHECK_BLOCK = 64
+# Bytes of one mean-check block's marks, buffer and spectrum, about one
+# core's L2 cache: a block takes as many trials as fit, and at least one.
+MEAN_CHECK_BLOCK_BYTES = 2**22
 
 # Marks per block of the mark-space kernel.  A row with at most this many
 # marks is one block of exact weights and needs no exponential sum.
@@ -39,6 +39,21 @@ KERNEL_BLOCK = 64
 def _worker_count() -> int:
     """Cores this process may run on."""
     return len(os.sched_getaffinity(0))
+
+
+def _fast_len(n: int) -> int:
+    """The smallest 11-smooth integer >= n >= 1, a length pocketfft
+    transforms fast (scipy.fft.next_fast_len's value): the least x * 2^k >= n
+    over the odd 11-smooth x below 2n, which the power of two >= n bounds."""
+    odd = [1]
+    for prime in (3, 5, 7, 11):
+        grown = []
+        for x in odd:
+            while x < 2 * n:
+                grown.append(x)
+                x *= prime
+        odd = grown
+    return min(x << (-(-n // x) - 1).bit_length() for x in odd)
 
 
 def zeta_partial(s: float, T: int) -> float:
@@ -297,19 +312,22 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     T = 10^4 and alpha = 2, far inside the check's interval).
 
     The kernel w(d) = d^-alpha on 1..T and its spectrum are made once and
-    shared.  Trials run in blocks of MEAN_CHECK_BLOCK on the FFT chain of
-    `_block_levels`: with W workers the calling thread takes blocks
-    0, W, 2W, ... and W - 1 pool threads, alive only during the call, take
-    the rest, each drawing its blocks' marks into its own marks, buffer and
-    spectrum, reused for every level of every block.  One block runs on the
-    calling thread and starts no thread.  The workers are cut to as many as
-    the budget holds beside the kernel, and the call is refused only when
-    the kernel and one worker's arrays exceed it.  Per-trial RNG is keyed
-    by (seed, trial index) and each trial's S_n depends only on its own
-    marks, so the result does not depend on how trials are blocked or on
-    the worker count.  Needs alpha > 0, T >= N >= 1, 0 < p < 1 and
-    trials >= 2 (the sample deviation needs two trials); all are checked
-    before anything is allocated.
+    shared.  Trials run in blocks on the FFT chain of `_block_levels`, each
+    block as many trials as keep its marks, buffer and spectrum within
+    MEAN_CHECK_BLOCK_BYTES, and at least one (10 at T = 10^4, 1 from
+    T = 52 273 on), so a worker's arrays stay near its core's cache and no
+    T is refused for the block's sake.  With W workers the calling thread
+    takes blocks 0, W, 2W, ... and W - 1 pool threads, alive only during
+    the call, take the rest, each drawing its blocks' marks into its own
+    marks, buffer and spectrum, reused for every level of every block.  One
+    block runs on the calling thread and starts no thread.  The workers are
+    cut to as many as the budget holds beside the kernel, and the call is
+    refused only when the kernel and one worker's arrays exceed it.
+    Per-trial RNG is keyed by (seed, trial index) and each trial's S_n
+    depends only on its own marks, so the result does not depend on how
+    trials are blocked or on the worker count.  Needs alpha > 0,
+    T >= N >= 1, 0 < p < 1 and trials >= 2 (the sample deviation needs two
+    trials); all are checked before anything is allocated.
     """
     if not alpha > 0.0:
         raise InputError(f"alpha must be a number > 0, got {alpha}")
@@ -321,10 +339,11 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
         raise InputError(f"trials must be at least 2, got {trials}")
     # Circular wraparound with nfft >= 2T only aliases onto index 0, which
     # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
-    size, nfft = min(MEAN_CHECK_BLOCK, trials), scipy.fft.next_fast_len(2 * T)
-    # the shared weights and spectrum; each worker's marks, buffer and spectrum
-    shared = 8 * T + 16 * (nfft // 2 + 1)
-    need = size * (8 * T + 8 * nfft + 16 * (nfft // 2 + 1))
+    nfft = _fast_len(2 * T)
+    # the shared weights and spectrum; a row of each worker's marks, buffer and spectrum
+    shared, row = 8 * T + 16 * (nfft // 2 + 1), 8 * T + 8 * nfft + 16 * (nfft // 2 + 1)
+    size = max(1, min(trials, MEAN_CHECK_BLOCK_BYTES // row))
+    need = size * row
     check_budget(f"S_n workspace of {size} rows at horizon {T}", shared + need)
     workers = max(min(_worker_count(), -(-trials // size), (errors.BUDGET_BYTES - shared) // need), 1)
     weights = np.arange(1, T + 1, dtype=float) ** (-alpha)

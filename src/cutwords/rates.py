@@ -216,12 +216,21 @@ def i_projection(ref_marginal: dict, nbhd: Neighbourhood):
         raise InfeasibleError("constraint set admits no distribution")
 
     q_star = {w: mass(w, t) for w in atoms}
-    # fp cleanup: rescale the free atoms for an exact unit total
+    # fp cleanup for an exact unit total: the free atoms take the drift in
+    # proportion to their reference mass; a drift below -t * free_mass,
+    # all they hold (t = 0 when the lower bounds sum just past 1), empties
+    # them and the rest comes off the boxed atoms in proportion to their mass
     drift = 1.0 - sum(q_star.values())
-    if free_mass > 0.0 and abs(drift) > 0.0:
-        for w in atoms:
-            if w not in boxes:
-                q_star[w] += drift * ref_marginal[w] / free_mass
+    free = [w for w in atoms if w not in boxes]
+    if drift < -t * free_mass:
+        for w in free:
+            q_star[w] = 0.0
+        boxed = sum(q_star.values())
+        for w in boxes:
+            q_star[w] /= boxed
+    elif free_mass > 0.0 and drift != 0.0:
+        for w in free:
+            q_star[w] += drift * ref_marginal[w] / free_mass
     value = rel_entropy(q_star, ref_marginal)
     return q_star, value
 

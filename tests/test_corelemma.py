@@ -14,7 +14,6 @@ from scipy.special import zeta
 
 from cutwords import corelemma, errors
 from cutwords.corelemma import (
-    MEAN_CHECK_BLOCK,
     bernoulli_omega,
     conv_tail_check,
     phi_bounds,
@@ -292,7 +291,42 @@ def test_mean_check_rejects_bad_input(monkeypatch, kwargs, name):
         s_n_mean_check(**args)
 
 
-@pytest.mark.parametrize("trials", [3 * MEAN_CHECK_BLOCK + 5, MEAN_CHECK_BLOCK // 2 + 1])
+def mean_check_bytes(rows, T):
+    """The mean check's shared kernel weights and spectrum, and one worker's
+    marks, buffer and spectrum of `rows` rows, in bytes."""
+    nfft = scipy.fft.next_fast_len(2 * T)
+    return 8 * T + 16 * (nfft // 2 + 1), rows * (8 * T + 8 * nfft + 16 * (nfft // 2 + 1))
+
+
+def block_rows(T):
+    """Trials a full mean-check block takes at horizon T: as many rows as
+    fit in MEAN_CHECK_BLOCK_BYTES, at least one."""
+    return max(1, corelemma.MEAN_CHECK_BLOCK_BYTES // mean_check_bytes(1, T)[1])
+
+
+def test_fast_len_equals_scipy():
+    rng = np.random.default_rng(9)
+    for n in itertools.chain(range(1, 5001), rng.integers(5001, 4 * 10**6, 300).tolist()):
+        assert corelemma._fast_len(n) == scipy.fft.next_fast_len(n), n
+
+
+def test_mean_check_past_t_1e5_runs_one_row_blocks(monkeypatch):
+    # a row is 8 MB at T = 2 * 10^5, so a block holds one trial; a fixed
+    # 64-row block needed 516 801 040 bytes, over the budget.  The chain is
+    # stubbed: only the blocking and the budget are under test here
+    sizes = []
+
+    def one_level(omega, buf, spec, weights, kf, N):
+        sizes.append(len(omega))
+        return np.zeros((N, len(omega)))
+
+    monkeypatch.setattr(corelemma, "_block_levels", one_level)
+    res = s_n_mean_check(2.0, 0.1, 3, 200_000, 64, seed=1)
+    assert sizes == [1] * 64 and res.trials == 64
+    assert block_rows(200_000) == 1 and block_rows(10_000) == 10
+
+
+@pytest.mark.parametrize("trials", [3 * block_rows(2000) + 5, block_rows(2000) // 2 + 1])
 def test_mean_check_independent_of_worker_count(monkeypatch, trials):
     # every block writes its own slice of one shared array; a short switch
     # interval and more workers than cores make a lost or misplaced write show
@@ -310,66 +344,101 @@ def test_mean_check_independent_of_worker_count(monkeypatch, trials):
 
 
 def test_mean_check_raises_pool_thread_error(monkeypatch):
-    # with two workers the block at lo = MEAN_CHECK_BLOCK runs on the pool thread
+    # with two workers the second block, at lo = rows, runs on the pool thread
     p, T, seed = 0.2, 500, 4
+    rows = block_rows(T)
     first_block_row = bernoulli_omega(p, T, seed, trial=0)
     real = corelemma._block_levels
 
     def fails_past_first_block(omega, *args):
         if not np.array_equal(omega[0], first_block_row):
-            raise RuntimeError("block at lo >= MEAN_CHECK_BLOCK failed")
+            raise RuntimeError("block at lo >= rows failed")
         return real(omega, *args)
 
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 2)
     monkeypatch.setattr(corelemma, "_block_levels", fails_past_first_block)
     before = threading.active_count()
-    with pytest.raises(RuntimeError, match="lo >= MEAN_CHECK_BLOCK"):
-        s_n_mean_check(2.0, p, 2, T, 2 * MEAN_CHECK_BLOCK, seed=seed)
+    with pytest.raises(RuntimeError, match="lo >= rows"):
+        s_n_mean_check(2.0, p, 2, T, 2 * rows, seed=seed)
     assert threading.active_count() == before
 
 
-def mean_check_bytes(rows, T):
-    """The mean check's shared kernel weights and spectrum, and one worker's
-    marks, buffer and spectrum of `rows` rows, in bytes."""
-    nfft = scipy.fft.next_fast_len(2 * T)
-    return 8 * T + 16 * (nfft // 2 + 1), rows * (8 * T + 8 * nfft + 16 * (nfft // 2 + 1))
-
-
 def test_mean_check_workers_cut_to_budget(monkeypatch):
-    # at T = 10^4 one worker's 64 rows take about 26 MB, so 16 cores would
-    # need 410 MB; the budget holds the kernel and 10 workers, and the run
-    # uses 10 workers instead of refusing
-    T, trials = 10_000, 11 * MEAN_CHECK_BLOCK
-    shared, need = mean_check_bytes(MEAN_CHECK_BLOCK, T)
-    assert shared + 10 * need <= errors.BUDGET_BYTES < shared + 11 * need
-    real, threads = corelemma._block_levels, set()
+    # at T = 10^4 a block is 10 rows, 4 MB a worker; a budget that holds the
+    # kernel and 10 workers, not 11, runs 10 of 16 cores instead of refusing.
+    # Each worker has its own buffer; a pool thread that finds its block done
+    # may take another worker's, so the buffers are counted, not the threads
+    T = 10_000
+    rows = block_rows(T)
+    trials = 11 * rows
+    shared, need = mean_check_bytes(rows, T)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", shared + 11 * need - 1)
+    real, bufs, threads = corelemma._block_levels, [], set()
 
-    def counted(*args):
+    def counted(omega, buf, *args):
+        bufs.append(buf.base)
         threads.add(threading.get_ident())
-        return real(*args)
+        return real(omega, buf, *args)
 
     monkeypatch.setattr(corelemma, "_block_levels", counted)
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 16)
     wide = s_n_mean_check(2.0, 0.1, 3, T, trials, seed=8)
-    assert len(threads) == 10
+    assert len({id(b) for b in bufs}) == 10
+    bufs.clear()
     threads.clear()
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
     assert wide == s_n_mean_check(2.0, 0.1, 3, T, trials, seed=8)
-    assert threads == {threading.get_ident()}
+    assert len({id(b) for b in bufs}) == 1 and threads == {threading.get_ident()}
 
 
 def test_only_a_workspace_over_budget_raises(monkeypatch):
     # the budget holds the kernel and one worker's arrays, not two workers
     T = 500
-    need = sum(mean_check_bytes(MEAN_CHECK_BLOCK, T))
+    rows = block_rows(T)
+    need = sum(mean_check_bytes(rows, T))
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 4)
     monkeypatch.setattr(errors, "BUDGET_BYTES", need)
-    ref = s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
+    ref = s_n_mean_check(2.0, 0.2, 2, T, 3 * rows, seed=3)
     monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
-    with pytest.raises(SizeBudgetError, match=f"workspace of {MEAN_CHECK_BLOCK} rows .* needs {need} bytes"):
-        s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
+    with pytest.raises(SizeBudgetError, match=f"workspace of {rows} rows .* needs {need} bytes"):
+        s_n_mean_check(2.0, 0.2, 2, T, 3 * rows, seed=3)
     monkeypatch.undo()
-    assert ref == s_n_mean_check(2.0, 0.2, 2, T, 3 * MEAN_CHECK_BLOCK, seed=3)
+    assert ref == s_n_mean_check(2.0, 0.2, 2, T, 3 * rows, seed=3)
+
+
+def test_mean_check_bit_identical_across_block_sizes(monkeypatch):
+    # byte constants that give 1, 3 and 64 rows a block leave every mean
+    # and half-width unchanged, with each trial where its block puts it
+    T, trials = 500, 130
+    ref = s_n_mean_check(2.0, 0.2, 3, T, trials, seed=7)
+    real, sizes = corelemma._block_levels, set()
+
+    def sized(omega, *args):
+        sizes.add(len(omega))
+        return real(omega, *args)
+
+    monkeypatch.setattr(corelemma, "_block_levels", sized)
+    row = mean_check_bytes(1, T)[1]
+    for rows in (1, 3, 64):
+        monkeypatch.setattr(corelemma, "MEAN_CHECK_BLOCK_BYTES", rows * row + row - 1)
+        sizes.clear()
+        assert s_n_mean_check(2.0, 0.2, 3, T, trials, seed=7) == ref
+        assert max(sizes) == rows
+
+
+def test_mean_check_runs_where_a_64_row_block_was_refused(monkeypatch):
+    # at T = 10^4 a fixed block of 64 rows needed the kernel and 25.6 MB;
+    # under a budget of the kernel and 63 rows the 10-row blocks still run
+    T, trials = 10_000, 64
+    ref = s_n_mean_check(2.0, 0.1, 3, T, trials, seed=2)
+    shared, row = mean_check_bytes(1, T)
+    rows = min(trials, block_rows(T))
+    for budget in (shared + rows * row, shared + 63 * row):
+        monkeypatch.setattr(errors, "BUDGET_BYTES", budget)
+        assert s_n_mean_check(2.0, 0.1, 3, T, trials, seed=2) == ref
+    monkeypatch.setattr(errors, "BUDGET_BYTES", shared + rows * row - 1)
+    with pytest.raises(SizeBudgetError, match=f"workspace of {rows} rows"):
+        s_n_mean_check(2.0, 0.1, 3, T, trials, seed=2)
 
 
 def test_workspace_budget_is_what_it_allocates(monkeypatch):
@@ -385,19 +454,19 @@ def test_workspace_budget_is_what_it_allocates(monkeypatch):
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
     monkeypatch.setattr(corelemma, "_block_levels", measured)
     N = 2
-    for rows, T in ((2, 3), (5, 3000), (64, 1001)):
-        need = sum(mean_check_bytes(rows, T))
+    for trials, T in ((2, 3), (5, 3000), (64, 1001), (12, 10_000)):
+        need = sum(mean_check_bytes(min(trials, block_rows(T)), T))
         monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
         with pytest.raises(SizeBudgetError, match=f"needs {need} bytes"):
-            s_n_mean_check(2.0, 0.2, N, T, rows, seed=1)
+            s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
         monkeypatch.setattr(errors, "BUDGET_BYTES", need)
         held.clear()
         tracemalloc.start()
         try:
-            s_n_mean_check(2.0, 0.2, N, T, rows, seed=1)
+            s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
         finally:
             tracemalloc.stop()
-        assert 0 <= held[0] - 8 * N * rows - need < 8192
+        assert 0 <= held[0] - 8 * N * trials - need < 8192
 
 
 def test_s_n_levels_starts_no_thread(monkeypatch):
@@ -445,7 +514,7 @@ def test_no_threads_left_by_import_or_mean_check(monkeypatch):
     assert out.stdout.strip() == "0"
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 3)
     before = threading.active_count()
-    s_n_mean_check(2.0, 0.2, 2, 500, 3 * MEAN_CHECK_BLOCK, seed=6)
+    s_n_mean_check(2.0, 0.2, 2, 500, 3 * block_rows(500), seed=6)
     assert threading.active_count() == before
 
 

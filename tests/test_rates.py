@@ -293,7 +293,9 @@ def bisection_projection(ref: dict, nbhd: Neighbourhood):
     q_star = {w: min(max(t * ref[w], boxes[w][0]), boxes[w][1]) if w in boxes else t * ref[w]
               for w in atoms}
     drift = 1.0 - sum(q_star.values())
-    if free_mass > 0.0 and abs(drift) > 0.0:
+    if drift < -t * free_mass:
+        q_star = {w: q_star[w] / sum(q_star[v] for v in boxes) if w in boxes else 0.0 for w in atoms}
+    elif free_mass > 0.0 and abs(drift) > 0.0:
         for w in atoms:
             if w not in boxes:
                 q_star[w] += drift * ref[w] / free_mass
@@ -331,6 +333,18 @@ def agrees_with_bisection(ref: dict, nbhd: Neighbourhood) -> bool:
 def test_i_projection_edges_equal_bisection(ref, boxes, solved):
     nbhd = Neighbourhood(tuple(Constraint((w,), lo, hi) for w, (lo, hi) in boxes.items()))
     assert agrees_with_bisection(ref, nbhd) == solved
+
+
+def test_i_projection_lower_bounds_just_past_1_stay_nonnegative():
+    # t = 0 leaves a and b on their lower bounds and c at 0; the 6e-13 over
+    # the unit total comes off a and b, not off c
+    ref = {"a": 0.25, "b": 0.5, "c": 0.25}
+    nbhd = Neighbourhood((Constraint(("a",), 0.5 + 3e-13, 1.0), Constraint(("b",), 0.5 + 3e-13, 1.0)))
+    q_star, value = i_projection(ref, nbhd)
+    assert min(q_star.values()) >= 0.0
+    assert q_star["c"] == 0.0 and q_star["a"] == q_star["b"]
+    assert abs(math.fsum(q_star.values()) - 1.0) <= 1e-15
+    assert value == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
 
 
 def test_i_projection_equals_bisection():
