@@ -7,10 +7,10 @@ caller `s_n_eval` evaluate log S_n for n = 1..N on given rows in mark
 space, with exact weights within blocks of marks and a sum of exponentials
 with positive weights between them.  The Monte Carlo `s_n_mean_check`
 runs an FFT chain over one shared kernel spectrum, its trial blocks sized
-in bytes to about a core's cache and spread over the usable cores, each
-core with its own buffers.  The fractional-moment bound on the a.s. decay
-rate is maximized by golden-section search, exact because the objective
-is concave.
+in bytes to about a core's cache or to what the budget leaves, and spread
+over the usable cores the budget holds, each core with its own buffers.
+The fractional-moment bound on the a.s. decay rate is maximized by
+golden-section search, exact because the objective is concave.
 """
 
 from __future__ import annotations
@@ -312,17 +312,18 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     T = 10^4 and alpha = 2, far inside the check's interval).
 
     The kernel w(d) = d^-alpha on 1..T and its spectrum are made once and
-    shared.  Trials run in blocks on the FFT chain of `_block_levels`, each
-    block as many trials as keep its marks, buffer and spectrum within
-    MEAN_CHECK_BLOCK_BYTES, and at least one (10 at T = 10^4, 1 from
-    T = 52 273 on), so a worker's arrays stay near its core's cache and no
-    T is refused for the block's sake.  With W workers the calling thread
-    takes blocks 0, W, 2W, ... and W - 1 pool threads, alive only during
-    the call, take the rest, each drawing its blocks' marks into its own
-    marks, buffer and spectrum, reused for every level of every block.  One
-    block runs on the calling thread and starts no thread.  The workers are
-    cut to as many as the budget holds beside the kernel, and the call is
-    refused only when the kernel and one worker's arrays exceed it.
+    shared, as are the (N, trials) logs and a level's values with np.std's
+    temporary.  Trials run in blocks on the FFT chain of `_block_levels`,
+    each block as many trials as keep its marks, buffer and spectrum within
+    MEAN_CHECK_BLOCK_BYTES and what the budget leaves beside the shared
+    arrays, and at least one (10 at T = 10^4, 1 from T = 52 273 on).  With
+    W workers the calling thread takes blocks 0, W, 2W, ... and W - 1 pool
+    threads, alive only during the call, take the rest, each drawing its
+    blocks' marks into its own marks, buffer and spectrum, reused for every
+    level of every block.  One block runs on the calling thread and starts
+    no thread.  The workers are cut to as many as the budget holds beside
+    the shared arrays, and the call is refused only when the shared arrays
+    and one trial's row exceed it.
     Per-trial RNG is keyed by (seed, trial index) and each trial's S_n
     depends only on its own marks, so the result does not depend on how
     trials are blocked or on the worker count.  Needs alpha > 0,
@@ -340,12 +341,14 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     # Circular wraparound with nfft >= 2T only aliases onto index 0, which
     # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
     nfft = _fast_len(2 * T)
-    # the shared weights and spectrum; a row of each worker's marks, buffer and spectrum
-    shared, row = 8 * T + 16 * (nfft // 2 + 1), 8 * T + 8 * nfft + 16 * (nfft // 2 + 1)
-    size = max(1, min(trials, MEAN_CHECK_BLOCK_BYTES // row))
+    # shared: the weights and spectrum, the (N, trials) logs, and one level's
+    # values with np.std's temporary; a row of each worker's marks, buffer and spectrum
+    shared = 8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials
+    row = 8 * T + 8 * nfft + 16 * (nfft // 2 + 1)
+    size = max(1, min(trials, min(MEAN_CHECK_BLOCK_BYTES, errors.BUDGET_BYTES - shared) // row))
     need = size * row
     check_budget(f"S_n workspace of {size} rows at horizon {T}", shared + need)
-    workers = max(min(_worker_count(), -(-trials // size), (errors.BUDGET_BYTES - shared) // need), 1)
+    workers = min(_worker_count(), -(-trials // size), (errors.BUDGET_BYTES - shared) // need)
     weights = np.arange(1, T + 1, dtype=float) ** (-alpha)
     kf = np.fft.rfft(np.concatenate(([0.0], weights)), n=nfft)
     logs = np.empty((N, trials))
@@ -365,12 +368,11 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
         work(0)
         for fut in futures:
             fut.result()
-    values = np.exp(logs)
 
     zt = zeta_partial(alpha, T)
     levels = []
     for n in range(1, N + 1):
-        v = values[n - 1]
+        v = np.exp(logs[n - 1])
         mean = math.fsum(v) / trials
         sd = float(np.std(v, ddof=1))
         half = 1.96 * sd / math.sqrt(trials)

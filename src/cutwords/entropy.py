@@ -28,22 +28,13 @@ BRACKET_TOL = 1e-10
 def rel_entropy(mu: dict, lam: dict) -> float:
     """KL divergence sum(mu log mu/lam) in nats; math.inf when mu is not
     absolutely continuous w.r.t. lam."""
-    atom = first_violating_atom(mu, lam)
-    if atom is not None:
-        return math.inf
     total = 0.0
     for k, p in mu.items():
         if p > 0:
+            if lam.get(k, 0.0) <= 0.0:
+                return math.inf
             total += p * (math.log(p) - math.log(lam[k]))
     return max(total, 0.0)
-
-
-def first_violating_atom(mu: dict, lam: dict):
-    """First atom (canonical order) with mu > 0 but lam = 0, else None."""
-    for k in sorted(mu):
-        if mu[k] > 0 and lam.get(k, 0.0) <= 0.0:
-            return k
-    return None
 
 
 def entropy(mu: dict) -> float:
@@ -107,9 +98,6 @@ class EntropyBracket:
     def __post_init__(self):
         if not (self.lower <= self.upper + BRACKET_TOL):
             raise InputError(f"bracket endpoints out of order: {self.lower} > {self.upper}")
-
-    def as_interval(self) -> Interval:
-        return Interval(self.lower, max(self.lower, self.upper))
 
     @property
     def width(self) -> float:

@@ -1,7 +1,7 @@
 """Closed intervals used to propagate two-sided entropy brackets.
 
-Endpoint arithmetic only; every coefficient applied to an interval in this
-package is non-negative, so [lo, hi] maps to [c*lo + d, c*hi + d].
+Endpoint arithmetic only, written out where each bracket is built; the one
+scaled bracket, `rates.fin_rate_result`'s, has a coefficient c >= 0.
 """
 
 from __future__ import annotations
@@ -33,20 +33,8 @@ class Interval:
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return self.lo - slack <= x <= self.hi + slack
 
-    def shift(self, c: float) -> "Interval":
-        return Interval(self.lo + c, self.hi + c)
-
-    def scale(self, c: float) -> "Interval":
-        if c < 0:
-            raise ValueError("only non-negative scaling is supported")
-        return Interval(c * self.lo, c * self.hi)
-
 
 INF_INTERVAL = Interval(math.inf, math.inf)
-
-
-def point(x: float) -> Interval:
-    return Interval(x, x)
 
 
 def fp_slack(*scales: float) -> float:

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InfeasibleError, InputError
-from .interval import INF_INTERVAL, Interval, fp_slack, point
+from .interval import INF_INTERVAL, Interval, fp_slack
 from .entropy import EntropyBracket, psi_bracket_series, rel_entropy, spec_rel_entropy
 from .laws import ReferenceLaw, WordProcessLaw, alpha_to_json, iid_law, mean_length, truncate_process
 from .psi import letter_typical
@@ -109,17 +109,16 @@ def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) 
     if math.isinf(h_rel):
         quenched = INF_INTERVAL
     elif alpha == 1.0:
-        quenched = point(h_rel)
+        quenched = Interval(h_rel, h_rel)
     elif math.isinf(alpha):
-        quenched = point(h_rel) if letter_typical(Q, ref.nu)[0] else INF_INTERVAL
+        quenched = Interval(h_rel, h_rel) if letter_typical(Q, ref.nu)[0] else INF_INTERVAL
     else:
-        # h_rel + c * [psi relative-entropy bracket], rounded outward so
-        # exact zeros of the rate stay inside the bracket.
+        # h_rel + c * [psi relative-entropy bracket] with c >= 0 (alpha > 1,
+        # m_Q > 0), rounded outward so exact zeros of the rate stay inside.
         b = psi_bracket_series(Q, ref.nu, L)[1][-1]
         c = (alpha - 1.0) * m_q
-        iv = b.as_interval().scale(c).shift(h_rel)
         slack = fp_slack(abs(h_rel), c * abs(b.upper))
-        quenched = Interval(iv.lo - slack, iv.hi + slack)
+        quenched = Interval(h_rel + c * b.lower - slack, h_rel + c * max(b.lower, b.upper) + slack)
     return RateResult(
         annealed=h_rel,
         quenched=quenched,
@@ -250,5 +249,5 @@ def contraction_upper(q: dict, ref: ReferenceLaw, alpha: float, L: int):
     if math.isinf(kl):
         return INF_INTERVAL, False
     if letter_typical(Q, ref.nu)[0]:
-        return point(kl), True
+        return Interval(kl, kl), True
     return fin_rate(Q, ref, alpha, L), False

@@ -291,17 +291,33 @@ def test_mean_check_rejects_bad_input(monkeypatch, kwargs, name):
         s_n_mean_check(**args)
 
 
-def mean_check_bytes(rows, T):
-    """The mean check's shared kernel weights and spectrum, and one worker's
-    marks, buffer and spectrum of `rows` rows, in bytes."""
+def mean_check_bytes(T, N=0, trials=0):
+    """The mean check's shared arrays in bytes: the kernel weights and
+    spectrum and, for N levels of `trials` trials, the (N, trials) logs and
+    one level's values with np.std's temporary; and one trial's row of a
+    worker's marks, buffer and spectrum."""
     nfft = scipy.fft.next_fast_len(2 * T)
-    return 8 * T + 16 * (nfft // 2 + 1), rows * (8 * T + 8 * nfft + 16 * (nfft // 2 + 1))
+    return (8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials,
+            8 * T + 8 * nfft + 16 * (nfft // 2 + 1))
 
 
 def block_rows(T):
-    """Trials a full mean-check block takes at horizon T: as many rows as
-    fit in MEAN_CHECK_BLOCK_BYTES, at least one."""
-    return max(1, corelemma.MEAN_CHECK_BLOCK_BYTES // mean_check_bytes(1, T)[1])
+    """Trials a full mean-check block takes at horizon T under the real
+    budget: as many rows as fit in MEAN_CHECK_BLOCK_BYTES, at least one."""
+    return max(1, corelemma.MEAN_CHECK_BLOCK_BYTES // mean_check_bytes(T)[1])
+
+
+def record_block_sizes(monkeypatch):
+    """The set, filled as the mean check runs, of the row counts of the
+    blocks it passes to `_block_levels`."""
+    real, sizes = corelemma._block_levels, set()
+
+    def sized(omega, *args):
+        sizes.add(len(omega))
+        return real(omega, *args)
+
+    monkeypatch.setattr(corelemma, "_block_levels", sized)
+    return sizes
 
 
 def test_fast_len_equals_scipy():
@@ -371,8 +387,8 @@ def test_mean_check_workers_cut_to_budget(monkeypatch):
     T = 10_000
     rows = block_rows(T)
     trials = 11 * rows
-    shared, need = mean_check_bytes(rows, T)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", shared + 11 * need - 1)
+    shared, row = mean_check_bytes(T, 3, trials)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", shared + 11 * rows * row - 1)
     real, bufs, threads = corelemma._block_levels, [], set()
 
     def counted(omega, buf, *args):
@@ -392,18 +408,46 @@ def test_mean_check_workers_cut_to_budget(monkeypatch):
 
 
 def test_only_a_workspace_over_budget_raises(monkeypatch):
-    # the budget holds the kernel and one worker's arrays, not two workers
-    T = 500
+    # a budget one byte short of the shared arrays and a full block shrinks
+    # the block; only one short of the shared arrays and one row refuses
+    T, N = 500, 2
     rows = block_rows(T)
-    need = sum(mean_check_bytes(rows, T))
+    trials = 3 * rows
+    shared, row = mean_check_bytes(T, N, trials)
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 4)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
-    ref = s_n_mean_check(2.0, 0.2, 2, T, 3 * rows, seed=3)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
-    with pytest.raises(SizeBudgetError, match=f"workspace of {rows} rows .* needs {need} bytes"):
-        s_n_mean_check(2.0, 0.2, 2, T, 3 * rows, seed=3)
-    monkeypatch.undo()
-    assert ref == s_n_mean_check(2.0, 0.2, 2, T, 3 * rows, seed=3)
+    ref = s_n_mean_check(2.0, 0.2, N, T, trials, seed=3)
+    sizes = record_block_sizes(monkeypatch)
+    for budget, block in ((shared + rows * row, rows), (shared + rows * row - 1, rows - 1),
+                          (shared + row, 1)):
+        monkeypatch.setattr(errors, "BUDGET_BYTES", budget)
+        sizes.clear()
+        assert s_n_mean_check(2.0, 0.2, N, T, trials, seed=3) == ref
+        assert max(sizes) == block
+    monkeypatch.setattr(errors, "BUDGET_BYTES", shared + row - 1)
+    with pytest.raises(SizeBudgetError, match=f"workspace of 1 rows .* needs {shared + row} bytes"):
+        s_n_mean_check(2.0, 0.2, N, T, trials, seed=3)
+
+
+def test_mean_check_budget_counts_its_results(monkeypatch):
+    # at T = 10 the 200 000 trials' (3, trials) logs and the level loop's
+    # two rows take 8 MB, refused under a 5 MiB budget before any block runs
+    def no_blocks(*args):
+        raise AssertionError("a block ran")
+
+    monkeypatch.setattr(corelemma, "_block_levels", no_blocks)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 5 * 2**20)
+    with pytest.raises(SizeBudgetError, match="workspace of 1 rows at horizon 10 needs 8000672 bytes"):
+        s_n_mean_check(2.0, 0.2, 3, 10, 200_000, seed=1)
+
+
+def test_mean_check_block_shrinks_to_budget(monkeypatch):
+    # at T = 1000 a full block is 104 rows, 4.2 MB; under a 2 MiB budget
+    # the blocks shrink to the 51 rows that fit beside the shared arrays
+    ref = s_n_mean_check(2.0, 0.2, 3, 1000, 200, seed=1)
+    sizes = record_block_sizes(monkeypatch)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 2 * 2**20)
+    assert s_n_mean_check(2.0, 0.2, 3, 1000, 200, seed=1) == ref
+    assert block_rows(1000) == 104 and max(sizes) == 51
 
 
 def test_mean_check_bit_identical_across_block_sizes(monkeypatch):
@@ -411,14 +455,8 @@ def test_mean_check_bit_identical_across_block_sizes(monkeypatch):
     # and half-width unchanged, with each trial where its block puts it
     T, trials = 500, 130
     ref = s_n_mean_check(2.0, 0.2, 3, T, trials, seed=7)
-    real, sizes = corelemma._block_levels, set()
-
-    def sized(omega, *args):
-        sizes.add(len(omega))
-        return real(omega, *args)
-
-    monkeypatch.setattr(corelemma, "_block_levels", sized)
-    row = mean_check_bytes(1, T)[1]
+    sizes = record_block_sizes(monkeypatch)
+    row = mean_check_bytes(T)[1]
     for rows in (1, 3, 64):
         monkeypatch.setattr(corelemma, "MEAN_CHECK_BLOCK_BYTES", rows * row + row - 1)
         sizes.clear()
@@ -428,45 +466,58 @@ def test_mean_check_bit_identical_across_block_sizes(monkeypatch):
 
 def test_mean_check_runs_where_a_64_row_block_was_refused(monkeypatch):
     # at T = 10^4 a fixed block of 64 rows needed the kernel and 25.6 MB;
-    # under a budget of the kernel and 63 rows the 10-row blocks still run
+    # under a budget of the shared arrays and 63 rows the 10-row blocks
+    # still run, and down to one row smaller blocks do
     T, trials = 10_000, 64
     ref = s_n_mean_check(2.0, 0.1, 3, T, trials, seed=2)
-    shared, row = mean_check_bytes(1, T)
+    shared, row = mean_check_bytes(T, 3, trials)
     rows = min(trials, block_rows(T))
-    for budget in (shared + rows * row, shared + 63 * row):
+    for budget in (shared + row, shared + rows * row - 1, shared + rows * row, shared + 63 * row):
         monkeypatch.setattr(errors, "BUDGET_BYTES", budget)
         assert s_n_mean_check(2.0, 0.1, 3, T, trials, seed=2) == ref
-    monkeypatch.setattr(errors, "BUDGET_BYTES", shared + rows * row - 1)
-    with pytest.raises(SizeBudgetError, match=f"workspace of {rows} rows"):
+    monkeypatch.setattr(errors, "BUDGET_BYTES", shared + row - 1)
+    with pytest.raises(SizeBudgetError, match="workspace of 1 rows"):
         s_n_mean_check(2.0, 0.1, 3, T, trials, seed=2)
 
 
 def test_workspace_budget_is_what_it_allocates(monkeypatch):
     # at the first block's start a one-worker call holds the kernel, the
-    # (N, trials) result and the worker's arrays, besides a few kB of
-    # Python objects; the budget message states the kernel and the arrays
-    real, held = corelemma._block_levels, []
+    # (N, trials) logs and the worker's arrays, and at the first level's
+    # np.std the kernel, the logs and the level's two rows of trials floats,
+    # each besides a few kB of Python objects; the budget message states
+    # the shared arrays and one row
+    real_levels, real_std, held, level = corelemma._block_levels, np.std, [], []
 
-    def measured(*args):
+    def measured_levels(*args):
         held.append(tracemalloc.get_traced_memory()[0])
-        return real(*args)
+        return real_levels(*args)
+
+    def measured_std(*args, **kwargs):
+        tracemalloc.reset_peak()
+        sd = real_std(*args, **kwargs)
+        level.append(tracemalloc.get_traced_memory()[1])
+        return sd
 
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
-    monkeypatch.setattr(corelemma, "_block_levels", measured)
+    monkeypatch.setattr(corelemma, "_block_levels", measured_levels)
+    monkeypatch.setattr(np, "std", measured_std)
     N = 2
     for trials, T in ((2, 3), (5, 3000), (64, 1001), (12, 10_000)):
-        need = sum(mean_check_bytes(min(trials, block_rows(T)), T))
-        monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
-        with pytest.raises(SizeBudgetError, match=f"needs {need} bytes"):
+        shared, row = mean_check_bytes(T, N, trials)
+        monkeypatch.setattr(errors, "BUDGET_BYTES", shared + row - 1)
+        with pytest.raises(SizeBudgetError, match=f"needs {shared + row} bytes"):
             s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
+        need = shared + min(trials, block_rows(T)) * row
         monkeypatch.setattr(errors, "BUDGET_BYTES", need)
         held.clear()
+        level.clear()
         tracemalloc.start()
         try:
             s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
         finally:
             tracemalloc.stop()
-        assert 0 <= held[0] - 8 * N * trials - need < 8192
+        assert 0 <= held[0] - (need - 16 * trials) < 8192  # the level's rows come later
+        assert 0 <= level[0] - shared < 8192
 
 
 def test_s_n_levels_starts_no_thread(monkeypatch):

@@ -9,7 +9,6 @@ from cutwords.entropy import (
     entropy_rate,
     expected_log_nu,
     expected_log_rho,
-    first_violating_atom,
     h_tau_given_k,
     identity_residual,
     psi_bracket_series,
@@ -33,7 +32,7 @@ def test_rel_entropy_basics():
     assert rel_entropy({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}) == 0.0
     assert rel_entropy({"a": 1.0}, {"a": 0.25, "b": 0.75}) == pytest.approx(math.log(4))
     assert math.isinf(rel_entropy({"a": 0.5, "c": 0.5}, {"a": 1.0}))
-    assert first_violating_atom({"a": 0.5, "c": 0.5}, {"a": 1.0}) == "c"
+    assert math.isinf(rel_entropy({"c": 0.5, "a": 0.5}, {"a": 1.0, "c": 0.0}))
 
 
 @pytest.mark.parametrize("L", [0, -1])
