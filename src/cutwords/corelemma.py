@@ -27,8 +27,9 @@ from . import errors
 from .errors import InputError, check_budget
 from .laws import RenewalLaw, stream
 
-# Bytes of one mean-check block's marks, buffer and spectrum, about one
-# core's L2 cache: a block takes as many trials as fit, and at least one.
+# Bytes of one mean-check block's marks, buffer, spectrum and level
+# temporaries, about one core's L2 cache: a block takes as many trials as
+# fit, and at least one.
 MEAN_CHECK_BLOCK_BYTES = 2**22
 
 # Marks per block of the mark-space kernel.  A row with at most this many
@@ -202,25 +203,28 @@ def s_n_eval(omega: np.ndarray, alpha: float, N: int, T: int) -> float:
 
 
 def _block_levels(omega: np.ndarray, buf: np.ndarray, spec: np.ndarray, weights: np.ndarray,
-                  kf: np.ndarray, N: int) -> np.ndarray:
-    """log S_n for n = 1..N of the mark rows omega, shape (N, rows), from the
-    forward chain F_1 = omega * w, F_{t+1} = omega * (F_t conv k), one
-    in-place FFT convolution a level in the rows' buffer `buf`, which is 0
-    outside positions 1..T between levels, and its spectrum `spec`;
-    `weights` holds w on 1..T and `kf` its spectrum.  Before each
-    convolution each row is divided by its own S_t, whose log joins the
-    row's scale, so deep levels stay representable; the round-off below 0 is
-    clipped."""
+                  kf: np.ndarray, out: np.ndarray) -> None:
+    """log S_n for n = 1..N of the mark rows omega into the N rows of `out`,
+    shape (N, rows), from the forward chain F_1 = omega * w,
+    F_{t+1} = omega * (F_t conv k), one in-place FFT convolution a level in
+    the rows' buffer `buf`, which is 0 outside positions 1..T between
+    levels, and its spectrum `spec`; `weights` holds w on 1..T and `kf` its
+    spectrum.  Before each convolution each row is divided by its own S_t,
+    whose log joins the row's scale, so deep levels stay representable; the
+    round-off below 0 is clipped.  Beside its arguments it takes at most 25
+    bytes a row: the row sums and scales, a third float row (a sum's log,
+    its divisor or the mark counts) and a one-byte mask."""
     rows, T = omega.shape
     f = buf[:, 1 : T + 1]
     np.multiply(omega, weights, out=f)
-    logs = np.empty((N, rows))
     scale = np.zeros(rows)
     with np.errstate(divide="ignore"):
-        for n in range(N):
+        for n, level in enumerate(out):
             if n:
                 scale += np.log(s)
-                f /= np.where(s > 0.0, s, 1.0)[:, None]
+                # whole rows: the zero padding stays 0, and a contiguous
+                # buffer takes one ufunc buffer, where the view f takes three
+                buf /= np.where(s > 0.0, s, 1.0)[:, None]
                 np.fft.rfft(buf, out=spec)
                 spec *= kf
                 np.fft.irfft(spec, n=buf.shape[1], out=buf)
@@ -229,9 +233,11 @@ def _block_levels(omega: np.ndarray, buf: np.ndarray, spec: np.ndarray, weights:
                 np.maximum(f, 0.0, out=f)
                 f *= omega
             s = f.sum(axis=1)
-            logs[n] = np.log(s) + scale
-    logs[np.arange(1, N + 1)[:, None] > np.count_nonzero(omega, axis=1)] = -math.inf
-    return logs
+            np.log(s, out=level)
+            level += scale
+    marks = np.count_nonzero(omega, axis=1)
+    for n, level in enumerate(out):
+        level[marks <= n] = -math.inf
 
 
 def phi_bounds(alpha: float, p: float):
@@ -314,13 +320,15 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     The kernel w(d) = d^-alpha on 1..T and its spectrum are made once and
     shared, as are the (N, trials) logs and a level's values with np.std's
     temporary.  Trials run in blocks on the FFT chain of `_block_levels`,
-    each block as many trials as keep its marks, buffer and spectrum within
-    MEAN_CHECK_BLOCK_BYTES and what the budget leaves beside the shared
-    arrays, and at least one (10 at T = 10^4, 1 from T = 52 273 on).  With
+    each block as many trials as keep its marks, buffer, spectrum and level
+    temporaries within MEAN_CHECK_BLOCK_BYTES and what the budget leaves
+    beside the shared arrays, and at least one (10 at T = 10^4, 1 from
+    T = 52 273 on).  With
     W workers the calling thread takes blocks 0, W, 2W, ... and W - 1 pool
     threads, alive only during the call, take the rest, each drawing its
     blocks' marks into its own marks, buffer and spectrum, reused for every
-    level of every block.  One block runs on the calling thread and starts
+    level of every block, and writing each block's levels into its columns
+    of the shared logs.  One block runs on the calling thread and starts
     no thread.  The workers are cut to as many as the budget holds beside
     the shared arrays, and the call is refused only when the shared arrays
     and one trial's row exceed it.
@@ -342,9 +350,10 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
     nfft = _fast_len(2 * T)
     # shared: the weights and spectrum, the (N, trials) logs, and one level's
-    # values with np.std's temporary; a row of each worker's marks, buffer and spectrum
+    # values with np.std's temporary; a row of each worker's marks, buffer and
+    # spectrum, and its 25 bytes of `_block_levels`' temporaries, rounded up
     shared = 8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials
-    row = 8 * T + 8 * nfft + 16 * (nfft // 2 + 1)
+    row = 8 * T + 8 * nfft + 16 * (nfft // 2 + 1) + 32
     size = max(1, min(trials, min(MEAN_CHECK_BLOCK_BYTES, errors.BUDGET_BYTES - shared) // row))
     need = size * row
     check_budget(f"S_n workspace of {size} rows at horizon {T}", shared + need)
@@ -360,7 +369,7 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
             rows = min(size, trials - lo)
             for i in range(rows):
                 _draw_marks(p, seed, lo + i, omega[i])
-            logs[:, lo : lo + rows] = _block_levels(omega[:rows], buf[:rows], spec[:rows], weights, kf, N)
+            _block_levels(omega[:rows], buf[:rows], spec[:rows], weights, kf, logs[:, lo : lo + rows])
 
     # A pool starts threads only for submitted tasks, so one worker starts none.
     with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:

@@ -24,6 +24,8 @@ STATIONARY_TOL = 1e-10
 # its rank-one temporary (8 each); the stored copy and a 1-byte mask come
 # after those two are freed.
 TABLE_ENTRY_BYTES = 24
+# Words a chunk of `sample_chunks`, so a chunk's draws fit a core's L2 cache
+CHUNK_WORDS = 2**16
 
 # The ends of the quenched rate's tail exponents [1, inf], by JSON name.
 ALPHA_ONE = 1.0
@@ -343,8 +345,8 @@ def truncate_process(Q: WordProcessLaw, tr: int) -> WordProcessLaw:
 
 def stream(seed: int, key: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, key), the one source of seeded
-    draws.  Keys: 0, the letters of `sample_arrays` and of
-    `quenched_slope_series`' medium; 1, `sample_arrays`' jumps; trial,
+    draws.  Keys: 0, the letters of `sample_chunks` and of
+    `quenched_slope_series`' medium; 1, `sample_chunks`' jumps; trial,
     `corelemma`'s marks of that trial; (M << 32) | t, `waiting_time`'s
     trial t at window length M.  A draw depends on its key alone."""
     return np.random.Generator(np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
@@ -372,28 +374,63 @@ def _choose(rng, p, size: int) -> np.ndarray:
     return idx
 
 
+def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int,
+                  check_letters):
+    """The words of `sample_arrays`, CHUNK_WORDS at a time: per chunk its
+    words' lengths (int64) and the indices of their letters, drawn on the
+    jumps' and the letters' streams in the order one draw of all of them
+    reads, so the values are the same however the words are chunked
+    (`_choose` takes its uniforms in draw order).  The last chunk's letters
+    run on to n_letters letters in all when its words end sooner.  Once a
+    chunk's jumps are drawn, `check_letters(n)` is called with its n letters
+    before they are drawn, to refuse them over the byte budget.
+    """
+    jumps, letters = stream(seed, 1), stream(seed, 0)
+    support = np.array(rho.support)
+    p_jump, p_letter = [rho.probs[n] for n in rho.support], nu.prob_vector()
+    drawn = 0
+    for lo in range(0, n_words, CHUNK_WORDS):
+        lens = support[_choose(jumps, p_jump, min(CHUNK_WORDS, n_words - lo))]
+        n = int(lens.sum())
+        drawn += n
+        if lo + CHUNK_WORDS >= n_words:
+            n += max(n_letters - drawn, 0)
+        check_letters(n)
+        yield lens, _choose(letters, p_letter, n)
+
+
 def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):
     """Numpy internals of sample_path: (letter indices, cumulative cut points).
 
-    The letter indices, in the smallest unsigned dtype, and the jumps are
-    those of `Generator.choice` on the same two streams, value for value
-    (`_choose`).  The letter sequence is auto-extended when n_letters is
-    too short to host n_words jumps.  Each draw is checked against the byte
-    budget before it is made: per jump its uniform, support index and value,
-    per letter its uniform and index, at 8 bytes each, an upper bound that
-    also covers the one-byte comparison mask beside each narrow index.
+    The chunks of `sample_chunks`, joined: the letter indices, in the
+    smallest unsigned dtype, and the jumps are those of `Generator.choice`
+    on the same two streams, value for value.  The letter sequence is
+    auto-extended when n_letters is too short to host n_words jumps.  The
+    jumps are checked against the byte budget before any is drawn, at 24
+    bytes each (a value's chunked and joined copies, and a chunk's uniforms,
+    indices and masks), and before each chunk's letters are drawn, every
+    letter up to the chunk's last at 16 bytes each (an upper bound on a
+    chunk's uniforms, one-byte indices and comparison masks, and each
+    letter's chunked and joined copies).
     """
     if n_words < 1:
         raise InputError(f"n_words must be >= 1, got {n_words}")
     if n_letters < 0:
         raise InputError(f"n_letters must be >= 0, got {n_letters}")
     check_budget(f"{n_words} jumps", 24 * n_words)
-    support = rho.support
-    points = np.array(support)[_choose(stream(seed, 1), [rho.probs[n] for n in support], n_words)]
+    lens, xs = [], []
+
+    def check_letters(n):
+        total = n + sum(map(len, xs))
+        check_budget(f"{total} letters", 16 * total)
+
+    for jumps, x in sample_chunks(nu, rho, n_letters, n_words, seed, check_letters):
+        lens.append(jumps)
+        xs.append(x)
+    points = np.concatenate(lens)
+    del lens
     np.cumsum(points, out=points)
-    total = max(n_letters, int(points[-1]))
-    check_budget(f"{total} letters", 16 * total)
-    return _choose(stream(seed, 0), nu.prob_vector(), total), points
+    return np.concatenate(xs), points
 
 
 def sample_path(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):

@@ -9,14 +9,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
+from . import laws
 from .errors import InputError, check_budget
 from .entropy import rel_entropy
 from .laws import (LetterLaw, ReferenceLaw, RenewalLaw, _choose, choice_cdf, letter_string,
-                   sample_arrays, stream)
+                   sample_chunks, stream)
 from .rates import Neighbourhood, boxed_reference, i_projection
 from .words import cut, empirical_patterns
 
@@ -35,11 +35,19 @@ def _word_id_layout(n_letters_alphabet: int, lengths):
 
 
 def _reference_vector(ref: ReferenceLaw, lengths, offsets, total) -> np.ndarray:
+    """rho(n) times the n-fold Kronecker power of the letter probabilities,
+    per supported length n, at the canonical word ids.  Each block is written
+    in place from the power one length shorter, so beside the vector only
+    the powers of the two lengths below the longest are held."""
     probs = np.zeros(total)
     v = ref.nu.prob_vector()
+    power, m = np.ones(1), 0  # the m-fold power of v, grown to m = n - 1
     for n in lengths:
-        block = ref.rho.prob(n) * reduce(np.kron, [v] * n)
-        probs[offsets[n] : offsets[n] + len(block)] = block
+        for m in range(m + 1, n):
+            power = np.multiply.outer(power, v).ravel()
+        block = probs[offsets[n] : offsets[n] + len(power) * len(v)]
+        np.multiply.outer(power, v, out=block.reshape(len(power), len(v)))
+        block *= ref.rho.prob(n)
     return probs
 
 
@@ -47,46 +55,72 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     """Sup-norm gap between the k-word marginal of the empirical process of
     N sampled words and the reference product law.
 
-    Every word id is read off one base-E code per letter position: code[j]
-    holds the L = max word length letters ending at j (letters before the
-    first read as 0), so the word of length n ending at j has the value
-    code[j] mod E^n.  One gather at the cut points and one integer division
-    by E^n give all N ids, once each length's offset is added.  The budget
-    bounds total^k <= 2^24 and E^L <= total, so the codes and ids fit int32.
+    The words are drawn and counted a chunk of at most `laws.CHUNK_WORDS`
+    at a time (`sample_chunks`), into one int64 table of total^k counts, so
+    the memory does not grow with N.  Every word id is read off one base-E
+    code per letter position of its chunk: code[j] holds the L = max word
+    length letters ending at j (letters before the chunk read as 0), so the
+    word of length n ending at j, whose letters are all in the chunk, has
+    the value code[j] mod E^n.  One gather at the cut points and one integer
+    division by E^n give the chunk's ids, once each length's offset is
+    added.  At k = 2 the last id of a chunk pairs with the first of the
+    next, and the last of all with the first (the periodic pair (Y_N, Y_1)).
+    The budget bounds total^k <= 2^24 and E^L <= total, so the codes and
+    ids fit int32.
 
-    Checked before anything is drawn: 24 bytes a word (cut point, length,
-    id, an int32 temporary; at k = 2 pair ids and bincount's intp copy) and
-    the float64 counts, frequencies and reference.  `sample_arrays` checks
-    its draws, and once the number of letters is known, the same bytes plus
-    each letter and its int32 code are checked before the codes are built.
+    Checked before anything is drawn: the reference, counts and frequencies
+    (8 bytes an entry), the int32 tables by length up to the longest (12
+    bytes a length while they are built) and one chunk's words at
+    `sample_arrays`' 24 bytes a jump (each word's length, cut point, id and
+    int32 temporaries); once a chunk's jumps are drawn, the same bytes plus
+    its letters at 16 bytes each (a uniform, index and mask, then the letter
+    and its int32 code).
     """
     if k not in (1, 2):
         raise InputError("pattern depth must be 1 or 2")
+    if N < 1:
+        raise InputError(f"n_words must be >= 1, got {N}")
     E = len(nu.alphabet)
     lengths = list(rho.support)
     offsets, total = _word_id_layout(E, lengths)
-    word_bytes = 24 * N + 8 * (2 * total**k + total)
-    check_budget(f"ergodic gap of {N} words over {total}^{k} word patterns", word_bytes)
+    what = f"ergodic gap of {N} words over {total}^{k} word patterns"
+    held = 8 * (2 * total**k + total) + 12 * (lengths[-1] + 1) + 24 * min(N, laws.CHUNK_WORDS)
+    check_budget(what, held)
 
-    x, points = sample_arrays(nu, rho, 0, N, seed)
-    check_budget(f"ergodic gap of {N} words and {len(x)} letters over {total}^{k} word patterns",
-                 word_bytes + (x.itemsize + 4) * len(x))
-    lens = np.diff(points, prepend=0)  # its prepended copy is freed before the codes exist
-    code = np.zeros(len(x), dtype=np.int32)
-    for t in range(lengths[-1] - 1, -1, -1):
-        code *= E
-        code[t:] += x[: max(len(x) - t, 0)]
-    points -= 1  # the last letter of each word
-    ids = code[points]
-    del x, code, points
-    by_length = range(lengths[-1] + 1)
-    ids %= np.array([E**n for n in by_length], dtype=np.int32)[lens]
-    ids += np.array([offsets.get(n, 0) for n in by_length], dtype=np.int32)[lens]
+    def check_letters(n):
+        check_budget(f"{what}, a chunk of {n} letters", held + 16 * n)
+
+    modulus = E ** np.arange(lengths[-1] + 1, dtype=np.int32)
+    offset = np.zeros_like(modulus)
+    offset[lengths] = [offsets[n] for n in lengths]
+    counts = np.zeros(total**k, dtype=np.int64)
+    first, last = None, np.zeros(0, dtype=np.int32)
+    for lens, x in sample_chunks(nu, rho, 0, N, seed, check_letters):
+        code = np.zeros(len(x), dtype=np.int32)
+        for t in range(lengths[-1] - 1, -1, -1):
+            code *= E
+            code[t:] += x[: max(len(x) - t, 0)]
+        del x
+        ends = np.cumsum(lens)
+        ends -= 1  # the last letter of each word
+        ids = code[ends]
+        del code, ends
+        ids %= modulus[lens]
+        ids += offset[lens]
+        if k == 2:
+            first = ids[0] if first is None else first
+            seq = np.concatenate((last, ids))
+            last = seq[-1:].copy()
+            ids = seq[:-1] * total + seq[1:]
+            del seq
+        np.add.at(counts, ids, 1)
+        del lens, ids
+    if k == 2:
+        counts[last[0] * total + first] += 1
 
     ref_vec = _reference_vector(ReferenceLaw(rho, nu), lengths, offsets, total)
-    if k == 2:
-        ids = ids * total + np.roll(ids, -1)  # periodic wrap: pair (Y_N, Y_1) included
-    freq = np.bincount(ids, minlength=total**k) / N
+    freq = counts / N
+    del counts
     freq -= ref_vec if k == 1 else np.kron(ref_vec, ref_vec)
     return float(np.max(np.abs(freq, out=freq)))
 

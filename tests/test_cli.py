@@ -100,16 +100,19 @@ def test_deep_rate_fits_in_memory(tmp_path):
     assert proc.stdout.startswith("rate: annealed=")
 
 
-@pytest.mark.parametrize("argv, word, need", [
-    (["psi", "--depth", "1"], "a" * 20_000, 20_000**2 * 8),
+@pytest.mark.parametrize("argv, law, need", [
+    (["psi", "--depth", "1"], {"word_law": {"variant": "iid", "words": ["a" * 20_000], "probs": [1.0]}},
+     20_000**2 * 8),
     (["core-lemma", "--alpha", "2", "--p", "0.2", "--n", "1,2", "--horizon", "1000000000"],
      None, 8 * 10**9),
     # 16 bytes a letter of the medium, as sample_arrays checks letters
     (["quench-slopes", "--n", "1000000", "--jmax", "1000"], None, 16 * 10**9),
     (["simulate", "--n-letters", "0", "--n-words", "1000000000"], None, 24 * 10**9),
-    # per word 24 bytes, plus the 30 + 30 floats of counts, frequencies and
-    # reference over 30 words, checked before anything is drawn
-    (["ergodic", "--n-words", "1000000000", "--k", "1"], None, 24 * 10**9 + 8 * 90),
+    # the 131 070 words up to length 16 make 131 070^2 pairs, whose counts and
+    # frequencies with the reference, the tables by length and one chunk's
+    # words at 24 bytes are checked before anything is drawn
+    (["ergodic", "--n-words", "1000000000", "--k", "2"], {"renewal_law": {"alpha": 2.0, "cap": 16}},
+     8 * (2 * 131_070**2 + 131_070) + 12 * 17 + 24 * 2**16),
     # per word: a cut point and a word, each a tuple slot and an object
     (["simulate", "--n-letters", "0", "--n-words", "10000000"], None,
      10**7 * (16 + sys.getsizeof(4 * 10**7) + sys.getsizeof("a"))),
@@ -117,14 +120,12 @@ def test_deep_rate_fits_in_memory(tmp_path):
     (["waiting-time", "--m", "10,20", "--trials", "20000000", "--tol", "0.034"], None,
      648 * 2 * 10**7 + 28 * (5 * 20 * 2 * 10**7 + 2**16)),
 ], ids=["psi-long-word", "core-lemma-horizon", "quench-slopes-medium", "simulate-words",
-        "ergodic-words", "simulate-word-objects", "waiting-time-generators"])
-def test_budget_checked_before_allocation(tmp_path, argv, word, need):
+        "ergodic-pair-table", "simulate-word-objects", "waiting-time-generators"])
+def test_budget_checked_before_allocation(tmp_path, argv, law, need):
     # Each of these allocated past 1.5 GiB of address space and died with a
     # numpy ArrayMemoryError or a MemoryError; the byte budget must stop it
     # first.
-    cfg = dict(BASE_CFG)
-    if word is not None:
-        cfg["word_law"] = {"variant": "iid", "words": [word], "probs": [1.0]}
+    cfg = dict(BASE_CFG, **(law or {}))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     proc = run_limited(argv + ["--config", str(path)], int(1.5 * 2**30))

@@ -295,10 +295,11 @@ def mean_check_bytes(T, N=0, trials=0):
     """The mean check's shared arrays in bytes: the kernel weights and
     spectrum and, for N levels of `trials` trials, the (N, trials) logs and
     one level's values with np.std's temporary; and one trial's row of a
-    worker's marks, buffer and spectrum."""
+    worker's marks, buffer and spectrum and of `_block_levels`' temporaries
+    (32 bytes)."""
     nfft = scipy.fft.next_fast_len(2 * T)
     return (8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials,
-            8 * T + 8 * nfft + 16 * (nfft // 2 + 1))
+            8 * T + 8 * nfft + 16 * (nfft // 2 + 1) + 32)
 
 
 def block_rows(T):
@@ -332,9 +333,9 @@ def test_mean_check_past_t_1e5_runs_one_row_blocks(monkeypatch):
     # stubbed: only the blocking and the budget are under test here
     sizes = []
 
-    def one_level(omega, buf, spec, weights, kf, N):
+    def one_level(omega, buf, spec, weights, kf, out):
         sizes.append(len(omega))
-        return np.zeros((N, len(omega)))
+        out[:] = 0.0
 
     monkeypatch.setattr(corelemma, "_block_levels", one_level)
     res = s_n_mean_check(2.0, 0.1, 3, 200_000, 64, seed=1)
@@ -436,7 +437,7 @@ def test_mean_check_budget_counts_its_results(monkeypatch):
 
     monkeypatch.setattr(corelemma, "_block_levels", no_blocks)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 5 * 2**20)
-    with pytest.raises(SizeBudgetError, match="workspace of 1 rows at horizon 10 needs 8000672 bytes"):
+    with pytest.raises(SizeBudgetError, match="workspace of 1 rows at horizon 10 needs 8000704 bytes"):
         s_n_mean_check(2.0, 0.2, 3, 10, 200_000, seed=1)
 
 
@@ -507,7 +508,8 @@ def test_workspace_budget_is_what_it_allocates(monkeypatch):
         monkeypatch.setattr(errors, "BUDGET_BYTES", shared + row - 1)
         with pytest.raises(SizeBudgetError, match=f"needs {shared + row} bytes"):
             s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
-        need = shared + min(trials, block_rows(T)) * row
+        rows = min(trials, block_rows(T))
+        need = shared + rows * row
         monkeypatch.setattr(errors, "BUDGET_BYTES", need)
         held.clear()
         level.clear()
@@ -516,8 +518,31 @@ def test_workspace_budget_is_what_it_allocates(monkeypatch):
             s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
         finally:
             tracemalloc.stop()
-        assert 0 <= held[0] - (need - 16 * trials) < 8192  # the level's rows come later
+        # the level's rows and the block's temporaries come later
+        assert 0 <= held[0] - (need - 16 * trials - 32 * rows) < 8192
         assert 0 <= level[0] - shared < 8192
+
+
+@pytest.mark.parametrize("T, trials", [(10, 5000), (1001, 64)])
+def test_mean_check_peak_within_its_checked_bytes(monkeypatch, T, trials):
+    # at T = 10 one block holds all 5000 trials, and its row sums, scales,
+    # mark counts and masks took 324 072 bytes past a check that left them
+    # out.  Counted, a one-worker call under a budget of exactly its checked
+    # bytes exceeds them by at most numpy's ufunc buffers (130 288 bytes for
+    # the spectrum product at T = 1001) and a few kB of Python objects
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
+    N = 2
+    shared, row = mean_check_bytes(T, N, trials)
+    need = shared + min(trials, block_rows(T)) * row
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 16 * np.getbufsize() + 8192, peak - need
 
 
 def test_s_n_levels_starts_no_thread(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cutwords import errors
+from cutwords import errors, laws
 from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import (
     ALPHA_INF,
@@ -391,3 +391,16 @@ def test_sampling_equals_generator_choice(case):
             assert x.dtype.itemsize == 1
             assert sample_path(nu, rho, n_letters, n_words, seed) == \
                 choice_sample_path(nu, rho, n_letters, n_words, seed)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, laws.CHUNK_WORDS])
+def test_sampling_in_chunks_equals_generator_choice(monkeypatch, chunk):
+    # the words are drawn a chunk at a time, each chunk's jumps then its
+    # letters; one full draw on each stream reads the same uniforms
+    monkeypatch.setattr(laws, "CHUNK_WORDS", chunk)
+    for nu, rho, n_letters in SAMPLE_CASES.values():
+        for n_words in (1, chunk, chunk + 1, 3 * chunk + 1 if chunk > 1 else 300):
+            x, points = sample_arrays(nu, rho, n_letters, n_words, seed=7)
+            want_x, want_points = choice_sample_arrays(nu, rho, n_letters, n_words, seed=7)
+            assert np.array_equal(x, want_x) and np.array_equal(points, want_points), n_words
+            assert x.dtype.itemsize == 1

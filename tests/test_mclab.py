@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from cutwords import errors, mclab
+from cutwords import errors, laws, mclab
 from cutwords.entropy import rel_entropy
 from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import (
@@ -252,48 +252,71 @@ def test_ergodic_gap_equals_per_length_encoding(case):
                     per_length_ergodic_gap(nu, rho, N, k, seed), (N, k, seed)
 
 
-def test_ergodic_gap_memory_per_word(nu_ab):
-    # one-byte letters, int32 codes and ids: about 31 bytes a word are
-    # measured, 56 leaves room for allocator and numpy version changes
+@pytest.mark.parametrize("case", list(ERGODIC_CASES))
+@pytest.mark.parametrize("chunk", [7, laws.CHUNK_WORDS])
+def test_ergodic_gap_equals_per_length_encoding_across_chunks(monkeypatch, case, chunk):
+    # words counted a chunk at a time: a pair that straddles two chunks, and
+    # the periodic pair (Y_N, Y_1), count as in one pass over all the words
+    monkeypatch.setattr(laws, "CHUNK_WORDS", chunk)
+    nu, rho, depths = ERGODIC_CASES[case]
+    for N in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
+        for k in depths:
+            assert ergodic_gap(nu, rho, N, k, seed=3) == \
+                per_length_ergodic_gap(nu, rho, N, k, seed=3), (N, k)
+
+
+def ergodic_checked_bytes(nu, rho, N, k, seed):
+    """ergodic_gap's two checks: before the draw, the reference, counts and
+    frequencies (8 bytes an entry), the tables by length (12 bytes a length)
+    and one chunk's words at 24 bytes each; and once the jumps are drawn,
+    that plus 16 bytes a letter of the chunk with the most letters, whose
+    letter count comes third."""
+    W = laws.CHUNK_WORDS
+    total = sum(len(nu.alphabet) ** n for n in rho.support)
+    held = 8 * (2 * total**k + total) + 12 * (rho.max_jump + 1) + 24 * min(N, W)
+    _, points = sample_arrays(nu, rho, 0, N, seed)
+    letters = int(np.diff(points[np.r_[W - 1 : N : W, N - 1]], prepend=0).max())
+    return held, held + 16 * letters, letters
+
+
+def test_ergodic_gap_memory_independent_of_n(nu_ab):
+    # a chunk's words and letters are freed before the next chunk is drawn:
+    # ten times the words peak within 64 KiB, and within the checked bytes
     rho = make_algebraic_renewal(2.0, 4)
-    N = 200_000
     for k in (1, 2):
-        tracemalloc.start()
-        try:
-            ergodic_gap(nu_ab, rho, N, k, seed=7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 56 * N, (k, peak / N)
+        peaks = []
+        for N in (100_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                ergodic_gap(nu_ab, rho, N, k, seed=7)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert peaks[-1] <= ergodic_checked_bytes(nu_ab, rho, N, k, seed=7)[1], (N, k)
+        assert peaks[1] - peaks[0] <= 64 * 2**10, (k, peaks)
 
 
 @pytest.mark.parametrize("case", ["uniform-ab", "skewed-abc", "atoms-2-5"])
 def test_ergodic_gap_budget_is_what_it_allocates(monkeypatch, case):
-    # checked before anything is drawn: 24 bytes a word, and counts,
-    # frequencies and reference over `total` words; `sample_arrays` checks
-    # 16 bytes a letter; once drawn, the first check's bytes plus each letter
-    # and its int32 code.  The largest of the three bounds the whole call.
+    # checked before anything is drawn: the counts, frequencies and
+    # reference over `total` words and one chunk's words; once a chunk's
+    # jumps are drawn, those bytes and its letters.  The largest chunk's
+    # letters bound the whole call.
     nu, rho, depths = ERGODIC_CASES[case]
     N = 200_000
-    total = sum(len(nu.alphabet) ** n for n in rho.support)
-    x, _ = sample_arrays(nu, rho, 0, N, seed=7)
-    L, letter_bytes = len(x), x.itemsize
-    del x
-    for k in depths:
-        words = 24 * N + 8 * (2 * total**k + total)
-        monkeypatch.setattr(errors, "BUDGET_BYTES", words - 1)
+    expected = {k: (ergodic_checked_bytes(nu, rho, N, k, seed=7),
+                    per_length_ergodic_gap(nu, rho, N, k, seed=7)) for k in depths}
+    for k, ((held, need, letters), want) in expected.items():
+        monkeypatch.setattr(errors, "BUDGET_BYTES", held - 1)
         tracemalloc.start()
         try:
-            with pytest.raises(SizeBudgetError, match=f"ergodic gap of {N} words over .* needs {words} bytes"):
+            with pytest.raises(SizeBudgetError, match=f"ergodic gap of {N} words over .* needs {held} bytes"):
                 ergodic_gap(nu, rho, N, k, seed=7)
             assert tracemalloc.get_traced_memory()[1] < 8192
         finally:
             tracemalloc.stop()
-        need, what = max((16 * L, f"{L} letters"),
-                         (words + (letter_bytes + 4) * L, f"ergodic gap of {N} words and {L} letters"))
-        assert need >= words
         monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
-        with pytest.raises(SizeBudgetError, match=f"{what} .*needs {need} bytes"):
+        with pytest.raises(SizeBudgetError, match=f"a chunk of {letters} letters needs {need} bytes"):
             ergodic_gap(nu, rho, N, k, seed=7)
         monkeypatch.setattr(errors, "BUDGET_BYTES", need)
         tracemalloc.start()
@@ -303,7 +326,7 @@ def test_ergodic_gap_budget_is_what_it_allocates(monkeypatch, case):
         finally:
             tracemalloc.stop()
         assert peak <= need, (k, peak, need)
-        assert gap == per_length_ergodic_gap(nu, rho, N, k, seed=7)
+        assert gap == want
 
 
 def test_ergodic_gap_checks_letters_once_drawn(monkeypatch, nu_ab):
@@ -321,6 +344,20 @@ def test_ergodic_gap_checks_letters_once_drawn(monkeypatch, nu_ab):
         tracemalloc.stop()
     assert peak <= budget
     assert gap == per_length_ergodic_gap(nu_ab, rho, N, 1, seed=7)
+
+
+def test_ergodic_gap_refuses_far_atom_before_drawing():
+    # one letter keeps the word table at two entries, but the tables by
+    # length reach the far atom: refused before any draw, with their bytes
+    nu, far = LetterLaw.uniform("a"), renewal_from_atoms({1: 0.5, 10**9: 0.5}, 2.0)
+    need = 8 * 3 * 2 + 12 * (10**9 + 1) + 24 * 10
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBudgetError, match=f"needs {need} bytes"):
+            ergodic_gap(nu, far, 10, 1, seed=7)
+        assert tracemalloc.get_traced_memory()[1] < 8192
+    finally:
+        tracemalloc.stop()
 
 
 def test_ergodic_gap_depth_validation(nu_ab):
