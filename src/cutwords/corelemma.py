@@ -328,8 +328,8 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     threads, alive only during the call, take the rest, each drawing its
     blocks' marks into its own marks, buffer and spectrum, reused for every
     level of every block, and writing each block's levels into its columns
-    of the shared logs.  One block runs on the calling thread and starts
-    no thread.  The workers are cut to as many as the budget holds beside
+    of the shared logs.  One worker runs on the calling thread alone and
+    builds no pool.  The workers are cut to as many as the budget holds beside
     the shared arrays, and the call is refused only when the shared arrays
     and one trial's row exceed it.
     Per-trial RNG is keyed by (seed, trial index) and each trial's S_n
@@ -371,12 +371,14 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
                 _draw_marks(p, seed, lo + i, omega[i])
             _block_levels(omega[:rows], buf[:rows], spec[:rows], weights, kf, logs[:, lo : lo + rows])
 
-    # A pool starts threads only for submitted tasks, so one worker starts none.
-    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
-        futures = [pool.submit(work, k) for k in range(1, workers)]
+    if workers == 1:
         work(0)
-        for fut in futures:
-            fut.result()
+    else:
+        with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(work, k) for k in range(1, workers)]
+            work(0)
+            for fut in futures:
+                fut.result()
 
     zt = zeta_partial(alpha, T)
     levels = []

@@ -4,7 +4,9 @@ The concatenation of a word process, with the origin placed uniformly at
 random inside the (length-biased) first word, is a function of a hidden
 Markov chain on states (word, offset).  One backward pass over the letter
 patterns of that chain (one state vector per pattern, grown at its front;
-each step within the byte budget), exact up to floating point, serves both
+each depth holds its frontier, their masses, the next frontier and one
+chunk of extensions fixed at PATTERN_CHUNK_BYTES, within the byte budget),
+exact up to floating point, serves both
 `entropy_series` (both sides of the entropy-rate sandwich) and
 `psi_marginal` (the pattern table).  `letter_typical` decides exactly, at
 no fixed depth, whether the letters are i.i.d. with a given law.
@@ -15,6 +17,8 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 from scipy.special import xlogy
@@ -23,6 +27,10 @@ from .errors import InputError, check_budget
 from .laws import LetterLaw, WordProcessLaw, mean_length
 
 RANK_TOL = 1e-12  # relative Gram-Schmidt residual below which a vector is in the span
+
+# Bytes of one chunk of the pattern pass: as many frontier patterns as keep
+# their extensions' vectors and temporaries within it, and at least one.
+PATTERN_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -118,24 +126,48 @@ def _pattern_pass(chain: HiddenChain, steps: int):
     Carries per pattern w of positive mass p(w) = init . beta_w the vector
     beta_w(s) = P(X_1..t = w | S_1 = s), grown at the front:
     beta_{ew} = 1[emit = e] * (trans @ beta_w).  Stationarity gives
-    sum_e p(ew) = p(w), so pruning p = 0 loses no mass.  After each of
-    `steps` letters yields (first, suffix, beta, p): pattern i is letter
-    first[i] before pattern suffix[i] of the previous step.  Each step's
-    live patterns x |E| extensions, at n + 3 eight-byte entries each, must
-    fit the byte budget.
+    sum_e p(ew) = p(w), so pruning p = 0 loses no mass.  Depth t takes the
+    masses of all extensions of its frontier (the live patterns of depth
+    t - 1) at once, then extends the frontier in equal chunks of at most
+    as many patterns as fit PATTERN_CHUNK_BYTES and yields one tuple per
+    chunk, (t, first, suffix, beta, p): pattern i is letter first[i] before
+    frontier pattern suffix[i].  The extensions are kept as the next
+    frontier only before the last depth, so a depth holds its frontier,
+    their masses, that next frontier and one chunk's temporaries, all
+    within the byte budget.  The chunks are of equal size, so one holds a
+    lone pattern only when the frontier does or `size` < 4: numpy
+    multiplies a single row on its vector path, which can round
+    differently from the matrix product the other chunks take.
     """
     k, n = len(chain.alphabet), chain.n_states
     # p(ew) = beta_w . to_p[:, e]
     to_p = (((chain.emit == np.arange(k)[:, None]) * chain.init) @ chain.trans).T
+    # a frontier pattern's product with trans and, per extension, its vector
+    # (its own array only at the last depth) and a consumer's temporary of
+    # it, its emit mask, letter, link, mass and live flag
+    row = 8 * n + k * (17 * n + 25)
+    size = max(1, PATTERN_CHUNK_BYTES // row)
     beta = np.ones((1, n))
     for t in range(1, steps + 1):
-        # per extension: vector, letter, link and mass
-        check_budget(f"pattern pass at depth {t}", len(beta) * k * (n + 3) * 8)
+        rows = len(beta)
         p = (beta @ to_p).T
-        first, suffix = np.nonzero(p > 0.0)
-        beta = (beta @ chain.trans.T)[suffix]
-        beta[chain.emit != first[:, None]] = 0.0
-        yield first, suffix, beta, p[first, suffix]
+        kept = int(np.count_nonzero(p > 0.0)) if t < steps else 0
+        # the frontier, its masses and their live flags, the next frontier, a chunk
+        check_budget(f"pattern pass at depth {t}",
+                     rows * (8 * n + 9 * k) + 8 * n * kept + min(rows, size) * row)
+        nxt, filled = np.empty((kept, n)), 0
+        chunks = -(-rows // size)
+        for i in range(chunks):
+            lo, hi = i * rows // chunks, (i + 1) * rows // chunks
+            first, suffix = np.nonzero(p[:, lo:hi] > 0.0)
+            ext = nxt[filled : filled + len(first)] if t < steps else None
+            # the indices are in range; "clip" writes into ext unbuffered
+            ext = np.take(beta[lo:hi] @ chain.trans.T, suffix, axis=0, out=ext, mode="clip")
+            ext[chain.emit != first[:, None]] = 0.0
+            filled += len(first)
+            suffix += lo
+            yield t, first, suffix, ext, p[first, suffix]
+        beta = nxt
 
 
 def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
@@ -144,10 +176,13 @@ def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
     if L < 1:
         raise InputError(f"pattern depth must be >= 1, got {L}")
     chain = minimize_chain(hidden_chain(Q, alphabet))
-    keys = np.array([""])
-    for first, suffix, _, p in _pattern_pass(chain, L):
-        keys = np.char.add(np.array(chain.alphabet)[first], keys[suffix])
-    order = np.argsort(keys)
+    letters, keys = np.array(chain.alphabet), np.array([""])
+    for _, chunks in groupby(_pattern_pass(chain, L), key=itemgetter(0)):
+        parts = [(np.char.add(letters[first], keys[suffix]), p)
+                 for _, first, suffix, _, p in chunks]
+        keys = np.concatenate([part for part, _ in parts])
+    p = np.concatenate([p for _, p in parts])
+    order = np.argsort(keys, kind="stable")  # timsort: keys come in sorted runs
     return dict(zip(keys[order].tolist(), p[order].tolist()))
 
 
@@ -157,18 +192,19 @@ def entropy_series(chain: HiddenChain, L: int):
     Returns (h, cond) with h[t] = h(pi_t) for t = 0..L+1 and
     cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  The pass's vectors
     beta_w(s) = P(w | S_1 = s) at the start states give the pattern laws
-    conditioned on S_1, and p gives the pattern law itself.  The chain is
-    taken as given; minimize it first for a smaller pass.
+    conditioned on S_1, and p gives the pattern law itself; both are summed
+    a chunk at a time.  The chain is taken as given; minimize it first for
+    a smaller pass.
     """
     starts = np.nonzero(chain.init > 0.0)[0]
+    h = np.zeros(L + 2)
+    h_given_start = np.zeros((L + 2, len(starts)))  # H(X_1..X_t | S_1 = s1)
+    for t, _, _, beta, p in _pattern_pass(chain, L + 1):
+        h[t] -= xlogy(p, p).sum()
+        h_given_start[t] -= xlogy(beta, beta).sum(axis=0)[starts]
     init = chain.init[starts]
-    h = [0.0]
-    h_given_start = [np.zeros(len(starts))]  # H(X_1..X_t | S_1 = s1)
-    for _, _, beta, p in _pattern_pass(chain, L + 1):
-        h.append(float(-xlogy(p, p).sum()))
-        h_given_start.append(-xlogy(beta, beta).sum(axis=0)[starts])
     cond = [float(init @ (h_given_start[t + 1] - h_given_start[t])) for t in range(L + 1)]
-    return h, cond
+    return h.tolist(), cond
 
 
 def letter_typical(Q: WordProcessLaw, nu: LetterLaw):

@@ -380,6 +380,18 @@ def test_mean_check_raises_pool_thread_error(monkeypatch):
     assert threading.active_count() == before
 
 
+def test_mean_check_one_worker_builds_no_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was built for one worker")
+
+    monkeypatch.setattr(corelemma, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
+    res = s_n_mean_check(2.0, 0.2, 2, 500, 3 * block_rows(500), seed=6)
+    monkeypatch.undo()
+    assert res == s_n_mean_check(2.0, 0.2, 2, 500, 3 * block_rows(500), seed=6)
+
+
 def test_mean_check_workers_cut_to_budget(monkeypatch):
     # at T = 10^4 a block is 10 rows, 4 MB a worker; a budget that holds the
     # kernel and 10 workers, not 11, runs 10 of 16 cores instead of refusing.

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from functools import reduce
 
 import numpy as np
@@ -199,6 +200,21 @@ def test_ergodic_gap_deterministic_law():
     rho = renewal_from_atoms({2: 1.0}, 2.0)
     assert ergodic_gap(nu, rho, 500, 1, seed=0) == 0.0
     assert ergodic_gap(nu, rho, 500, 2, seed=0) == 0.0
+
+
+def test_ergodic_gap_one_letter_counts_lengths():
+    # on one letter a word is its length: the gap is the largest distance of
+    # the length (k = 1) or length-pair (k = 2, periodic) frequencies from rho
+    nu = LetterLaw.uniform("a")
+    rho = renewal_from_atoms({1: 0.5, 500: 0.5}, 2.0)
+    N = 2000
+    _, points = sample_arrays(nu, rho, 0, N, seed=4)
+    lens = np.diff(points, prepend=0).tolist()
+    for k in (1, 2):
+        seen = Counter(zip(*(lens[i:] + lens[:i] for i in range(k))))
+        oracle = max(abs(seen[cell] / N - math.prod(rho.prob(n) for n in cell))
+                     for cell in itertools.product(rho.support, repeat=k))
+        assert ergodic_gap(nu, rho, N, k, seed=4) == oracle, k
 
 
 def per_length_ergodic_gap(nu, rho, N, k, seed):

@@ -1,9 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cutwords import errors, psi
 from cutwords.errors import SizeBudgetError
 from cutwords.laws import (
     LetterLaw,
@@ -274,3 +276,56 @@ def test_pattern_budget():
     ch = hidden_chain(Q, alphabet="ab")
     with pytest.raises(SizeBudgetError):
         entropy_series(ch, 40)
+
+
+@pytest.mark.parametrize("chunk_bytes, exact", [(1, False), (2**13, True)])
+def test_pattern_pass_chunk_invariance(monkeypatch, law_corpus, chunk_bytes, exact):
+    # one frontier pattern a chunk, and chunks of at least four rows (two or
+    # more in each equal chunk), against the default chunk that holds each
+    # whole frontier here.  A one-row product takes numpy's vector path,
+    # which rounds differently from the matrix product
+    def run():
+        return [(psi_marginal(Q, 6, alphabet=syms), entropy_series(hidden_chain(Q, syms), 6))
+                for _, syms, Q in law_corpus]
+
+    default = run()
+    monkeypatch.setattr(psi, "PATTERN_CHUNK_BYTES", chunk_bytes)
+    for (table, (h, cond)), (want, (h0, cond0)) in zip(run(), default):
+        assert list(table) == list(want)
+        if exact:
+            assert table == want
+        else:
+            assert list(table.values()) == pytest.approx(list(want.values()), abs=1e-15, rel=0)
+        assert h == pytest.approx(h0, abs=1e-13, rel=0)
+        assert cond == pytest.approx(cond0, abs=1e-13, rel=0)
+
+
+def test_entropy_series_never_holds_last_depth():
+    # all 2- and 3-letter words over ab: 32 states, every pattern live, so
+    # depth 16's vectors take 2^16 * 32 * 8 bytes, in 22 chunks
+    words = ["".join(w) for m in (2, 3) for w in itertools.product("ab", repeat=m)]
+    chain = hidden_chain(iid_law(dict.fromkeys(words, 1 / len(words))), alphabet="ab")
+    tracemalloc.start()
+    try:
+        entropy_series(chain, 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16 * chain.n_states * 8
+
+
+def test_pattern_budget_exact_bytes(monkeypatch):
+    # i.i.d. fair letters on the two-state chain: depth t extends 2^(t-1)
+    # patterns to 2^t, all kept for depth t + 1
+    chain = hidden_chain(iid_law({"a": 0.5, "b": 0.5}), alphabet="ab")
+    n = k = 2
+    row = 8 * n + k * (17 * n + 25)
+    size = psi.PATTERN_CHUNK_BYTES // row
+    rows, kept = 2**19, 2**20
+    need = rows * (8 * n + 9 * k) + 8 * n * kept + size * row
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+    with pytest.raises(SizeBudgetError, match=f"pattern pass at depth 20 needs {need} bytes"):
+        entropy_series(chain, 40)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    with pytest.raises(SizeBudgetError, match="pattern pass at depth 21 needs"):
+        entropy_series(chain, 40)
