@@ -63,10 +63,8 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     word of length n ending at j, whose letters are all in the chunk, has
     the value code[j] mod E^n.  One gather at the cut points and one integer
     division by E^n give the chunk's ids, once each length's offset is
-    added.  On a one-letter alphabet every code is 0, so no code is built
-    and each id is its length's offset.  At k = 2 the last id of a chunk
-    pairs with the first of the next, and the last of all with the first
-    (the periodic pair (Y_N, Y_1)).
+    added.  At k = 2 the last id of a chunk pairs with the first of the
+    next, and the last of all with the first (the periodic pair (Y_N, Y_1)).
     The budget bounds total^k <= 2^24 and E^L <= total, so the codes and
     ids fit int32.
 
@@ -98,20 +96,17 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     counts = np.zeros(total**k, dtype=np.int64)
     first, last = None, np.zeros(0, dtype=np.int32)
     for lens, x in sample_chunks(nu, rho, 0, N, seed, check_letters):
-        if E == 1:
-            ids = offset[lens]
-        else:
-            code = np.zeros(len(x), dtype=np.int32)
-            for t in range(lengths[-1] - 1, -1, -1):
-                code *= E
-                code[t:] += x[: max(len(x) - t, 0)]
-            ends = np.cumsum(lens)
-            ends -= 1  # the last letter of each word
-            ids = code[ends]
-            del code, ends
-            ids %= modulus[lens]
-            ids += offset[lens]
+        code = np.zeros(len(x), dtype=np.int32)
+        for t in range(lengths[-1] - 1, -1, -1):
+            code *= E
+            code[t:] += x[: max(len(x) - t, 0)]
         del x
+        ends = np.cumsum(lens)
+        ends -= 1  # the last letter of each word
+        ids = code[ends]
+        del code, ends
+        ids %= modulus[lens]
+        ids += offset[lens]
         if k == 2:
             first = ids[0] if first is None else first
             seq = np.concatenate((last, ids))

@@ -5,7 +5,8 @@ random inside the (length-biased) first word, is a function of a hidden
 Markov chain on states (word, offset).  One backward pass over the letter
 patterns of that chain (one state vector per pattern, grown at its front;
 each depth holds its frontier, their masses, the next frontier and one
-chunk of extensions fixed at PATTERN_CHUNK_BYTES, within the byte budget),
+chunk of extensions fixed at PATTERN_CHUNK_BYTES, within the byte budget,
+and yields the extensions in the patterns' order a chunk at a time),
 exact up to floating point, serves both
 `entropy_series` (both sides of the entropy-rate sandwich) and
 `psi_marginal` (the pattern table).  `letter_typical` decides exactly, at
@@ -29,7 +30,7 @@ from .laws import LetterLaw, WordProcessLaw, mean_length
 RANK_TOL = 1e-12  # relative Gram-Schmidt residual below which a vector is in the span
 
 # Bytes of one chunk of the pattern pass: as many frontier patterns as keep
-# their extensions' vectors and temporaries within it, and at least one.
+# their extensions by one letter, with temporaries, within it, at least one.
 PATTERN_CHUNK_BYTES = 2**20
 
 
@@ -128,45 +129,54 @@ def _pattern_pass(chain: HiddenChain, steps: int):
     beta_{ew} = 1[emit = e] * (trans @ beta_w).  Stationarity gives
     sum_e p(ew) = p(w), so pruning p = 0 loses no mass.  Depth t takes the
     masses of all extensions of its frontier (the live patterns of depth
-    t - 1) at once, then extends the frontier in equal chunks of at most
-    as many patterns as fit PATTERN_CHUNK_BYTES and yields one tuple per
-    chunk, (t, first, suffix, beta, p): pattern i is letter first[i] before
-    frontier pattern suffix[i].  The extensions are kept as the next
-    frontier only before the last depth, so a depth holds its frontier,
-    their masses, that next frontier and one chunk's temporaries, all
-    within the byte budget.  The chunks are of equal size, so one holds a
-    lone pattern only when the frontier does or `size` < 4: numpy
+    t - 1) at once, then, letter by letter, extends the frontier in equal
+    chunks of at most as many patterns as fit PATTERN_CHUNK_BYTES and
+    yields one tuple per letter and chunk, (t, e, suffix, beta, p):
+    pattern i is letter e before frontier pattern suffix[i].  The tuples
+    come in the patterns' order, by letter and then by suffix, which is
+    the next frontier's order, so no result depends on the chunk size but
+    through the rounding of a chunk's product.  The extensions are kept
+    as the next frontier only before the last depth, so a depth holds its
+    frontier, their masses, that next frontier and one chunk's
+    temporaries; what it holds beside the next frontier is checked against
+    the byte budget before the masses are computed, and all of it once
+    their live count is known.  The chunks are of equal size, so one
+    holds a lone pattern only when the frontier does or `size` < 4: numpy
     multiplies a single row on its vector path, which can round
     differently from the matrix product the other chunks take.
     """
     k, n = len(chain.alphabet), chain.n_states
     # p(ew) = beta_w . to_p[:, e]
     to_p = (((chain.emit == np.arange(k)[:, None]) * chain.init) @ chain.trans).T
-    # a frontier pattern's product with trans and, per extension, its vector
-    # (its own array only at the last depth) and a consumer's temporary of
-    # it, its emit mask, letter, link, mass and live flag
-    row = 8 * n + k * (17 * n + 25)
+    # a frontier pattern's product with trans and, for its extension, the
+    # vector (its own array only at the last depth), a consumer's
+    # temporary of it, its link and its mass
+    row = 24 * n + 16
     size = max(1, PATTERN_CHUNK_BYTES // row)
     beta = np.ones((1, n))
     for t in range(1, steps + 1):
         rows = len(beta)
+        # the frontier, its masses and their live flags, a chunk
+        held = rows * (8 * n + 9 * k) + min(rows, size) * row
+        check_budget(f"pattern pass at depth {t}", held)
         p = (beta @ to_p).T
-        kept = int(np.count_nonzero(p > 0.0)) if t < steps else 0
-        # the frontier, its masses and their live flags, the next frontier, a chunk
-        check_budget(f"pattern pass at depth {t}",
-                     rows * (8 * n + 9 * k) + 8 * n * kept + min(rows, size) * row)
-        nxt, filled = np.empty((kept, n)), 0
-        chunks = -(-rows // size)
-        for i in range(chunks):
-            lo, hi = i * rows // chunks, (i + 1) * rows // chunks
-            first, suffix = np.nonzero(p[:, lo:hi] > 0.0)
-            ext = nxt[filled : filled + len(first)] if t < steps else None
-            # the indices are in range; "clip" writes into ext unbuffered
-            ext = np.take(beta[lo:hi] @ chain.trans.T, suffix, axis=0, out=ext, mode="clip")
-            ext[chain.emit != first[:, None]] = 0.0
-            filled += len(first)
-            suffix += lo
-            yield t, first, suffix, ext, p[first, suffix]
+        live = p > 0.0
+        kept = int(np.count_nonzero(live))
+        nxt = np.empty((kept if t < steps else 0, n))
+        # and the live masses, which a consumer may gather for the depth, the next frontier
+        check_budget(f"pattern pass at depth {t}", held + 8 * kept + 8 * n * len(nxt))
+        filled, chunks = 0, -(-rows // size)
+        for e in range(k):
+            for i in range(chunks):
+                lo, hi = i * rows // chunks, (i + 1) * rows // chunks
+                suffix = np.flatnonzero(live[e, lo:hi])
+                ext = nxt[filled : filled + len(suffix)] if t < steps else None
+                # the indices are in range; "clip" writes into ext unbuffered
+                ext = np.take(beta[lo:hi] @ chain.trans.T, suffix, axis=0, out=ext, mode="clip")
+                ext[:, chain.emit != e] = 0.0
+                filled += len(suffix)
+                suffix += lo
+                yield t, e, suffix, ext, p[e, suffix]
         beta = nxt
 
 
@@ -178,11 +188,10 @@ def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
     chain = minimize_chain(hidden_chain(Q, alphabet))
     letters, keys = np.array(chain.alphabet), np.array([""])
     for _, chunks in groupby(_pattern_pass(chain, L), key=itemgetter(0)):
-        parts = [(np.char.add(letters[first], keys[suffix]), p)
-                 for _, first, suffix, _, p in chunks]
+        parts = [(np.char.add(letters[e], keys[suffix]), p) for _, e, suffix, _, p in chunks]
         keys = np.concatenate([part for part, _ in parts])
     p = np.concatenate([p for _, p in parts])
-    order = np.argsort(keys, kind="stable")  # timsort: keys come in sorted runs
+    order = np.argsort(keys, kind="stable")  # timsort: keys come in sorted runs, one a letter
     return dict(zip(keys[order].tolist(), p[order].tolist()))
 
 
@@ -192,19 +201,29 @@ def entropy_series(chain: HiddenChain, L: int):
     Returns (h, cond) with h[t] = h(pi_t) for t = 0..L+1 and
     cond[t] = H(X_{t+1} | X_1..X_t, S_1) for t = 0..L.  The pass's vectors
     beta_w(s) = P(w | S_1 = s) at the start states give the pattern laws
-    conditioned on S_1, and p gives the pattern law itself; both are summed
-    a chunk at a time.  The chain is taken as given; minimize it first for
-    a smaller pass.
+    conditioned on S_1, and p gives the pattern law itself.  Each depth's
+    vectors are summed a chunk at a time, row after row into one running
+    sum, and its masses, gathered, at once: the additions of a sum over the
+    whole depth, in its order, whatever the chunk size.  The chain is taken
+    as given; minimize it first for a smaller pass.
     """
     starts = np.nonzero(chain.init > 0.0)[0]
-    h = np.zeros(L + 2)
-    h_given_start = np.zeros((L + 2, len(starts)))  # H(X_1..X_t | S_1 = s1)
-    for t, _, _, beta, p in _pattern_pass(chain, L + 1):
-        h[t] -= xlogy(p, p).sum()
-        h_given_start[t] -= xlogy(beta, beta).sum(axis=0)[starts]
     init = chain.init[starts]
+    h = [0.0]
+    h_given_start = [np.zeros(len(starts))]  # H(X_1..X_t | S_1 = s1)
+    for _, chunks in groupby(_pattern_pass(chain, L + 1), key=itemgetter(0)):
+        masses, total = [], np.zeros(chain.n_states)
+        for _, _, _, beta, p in chunks:
+            masses.append(p)
+            if len(beta):
+                terms = xlogy(beta, beta)
+                terms[0] += total
+                total = terms.sum(axis=0)
+        p = np.concatenate(masses)
+        h.append(float(-xlogy(p, p).sum()))
+        h_given_start.append(-total[starts])
     cond = [float(init @ (h_given_start[t + 1] - h_given_start[t])) for t in range(L + 1)]
-    return h.tolist(), cond
+    return h, cond
 
 
 def letter_typical(Q: WordProcessLaw, nu: LetterLaw):

@@ -282,10 +282,11 @@ def test_pattern_budget():
 def test_pattern_pass_chunk_invariance(monkeypatch, law_corpus, chunk_bytes, exact):
     # one frontier pattern a chunk, and chunks of at least four rows (two or
     # more in each equal chunk), against the default chunk that holds each
-    # whole frontier here.  A one-row product takes numpy's vector path,
-    # which rounds differently from the matrix product
+    # whole frontier here.  Sums run in the patterns' order whatever the
+    # chunk, so only a one-row product, which numpy takes on its vector path
+    # and rounds differently from the matrix product, moves a result
     def run():
-        return [(psi_marginal(Q, 6, alphabet=syms), entropy_series(hidden_chain(Q, syms), 6))
+        return [(psi_marginal(Q, 8, alphabet=syms), entropy_series(hidden_chain(Q, syms), 8))
                 for _, syms, Q in law_corpus]
 
     default = run()
@@ -293,11 +294,11 @@ def test_pattern_pass_chunk_invariance(monkeypatch, law_corpus, chunk_bytes, exa
     for (table, (h, cond)), (want, (h0, cond0)) in zip(run(), default):
         assert list(table) == list(want)
         if exact:
-            assert table == want
+            assert (table, h, cond) == (want, h0, cond0)
         else:
             assert list(table.values()) == pytest.approx(list(want.values()), abs=1e-15, rel=0)
-        assert h == pytest.approx(h0, abs=1e-13, rel=0)
-        assert cond == pytest.approx(cond0, abs=1e-13, rel=0)
+            assert h == pytest.approx(h0, abs=1e-13, rel=0)
+            assert cond == pytest.approx(cond0, abs=1e-13, rel=0)
 
 
 def test_entropy_series_never_holds_last_depth():
@@ -314,18 +315,49 @@ def test_entropy_series_never_holds_last_depth():
     assert peak < 2**16 * chain.n_states * 8
 
 
+def fair_three_letters():
+    """Fair i.i.d. letters on three one-letter words, so n = k = 3: depth t
+    extends 3^(t-1) patterns to 3^t, every one live."""
+    return hidden_chain(iid_law(dict.fromkeys("abc", 1 / 3)), alphabet="abc")
+
+
+def pattern_depth_bytes(rows, n, k):
+    """What depth t holds beside the next frontier when its frontier has
+    `rows` patterns: the frontier, its masses and their live flags, and one
+    chunk (8n bytes a frontier pattern for its product, 16n + 16 for its
+    extension)."""
+    row = 24 * n + 16
+    return rows * (8 * n + 9 * k) + min(rows, psi.PATTERN_CHUNK_BYTES // row) * row
+
+
 def test_pattern_budget_exact_bytes(monkeypatch):
-    # i.i.d. fair letters on the two-state chain: depth t extends 2^(t-1)
-    # patterns to 2^t, all kept for depth t + 1
-    chain = hidden_chain(iid_law({"a": 0.5, "b": 0.5}), alphabet="ab")
-    n = k = 2
-    row = 8 * n + k * (17 * n + 25)
-    size = psi.PATTERN_CHUNK_BYTES // row
-    rows, kept = 2**19, 2**20
-    need = rows * (8 * n + 9 * k) + 8 * n * kept + size * row
-    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
-    with pytest.raises(SizeBudgetError, match=f"pattern pass at depth 20 needs {need} bytes"):
-        entropy_series(chain, 40)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
-    with pytest.raises(SizeBudgetError, match="pattern pass at depth 21 needs"):
-        entropy_series(chain, 40)
+    # depth 10 is checked once before its masses and once with its 3^10
+    # live masses and, as a later depth needs it, its next frontier
+    chain, n = fair_three_letters(), 3
+    held = pattern_depth_bytes(3**9, n, 3)
+    need = held + 3**10 * (8 + 8 * n)
+    for budget, depth, want in ((held - 1, 10, held), (need - 1, 10, need),
+                                (need, 11, pattern_depth_bytes(3**10, n, 3))):
+        monkeypatch.setattr(errors, "BUDGET_BYTES", budget)
+        with pytest.raises(SizeBudgetError, match=f"pattern pass at depth {depth} needs {want} bytes"):
+            entropy_series(chain, 40)
+
+
+def test_pattern_pass_refuses_before_its_masses(monkeypatch):
+    # with k = n a depth's masses take as many bytes as its frontier.  Under
+    # a budget that holds depth 9 but not depth 10 beside its next frontier,
+    # depth 10 is refused before its masses exist: the peak stays below its
+    # frontier and masses, though it reaches depth 9's frontier, masses and
+    # next frontier (41 of those 48 bytes a depth-10 pattern)
+    chain, n = fair_three_letters(), 3
+    monkeypatch.setattr(psi, "PATTERN_CHUNK_BYTES", 2**12)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", pattern_depth_bytes(3**9, n, 3) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBudgetError, match="pattern pass at depth 10 needs"):
+            for _ in psi._pattern_pass(chain, 40):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3**9 * (8 * n + 8 * 3)
