@@ -141,7 +141,7 @@ def _write_json(path: str, doc: dict):
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list, rows: list, sidecar: dict):
+def _write_csv(path: str, header: list, rows, sidecar: dict):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -200,9 +200,8 @@ def cmd_psi(rc: RunConfig, cfg: dict) -> str:
     nu = _load(cfg, "letter_law")
     Q = _load(cfg, "word_law")
     table = psi.psi_marginal(Q, p["depth"], alphabet=nu.alphabet.symbols)
-    rows = [(pat, prob) for pat, prob in table.items()]
     _emit(rc, {"depth": p["depth"], "table": table},
-          header=["pattern", "probability"], rows=rows, row_keys=("table",))
+          header=["pattern", "probability"], rows=table.items(), row_keys=("table",))
     return f"psi: depth={p['depth']} atoms={len(table)}"
 
 

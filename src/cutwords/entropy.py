@@ -15,12 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, asdict
 
+import numpy as np
 from scipy.special import xlogy
 
-from .errors import InputError
+from .errors import InputError, check_budget
 from .interval import Interval, fp_slack
 from .laws import LetterLaw, ReferenceLaw, WordProcessLaw, mean_length
-from .psi import entropy_series, hidden_chain, minimize_chain
+from .psi import entropy_series, hidden_chain
 
 BRACKET_TOL = 1e-10
 
@@ -71,20 +72,37 @@ def expected_log_nu(Q: WordProcessLaw, nu: LetterLaw) -> float:
 
 
 def spec_rel_entropy(Q: WordProcessLaw, ref: ReferenceLaw) -> float:
-    """Specific relative entropy per word against the product reference law.
+    """Specific relative entropy per word against the product reference law;
+    math.inf when some word in the support is impossible under the
+    reference (annealed impossibility)."""
+    return spec_rel_entropy_terms(Q, ref)[0]
 
-    Exact closed form: -H(Q) - E_Q[log q_ref(Y_1)]; math.inf when some word
-    in the support is impossible under the reference (annealed impossibility).
+
+def spec_rel_entropy_terms(Q: WordProcessLaw, ref: ReferenceLaw):
+    """`spec_rel_entropy` and the scale of its rounding error.
+
+    H(Q | q^N) = sum_v pi_v sum_w P_vw (log P_vw - log q(w)): each pair of
+    logs is differenced before it is summed, so a law at the reference
+    sums terms near 0 rather than differencing -H(Q) and E_Q[-log q(Y_1)],
+    two O(1) sums.  The scale is the terms' total magnitude or, where
+    larger, E_Q[-log q(Y_1)] / 16 for the logs' own rounding: each is within
+    eps times itself, so they are off by at most eps (H(Q) + E_Q[-log q(Y_1)])
+    <= 2 eps E_Q[-log q(Y_1)] in all, half of what `interval.fp_slack` pads
+    for that scale.
     """
-    e_log_q = 0.0
-    for w, p in Q.marginal().items():
-        lq = ref.log_word_prob(w)
-        if math.isinf(lq):
-            if p > 0:
-                return math.inf
-            continue
-        e_log_q += p * lq
-    return max(-entropy_rate(Q) - e_log_q, 0.0)
+    log_q = np.array([ref.log_word_prob(w) for w in Q.words])
+    if np.isinf(log_q).any():  # every word of Q has positive stationary mass
+        return math.inf, math.inf
+    P = Q.transition
+    # the terms and the mask of P's positive entries
+    check_budget(f"relative entropy of {len(P)} words", 9 * P.size)
+    terms = np.log(P, out=np.zeros_like(P), where=P > 0.0)
+    terms -= log_q
+    terms *= P
+    h_rel = float(Q.stationary @ terms.sum(axis=1))
+    size = float(Q.stationary @ np.abs(terms, out=terms).sum(axis=1))
+    cross = -float(Q.stationary @ (P @ log_q))
+    return max(h_rel, 0.0), max(size, cross / 16.0)
 
 
 @dataclass(frozen=True)
@@ -118,8 +136,7 @@ def psi_bracket_series(Q: WordProcessLaw, nu: LetterLaw, L_max: int):
     """
     if L_max < 1:
         raise InputError(f"bracket depth must be >= 1, got {L_max}")
-    chain = minimize_chain(hidden_chain(Q, alphabet=nu.alphabet.symbols))
-    h, cond = entropy_series(chain, L_max)
+    h, cond = entropy_series(hidden_chain(Q, alphabet=nu.alphabet.symbols), L_max)
     e_log_nu = expected_log_nu(Q, nu)
     ent_brackets = []
     rel_brackets = []

@@ -2,7 +2,8 @@
 
 The concatenation of a word process, with the origin placed uniformly at
 random inside the (length-biased) first word, is a function of a hidden
-Markov chain on states (word, offset).  One backward pass over the letter
+Markov chain on states (suffix, row class): the rest of the current word
+and the class of its transition row.  One backward pass over the letter
 patterns of that chain (one state vector per pattern, grown at its front;
 each depth holds its frontier, their masses, the next frontier and one
 chunk of extensions fixed at PATTERN_CHUNK_BYTES, within the byte budget,
@@ -38,9 +39,11 @@ PATTERN_CHUNK_BYTES = 2**20
 class HiddenChain:
     """Hidden chain emitting the concatenated letter stream of Q.
 
-    State (w, k) means: inside word w, about to emit its k-th letter.
-    The initial distribution is the stationary one (length-biased word,
-    uniform offset), so pushing it through `trans` returns it.
+    State (s, c) means: s is the rest of the current word, starting at the
+    letter emitted now, and c the class of that word's transition row
+    (words with equal rows share a class).  The initial distribution is
+    the stationary one (length-biased word, uniform offset), so pushing it
+    through `trans` returns it.
     """
 
     alphabet: tuple
@@ -54,11 +57,16 @@ class HiddenChain:
 
 
 def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
-    """Build the (word, offset) chain for Q.
+    """Build the (suffix, row class) chain for Q.
 
-    A word's states are consecutive; its last one moves to the words' first
-    ones by Q's transition row.  `alphabet` fixes the letter order; defaults
-    to sorted letters occurring in Q's words.
+    (s, c) with |s| > 1 moves to (s[1:], c); (s, c) with |s| = 1 moves to
+    (v, class of v) with Q's mass from a word of class c to v.  The initial
+    mass of (s, c) is pi(w) / m_Q summed over the words w of class c that
+    end in s.  Each word's suffixes are found by walking it backwards
+    through a trie of its class, so no suffix string is made.  States are
+    numbered by first appearance, word by word, longest suffix first.
+    `alphabet` fixes the letter order; defaults to sorted letters occurring
+    in Q's words.
     """
     if alphabet is None:
         alphabet = tuple(sorted({c for w in Q.words for c in w}))
@@ -68,20 +76,44 @@ def hidden_chain(Q: WordProcessLaw, alphabet=None) -> HiddenChain:
             if c not in letter_idx:
                 raise InputError(f"letter {c!r} of word {w!r} is not in the alphabet "
                                  f"{''.join(alphabet)!r}")
-    lengths = np.array([len(w) for w in Q.words])
-    ends = np.cumsum(lengths) - 1  # each word's last state
-    n = int(ends[-1]) + 1
+    P = Q.transition
+    classes: dict = {}
+    reps = []  # a word of each class, whose row the class moves by
+    nodes: dict = {}  # (trie node of s[1:], s[0]) -> trie node of s; class c's root is -1 - c
+    nxt, emit = [], []
+    suffixes = []  # each word's suffix nodes, longest first
+    for i, w in enumerate(Q.words):
+        c = classes.setdefault(P[i].tobytes(), len(classes))
+        if c == len(reps):
+            reps.append(i)
+        node, path = -1 - c, []
+        for ch in reversed(w):
+            child = nodes.setdefault((node, ch), len(nxt))
+            if child == len(nxt):
+                nxt.append(node)
+                emit.append(letter_idx[ch])
+            node = child
+            path.append(node)
+        suffixes += reversed(path)
+    n = len(nxt)
     check_budget(f"hidden chain of {n} states", n * n * 8)
-    emit = np.array([letter_idx[c] for w in Q.words for c in w])
-    init = np.repeat(Q.stationary, lengths) / mean_length(Q)
-
+    inv = np.argsort(np.unique(suffixes, return_index=True)[1])  # each state's node
+    label = np.empty(n, dtype=np.intp)
+    label[inv] = np.arange(n)
+    suffixes = label[suffixes]
+    lengths = np.array([len(w) for w in Q.words])
+    init = np.bincount(suffixes, weights=np.repeat(Q.stationary, lengths) / mean_length(Q),
+                       minlength=n)
+    nxt = np.array(nxt)
+    inner = np.flatnonzero(nxt >= 0)
     trans = np.zeros((n, n))
-    # the next letter's state; a word's last row is then overwritten whole
-    trans[np.arange(n - 1), np.arange(1, n)] = 1.0
-    trans[ends[:, None], ends - lengths + 1] = Q.transition
+    trans[label[inner], label[nxt[inner]]] = 1.0
+    starts = suffixes[np.cumsum(lengths) - lengths]
+    for node in np.flatnonzero(nxt < 0):
+        trans[label[node], starts] = P[reps[-1 - nxt[node]]]
     return HiddenChain(
         alphabet=tuple(alphabet),
-        emit=emit,
+        emit=np.array(emit)[inv],
         init=init,
         trans=trans,
     )
@@ -146,8 +178,9 @@ def _pattern_pass(chain: HiddenChain, steps: int):
     differently from the matrix product the other chunks take.
     """
     k, n = len(chain.alphabet), chain.n_states
+    keep = (chain.emit == np.arange(k)[:, None]).astype(float)  # 1 where a state emits e
     # p(ew) = beta_w . to_p[:, e]
-    to_p = (((chain.emit == np.arange(k)[:, None]) * chain.init) @ chain.trans).T
+    to_p = ((keep * chain.init) @ chain.trans).T
     # a frontier pattern's product with trans and, for its extension, the
     # vector (its own array only at the last depth), a consumer's
     # temporary of it, its link and its mass
@@ -166,14 +199,17 @@ def _pattern_pass(chain: HiddenChain, steps: int):
         # and the live masses, which a consumer may gather for the depth, the next frontier
         check_budget(f"pattern pass at depth {t}", held + 8 * kept + 8 * n * len(nxt))
         filled, chunks = 0, -(-rows // size)
+        # a one-chunk frontier takes its product once, for every letter
+        whole = beta @ chain.trans.T if chunks == 1 else None
         for e in range(k):
             for i in range(chunks):
                 lo, hi = i * rows // chunks, (i + 1) * rows // chunks
                 suffix = np.flatnonzero(live[e, lo:hi])
                 ext = nxt[filled : filled + len(suffix)] if t < steps else None
+                prod = beta[lo:hi] @ chain.trans.T if whole is None else whole
                 # the indices are in range; "clip" writes into ext unbuffered
-                ext = np.take(beta[lo:hi] @ chain.trans.T, suffix, axis=0, out=ext, mode="clip")
-                ext[:, chain.emit != e] = 0.0
+                ext = np.take(prod, suffix, axis=0, out=ext, mode="clip")
+                ext *= keep[e]
                 filled += len(suffix)
                 suffix += lo
                 yield t, e, suffix, ext, p[e, suffix]
@@ -182,17 +218,45 @@ def _pattern_pass(chain: HiddenChain, steps: int):
 
 def psi_marginal(Q: WordProcessLaw, L: int, alphabet=None) -> dict:
     """Exact distribution of the first L letters under the stationary
-    concatenation law, keyed by pattern string in lexicographic order."""
+    concatenation law, keyed by pattern string in lexicographic order.
+
+    Each pattern is carried as an integer code in base |E| whose digits are
+    its letters' ranks in code-point order, so sorting the codes sorts the
+    patterns; the strings are made once, from the sorted codes.
+    """
     if L < 1:
         raise InputError(f"pattern depth must be >= 1, got {L}")
-    chain = minimize_chain(hidden_chain(Q, alphabet))
-    letters, keys = np.array(chain.alphabet), np.array([""])
-    for _, chunks in groupby(_pattern_pass(chain, L), key=itemgetter(0)):
-        parts = [(np.char.add(letters[e], keys[suffix]), p) for _, e, suffix, _, p in chunks]
-        keys = np.concatenate([part for part, _ in parts])
+    chain = hidden_chain(Q, alphabet)
+    k = len(chain.alphabet)
+    letters = np.array(sorted(chain.alphabet))
+    rank = np.searchsorted(letters, chain.alphabet)
+    # codes past int64, at a depth where few patterns live, are Python ints
+    code_bytes = 8 if k**L <= 2**63 else 8 + sys.getsizeof(k**L)
+    codes = np.zeros(1, dtype=np.int64 if code_bytes == 8 else object)
+    for t, chunks in groupby(_pattern_pass(chain, L), key=itemgetter(0)):
+        parts = []
+        for _, e, suffix, _, p in chunks:
+            part = codes[suffix]
+            part += int(rank[e]) * k ** (t - 1)
+            parts.append((part, p))
+        kept = sum(len(part) for part, _ in parts)
+        # the last depth's codes, and this one's in parts and concatenated
+        check_budget(f"pattern codes at depth {t}", code_bytes * (len(codes) + 2 * kept))
+        codes = np.concatenate([part for part, _ in parts])
     p = np.concatenate([p for _, p in parts])
-    order = np.argsort(keys, kind="stable")  # timsort: keys come in sorted runs, one a letter
-    return dict(zip(keys[order].tolist(), p[order].tolist()))
+    n = len(codes)
+    # per pattern: its code, mass and order and sorted copies of the first
+    # two, a digit and its letter (12), its letters (4L), its key and float,
+    # their two list slots (16) and its dict entry (48)
+    row = 2 * code_bytes + 24 + 12 + 4 * L + sys.getsizeof(letters[-1] * L) + sys.getsizeof(1.0) + 64
+    check_budget(f"pattern table of {n} patterns", n * row)
+    order = np.argsort(codes, kind="stable")  # the codes come in sorted runs, one a letter
+    codes, p = codes[order], p[order]
+    chars = np.empty((n, L), dtype=letters.dtype)
+    for j in range(L - 1, -1, -1):
+        chars[:, j] = letters[(codes % k).astype(np.intp, copy=False)]
+        codes //= k
+    return dict(zip(chars.view(f"U{L}").ravel().tolist(), p.tolist()))
 
 
 def entropy_series(chain: HiddenChain, L: int):
@@ -205,7 +269,9 @@ def entropy_series(chain: HiddenChain, L: int):
     vectors are summed a chunk at a time, row after row into one running
     sum, and its masses, gathered, at once: the additions of a sum over the
     whole depth, in its order, whatever the chunk size.  The chain is taken
-    as given; minimize it first for a smaller pass.
+    as given: `hidden_chain`'s suffix quotient, which bisimulation
+    (`minimize_chain`) shrinks further only where different suffixes have
+    equal futures, as b and bb of i.i.d. {b, bb} do.
     """
     starts = np.nonzero(chain.init > 0.0)[0]
     init = chain.init[starts]
@@ -240,7 +306,7 @@ def letter_typical(Q: WordProcessLaw, nu: LetterLaw):
     |Psi_Q(w) - nu(w)| / (Psi_Q(w) + nu(w)) over the kept words, which
     does not shrink with the depth of w; typical iff it is <= 64 eps.
     """
-    chain = minimize_chain(hidden_chain(Q, alphabet=nu.alphabet.symbols))
+    chain = hidden_chain(Q, alphabet=nu.alphabet.symbols)
     n = chain.n_states
     maps = np.zeros((len(chain.alphabet), n + 1, n + 1))
     for e, c in enumerate(chain.alphabet):

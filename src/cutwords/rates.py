@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleError, InputError
 from .interval import INF_INTERVAL, Interval, fp_slack
-from .entropy import EntropyBracket, psi_bracket_series, rel_entropy, spec_rel_entropy
+from .entropy import (EntropyBracket, psi_bracket_series, rel_entropy, spec_rel_entropy,
+                      spec_rel_entropy_terms)
 from .laws import ReferenceLaw, WordProcessLaw, alpha_to_json, iid_law, mean_length, truncate_process
 from .psi import letter_typical
 
@@ -103,7 +104,7 @@ def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) 
     where inf * 0 = 0 on letter-typical laws and the rate is inf elsewhere."""
     if not alpha >= 1.0:
         raise InputError(f"alpha must lie in [1, inf], got {alpha}")
-    h_rel = spec_rel_entropy(Q, ref)
+    h_rel, scale = spec_rel_entropy_terms(Q, ref)
     m_q = mean_length(Q)
     b = None
     if math.isinf(h_rel):
@@ -117,7 +118,7 @@ def fin_rate_result(Q: WordProcessLaw, ref: ReferenceLaw, alpha: float, L: int) 
         # m_Q > 0), rounded outward so exact zeros of the rate stay inside.
         b = psi_bracket_series(Q, ref.nu, L)[1][-1]
         c = (alpha - 1.0) * m_q
-        slack = fp_slack(abs(h_rel), c * abs(b.upper))
+        slack = fp_slack(scale, c * abs(b.upper))
         quenched = Interval(h_rel + c * b.lower - slack, h_rel + c * max(b.lower, b.upper) + slack)
     return RateResult(
         annealed=h_rel,

@@ -244,7 +244,7 @@ def test_depth_below_one_rejected(cfg_path, capsys, argv):
     assert "depth" in capsys.readouterr().err
 
 
-H_BASE = 1.3929174504023254  # annealed rate of the BASE_CFG word law
+H_BASE = 1.3929174504023256  # annealed rate of the BASE_CFG word law, correctly rounded
 TYPICAL_LAW = {"variant": "iid", "words": ["a", "b"], "probs": [0.5, 0.5]}
 H_TYPICAL = 0.35319667956240763
 
@@ -259,7 +259,7 @@ H_TYPICAL = 0.35319667956240763
     ("infinity", TYPICAL_LAW, {"alpha": "infinity", "annealed": H_TYPICAL,
                                "quenched": [H_TYPICAL, H_TYPICAL]}),
     ("2.0", None, {"alpha": 2.0, "annealed": H_BASE,
-                   "quenched": [1.7067880316969117, 1.7394910406823991],
+                   "quenched": [1.706788031696912, 1.7394910406823993],
                    "components": {"H_rel": H_BASE, "m_Q": 1.5,
                                   "psi_bracket": [0.2092470541964041, 0.23104906018670268]}}),
 ], ids=["one", "1", "infinity", "inf", "infinity-typical", "2.0"])
@@ -310,6 +310,29 @@ def test_rate_infinity_needs_no_depth(tmp_path, capsys):
     assert "quenched=[inf,inf]" in capsys.readouterr().out
     doc = json.loads(out.read_text())
     assert doc["quenched"] == ["infinity"] * 2 and doc["depth"] == 3
+
+
+@pytest.mark.parametrize("cap", [10, 11])
+def test_rate_on_the_reference_law_up_to_the_word_table(tmp_path, capsys, cap):
+    # cap 10: 2046 words, whose hidden chain has 2046 states (one per
+    # suffix, and every suffix is one of the words);
+    # cap 11: the 4094-word law's table is refused at 24 bytes an entry
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, cap), LetterLaw.uniform("ab"))
+    atoms = ref.enumerate_atoms()
+    cfg = dict(BASE_CFG, renewal_law={"alpha": 2.0, "cap": cap},
+               word_law={"variant": "iid", "words": list(atoms), "probs": list(atoms.values())})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "rate.json"
+    code = run(["rate", "--config", str(path), "--alpha", "2", "--depth", "8",
+                "--out", str(out), "--format", "json"])
+    if cap == 10:
+        assert code == 0, capsys.readouterr().err
+        lo, hi = json.loads(out.read_text())["quenched"]
+        assert lo <= 0.0 <= hi
+    else:
+        assert code == 2
+        assert "needs 402260064 bytes" in capsys.readouterr().err  # 24 * 4094^2
 
 
 def strict_json(text: str):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from cutwords.laws import (
 )
 from cutwords.entropy import entropy
 from cutwords.psi import (
+    HiddenChain,
     entropy_series,
     hidden_chain,
     letter_typical,
@@ -25,11 +27,32 @@ from cutwords.psi import (
 )
 
 
+def loop_hidden_chain(Q, alphabet):
+    """The (word, offset) chain, one state per letter of each word, built
+    state by state: minimized, the oracle for hidden_chain's suffix
+    quotient."""
+    states = [(wi, k) for wi, w in enumerate(Q.words) for k in range(len(w))]
+    pos = {s: i for i, s in enumerate(states)}
+    marg = Q.marginal()
+    m_q = sum(len(w) * p for w, p in marg.items())
+    emit = np.array([alphabet.index(Q.words[wi][k]) for wi, k in states])
+    init = np.array([marg[Q.words[wi]] / m_q for wi, _ in states])
+    trans = np.zeros((len(states), len(states)))
+    for si, (wi, k) in enumerate(states):
+        if k + 1 < len(Q.words[wi]):
+            trans[si, pos[(wi, k + 1)]] = 1.0
+        else:
+            for wj, p in enumerate(Q.transition[wi].tolist()):
+                if p > 0:
+                    trans[si, pos[(wj, 0)]] += p
+    return HiddenChain(alphabet=tuple(alphabet), emit=emit, init=init, trans=trans)
+
+
 def dict_pattern_oracle(Q, L, alphabet=None, start=None):
     """Test oracle: the pattern DP with one state vector per pattern in a
-    dict, on the unminimized chain, keyed in lexicographic order.  `start`
-    replaces the stationary start law (e.g. a unit vector on S_1)."""
-    chain = hidden_chain(Q, alphabet)
+    dict, on the (word, offset) chain, keyed in lexicographic order.
+    `start` replaces the stationary start law (e.g. a unit vector on S_1)."""
+    chain = loop_hidden_chain(Q, alphabet or sorted({c for w in Q.words for c in w}))
     masks = [chain.emit == e for e in range(len(chain.alphabet))]
     cur = {"": chain.init if start is None else start}
     for _ in range(L):
@@ -68,27 +91,9 @@ def test_hidden_chain_init_is_stationary():
     assert np.allclose(ch.trans.sum(axis=1), 1.0, atol=1e-12)
 
 
-def loop_hidden_chain(Q, alphabet):
-    """(emit, init, trans) of the (word, offset) chain built state by state:
-    the reference for hidden_chain's array assignments."""
-    states = [(wi, k) for wi, w in enumerate(Q.words) for k in range(len(w))]
-    pos = {s: i for i, s in enumerate(states)}
-    marg = Q.marginal()
-    m_q = sum(len(w) * p for w, p in marg.items())
-    emit = np.array([alphabet.index(Q.words[wi][k]) for wi, k in states])
-    init = np.array([marg[Q.words[wi]] / m_q for wi, _ in states])
-    trans = np.zeros((len(states), len(states)))
-    for si, (wi, k) in enumerate(states):
-        if k + 1 < len(Q.words[wi]):
-            trans[si, pos[(wi, k + 1)]] = 1.0
-        else:
-            for wj, p in enumerate(Q.transition[wi].tolist()):
-                if p > 0:
-                    trans[si, pos[(wj, 0)]] += p
-    return emit, init, trans
-
-
 def test_hidden_chain_equals_state_by_state_build(law_corpus):
+    # the suffix quotient has as many states as the coarsest bisimulation of
+    # the (word, offset) chain, and emits the same letter process
     periodic = markov_law(("a", "ab", "b"), np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0],
                                                       [1.0, 0.0, 0.0]]))
     reference = ReferenceLaw(make_algebraic_renewal(2.0, 6), LetterLaw.uniform("ab"))
@@ -96,13 +101,26 @@ def test_hidden_chain_equals_state_by_state_build(law_corpus):
     laws += [("ab", periodic), ("ab", reference.as_iid_process())]
     for syms, Q in laws:
         ch = hidden_chain(Q, alphabet=syms)
-        want = loop_hidden_chain(Q, syms)
-        assert all(np.array_equal(a, b) for a, b in zip((ch.emit, ch.init, ch.trans), want))
+        want = minimize_chain(loop_hidden_chain(Q, syms))
+        assert ch.n_states == want.n_states
+        for a, b in zip(entropy_series(ch, 12), entropy_series(want, 12)):
+            assert a == pytest.approx(b, abs=1e-13, rel=0)
+
+
+def test_hidden_chain_suffix_quotient_need_not_be_minimal():
+    # i.i.d. {b, bb}: the suffixes b and bb are two states, but every state
+    # emits b, so bisimulation merges them into one
+    Q = iid_law({"b": 0.4, "bb": 0.6})
+    ch = hidden_chain(Q)
+    assert ch.n_states == 2 and minimize_chain(loop_hidden_chain(Q, "b")).n_states == 1
+    assert np.allclose(ch.init @ ch.trans, ch.init, atol=1e-15)
+    for a, b in zip(entropy_series(ch, 12), entropy_series(minimize_chain(ch), 12)):
+        assert a == pytest.approx(b, abs=1e-13, rel=0)
 
 
 def test_minimize_chain_preserves_series():
     Q = iid_law({"a": 0.3, "ab": 0.25, "bb": 0.25, "bab": 0.2})
-    ch = hidden_chain(Q, alphabet="ab")
+    ch = loop_hidden_chain(Q, "ab")
     mc = minimize_chain(ch)
     assert mc.n_states < ch.n_states
     assert np.allclose(mc.init @ mc.trans, mc.init, atol=1e-12)
@@ -207,8 +225,9 @@ def test_entropy_series_matches_pattern_tables(Q, alphabet):
 def test_entropy_series_cond_matches_per_start_oracle(Q, alphabet):
     # H(X_{t+1} | X_1..X_t, S_1) = sum_s init(s) [H(X_1..X_{t+1} | s) - H(X_1..X_t | s)],
     # each H(. | s) from the dict DP started at the unit vector on s
-    chain = hidden_chain(Q, alphabet=alphabet)
-    _, cond = entropy_series(chain, 7)
+    # on the (word, offset) chain: its start state fixes the suffix chain's
+    _, cond = entropy_series(hidden_chain(Q, alphabet=alphabet), 7)
+    chain = loop_hidden_chain(Q, alphabet)
     starts = np.nonzero(chain.init > 0.0)[0]
     h_given = [[0.0] * len(starts)]
     for t in range(1, 9):
@@ -229,6 +248,49 @@ def test_psi_marginal_matches_dict_oracle(Q, alphabet):
         assert list(table) == list(oracle)
         for pat, p in oracle.items():
             assert abs(table[pat] - p) <= 1e-15, (L, pat)
+
+
+def string_built_table(Q, L, alphabet):
+    """psi_marginal's table with each depth's keys made as numpy strings,
+    a letter before its suffix's key, sorted as strings at the end."""
+    chain = hidden_chain(Q, alphabet)
+    letters, keys = np.array(chain.alphabet), np.array([""])
+    for _, chunks in itertools.groupby(psi._pattern_pass(chain, L), key=lambda c: c[0]):
+        parts = [(np.char.add(letters[e], keys[suffix]), p) for _, e, suffix, _, p in chunks]
+        keys = np.concatenate([part for part, _ in parts])
+    p = np.concatenate([p for _, p in parts])
+    order = np.argsort(keys, kind="stable")
+    return dict(zip(keys[order].tolist(), p[order].tolist()))
+
+
+def test_psi_marginal_codes_match_string_build(law_corpus):
+    # ("c", "a", "b") numbers the letters out of code-point order
+    for _, syms, Q in law_corpus:
+        for alphabet in (syms, ("c", "a", "b")):
+            for L in range(1, 11):
+                want = string_built_table(Q, L, alphabet)
+                assert list(psi_marginal(Q, L, alphabet=alphabet).items()) == list(want.items())
+
+
+def test_psi_marginal_codes_past_int64():
+    # 3^45 > 2^63: the codes of the three live patterns are Python ints
+    table = psi_marginal(iid_law({"abc": 1.0}), 45, alphabet=("c", "a", "b"))
+    assert table == {w * 15: pytest.approx(1 / 3) for w in ("abc", "bca", "cab")}
+    assert list(table) == sorted(table)
+
+
+def test_psi_marginal_refuses_its_table_before_the_strings(monkeypatch):
+    # fair letters at L = 16: the pass and the codes fit 4 MiB, the table's
+    # 65 536 keys, floats and dict entries do not, and no key is made
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 2**22)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBudgetError, match="pattern table of 65536 patterns needs"):
+            psi_marginal(iid_law({"a": 0.5, "b": 0.5}), 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16 * sys.getsizeof("a" * 16)
 
 
 def test_r_nu_test_verdicts(nu_ab, ref_default):
@@ -302,8 +364,8 @@ def test_pattern_pass_chunk_invariance(monkeypatch, law_corpus, chunk_bytes, exa
 
 
 def test_entropy_series_never_holds_last_depth():
-    # all 2- and 3-letter words over ab: 32 states, every pattern live, so
-    # depth 16's vectors take 2^16 * 32 * 8 bytes, in 22 chunks
+    # all 2- and 3-letter words over ab: 14 states (every suffix), every
+    # pattern live, so depth 16's vectors take 2^16 * 14 * 8 bytes, in 12 chunks
     words = ["".join(w) for m in (2, 3) for w in itertools.product("ab", repeat=m)]
     chain = hidden_chain(iid_law(dict.fromkeys(words, 1 / len(words))), alphabet="ab")
     tracemalloc.start()

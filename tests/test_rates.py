@@ -55,6 +55,19 @@ def test_fin_rate_reference_zero(nu_ab, ref_default):
     assert iv.width <= 1e-9
 
 
+@pytest.mark.parametrize("cap", range(4, 11))
+def test_fin_rate_reference_zero_up_to_cap_10(cap):
+    # h_rel sums differenced logs, each near 0 at the reference, and the
+    # rate is padded by the size of those logs: at caps 9 and 10 the
+    # difference -H(Q) - E log q of two O(1) sums read 3.8e-14, above the
+    # pad, and left the exact zero out
+    ref = ReferenceLaw(make_algebraic_renewal(2.0, cap), LetterLaw.uniform("ab"))
+    Q = ref.as_iid_process()
+    assert ann_rate(Q, ref) <= 1e-15
+    for alpha in (1.5, 2.0, 3.0):
+        assert fin_rate(Q, ref, alpha, 8).contains(0.0), alpha
+
+
 def test_fin_rate_dominates_annealed(ref_default, law_corpus):
     for kind, syms, Q in law_corpus[:8]:
         if syms != "ab":
@@ -384,16 +397,16 @@ def test_fin_rate_result_serializes(ref_default):
 
 
 def test_fin_rate_result_runs_one_dp(ref_default, monkeypatch):
-    # every bracket pass starts by minimizing the chain; the result must
-    # come from one pass and agree with fin_rate
+    # every bracket pass starts by building the hidden chain; the result
+    # must come from one pass and agree with fin_rate
     calls = []
-    minimize = entropy.minimize_chain
+    build = entropy.hidden_chain
 
-    def counting(chain):
-        calls.append(chain)
-        return minimize(chain)
+    def counting(Q, alphabet=None):
+        calls.append(Q)
+        return build(Q, alphabet)
 
-    monkeypatch.setattr(entropy, "minimize_chain", counting)
+    monkeypatch.setattr(entropy, "hidden_chain", counting)
     Q = iid_law({"a": 0.3, "ab": 0.3, "bb": 0.4})
     res = fin_rate_result(Q, ref_default, 2.0, 8)
     assert len(calls) == 1
