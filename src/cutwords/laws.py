@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,8 +25,14 @@ STATIONARY_TOL = 1e-10
 # its rank-one temporary (8 each); the stored copy and a 1-byte mask come
 # after those two are freed.
 TABLE_ENTRY_BYTES = 24
-# Words a chunk of `sample_chunks`, so a chunk's draws fit a core's L2 cache
-CHUNK_WORDS = 2**16
+# Uniforms `_choose` draws at a time into one 64 KiB buffer: its draws run on
+# `sample_chunks`' worker thread, and glibc gives a thread its own malloc
+# arena, which keeps what is freed into it, so they allocate little beyond
+# their results.
+CHOOSE_BLOCK = 2**13
+# Words a chunk of `sample_chunks`, so the two chunks in flight (one drawn on
+# its worker, one held by the caller) fit a core's L2 cache
+CHUNK_WORDS = 2**15
 
 # The ends of the quenched rate's tail exponents [1, inf], by JSON name.
 ALPHA_ONE = 1.0
@@ -365,12 +372,17 @@ def _choose(rng, p, size: int) -> np.ndarray:
     unsigned dtype: the same uniforms through the same table, the count
     #{e : cdf[e] <= u} summed one comparison per table entry.  Its time
     grows with the table; at the small alphabets and supports of this
-    package that beats a binary search per uniform."""
+    package that beats a binary search per uniform.  The uniforms are drawn
+    in order, CHOOSE_BLOCK at a time into one buffer."""
     cdf = choice_cdf(p)
-    u = rng.random(size)
     idx = np.zeros(size, np.min_scalar_type(len(cdf) - 1))
-    for c in cdf[:-1]:  # u < 1 = cdf[-1]
-        idx += u >= c
+    u = np.empty(min(size, CHOOSE_BLOCK))
+    for lo in range(0, size, CHOOSE_BLOCK):
+        part = idx[lo : lo + CHOOSE_BLOCK]
+        block = u[: len(part)]
+        rng.random(out=block)
+        for c in cdf[:-1]:  # u < 1 = cdf[-1]
+            part += block >= c
     return idx
 
 
@@ -381,22 +393,41 @@ def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     jumps' and the letters' streams in the order one draw of all of them
     reads, so the values are the same however the words are chunked
     (`_choose` takes its uniforms in draw order).  The last chunk's letters
-    run on to n_letters letters in all when its words end sooner.  Once a
-    chunk's jumps are drawn, `check_letters(n)` is called with its n letters
-    before they are drawn, to refuse them over the byte budget.
+    run on to n_letters letters in all when its words end sooner.
+
+    The next chunk is drawn on one worker thread while the caller holds the
+    current one, so two chunks are in flight; the worker draws the chunks
+    one after another, each its jumps and then its letters, so the order
+    on each stream is that of one draw.  Once a chunk's jumps are drawn,
+    `check_letters(n, prev, drawn)` is called on the worker with its n
+    letters, the prev letters of the chunk before it (the one the caller
+    holds meanwhile) and the drawn letters of all chunks before it, before
+    its letters are drawn, to refuse them over the byte budget; the error
+    reaches the caller when it asks for that chunk.  The worker lives as
+    long as the generator: closing it, or an exception in the caller, waits
+    for the draw in flight.
     """
     jumps, letters = stream(seed, 1), stream(seed, 0)
     support = np.array(rho.support)
     p_jump, p_letter = [rho.probs[n] for n in rho.support], nu.prob_vector()
-    drawn = 0
-    for lo in range(0, n_words, CHUNK_WORDS):
+
+    def draw(lo, prev, drawn):
         lens = support[_choose(jumps, p_jump, min(CHUNK_WORDS, n_words - lo))]
         n = int(lens.sum())
-        drawn += n
         if lo + CHUNK_WORDS >= n_words:
-            n += max(n_letters - drawn, 0)
-        check_letters(n)
-        yield lens, _choose(letters, p_letter, n)
+            n = max(n, n_letters - drawn)
+        check_letters(n, prev, drawn)
+        return lens, _choose(letters, p_letter, n)
+
+    drawn = 0
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = worker.submit(draw, 0, 0, 0)
+        for lo in range(CHUNK_WORDS, n_words, CHUNK_WORDS):
+            lens, x = pending.result()
+            drawn += len(x)
+            pending = worker.submit(draw, lo, len(x), drawn)
+            yield lens, x
+        yield pending.result()
 
 
 def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):
@@ -405,25 +436,26 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     The chunks of `sample_chunks`, joined: the letter indices, in the
     smallest unsigned dtype, and the jumps are those of `Generator.choice`
     on the same two streams, value for value.  The letter sequence is
-    auto-extended when n_letters is too short to host n_words jumps.  The
-    jumps are checked against the byte budget before any is drawn, at 24
-    bytes each (a value's chunked and joined copies, and a chunk's uniforms,
-    indices and masks), and before each chunk's letters are drawn, every
-    letter up to the chunk's last at 16 bytes each (an upper bound on a
-    chunk's uniforms, one-byte indices and comparison masks, and each
-    letter's chunked and joined copies).
+    auto-extended when n_letters is too short to host n_words jumps.  Every
+    chunk is kept until they are joined, so the two chunks in flight are
+    among the words and letters counted here.  The jumps are checked
+    against the byte budget before any is drawn, at 24 bytes each (a
+    value's chunked and joined copies, and a chunk's uniforms, indices and
+    masks), and before each chunk's letters are drawn, every letter up to
+    the chunk's last, as `sample_chunks` counts them, at 16 bytes each (an
+    upper bound on a chunk's uniforms, one-byte indices and comparison
+    masks, and each letter's chunked and joined copies).
     """
     if n_words < 1:
         raise InputError(f"n_words must be >= 1, got {n_words}")
     if n_letters < 0:
         raise InputError(f"n_letters must be >= 0, got {n_letters}")
     check_budget(f"{n_words} jumps", 24 * n_words)
+
+    def check_letters(n, prev, drawn):
+        check_budget(f"{drawn + n} letters", 16 * (drawn + n))
+
     lens, xs = [], []
-
-    def check_letters(n):
-        total = n + sum(map(len, xs))
-        check_budget(f"{total} letters", 16 * total)
-
     for jumps, x in sample_chunks(nu, rho, n_letters, n_words, seed, check_letters):
         lens.append(jumps)
         xs.append(x)

@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cutwords import errors
 from cutwords.entropy import (
+    ROW_BLOCK_BYTES,
     entropy,
     entropy_rate,
     expected_log_nu,
@@ -15,11 +18,12 @@ from cutwords.entropy import (
     rel_entropy,
     spec_rel_entropy,
 )
-from cutwords.errors import InputError
+from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import (
     LetterLaw,
     ReferenceLaw,
     iid_law,
+    make_algebraic_renewal,
     markov_law,
     mean_length,
     renewal_from_atoms,
@@ -55,6 +59,30 @@ def test_entropy_rate_iid_and_markov():
     P = np.array([[0.5, 0.5], [0.5, 0.5]])
     M = markov_law(("a", "b"), P)
     assert entropy_rate(M) == pytest.approx(math.log(2))
+
+
+def test_entropy_rate_holds_one_row_block(monkeypatch):
+    # the cap-10 reference law's 2046 x 2046 table (32 MB): the row
+    # entropies and one block of terms are checked and held, no k x k
+    # temporary; 2 kB for the arrays' headers and views
+    Q = ReferenceLaw(make_algebraic_renewal(2.0, 10), LetterLaw.uniform("ab")).as_iid_process()
+    k = len(Q.words)
+    rows = ROW_BLOCK_BYTES // (8 * k)
+    need = 8 * k + 8 * rows * k
+    assert k == 2046 and need < 8 * k * k // 16
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+    with pytest.raises(SizeBudgetError, match=f"row entropies of {k} words needs {need} bytes"):
+        entropy_rate(Q)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    tracemalloc.start()
+    try:
+        h = entropy_rate(Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 2048, peak - need
+    # every row is the stationary row
+    assert h == pytest.approx(-float(np.sum(Q.stationary * np.log(Q.stationary))), rel=1e-14)
 
 
 def test_spec_rel_entropy_reference_zero(ref_default):

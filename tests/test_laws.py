@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -393,10 +394,11 @@ def test_sampling_equals_generator_choice(case):
                 choice_sample_path(nu, rho, n_letters, n_words, seed)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, laws.CHUNK_WORDS])
+@pytest.mark.parametrize("chunk", [1, 7, laws.CHUNK_WORDS, 2 * laws.CHUNK_WORDS])
 def test_sampling_in_chunks_equals_generator_choice(monkeypatch, chunk):
     # the words are drawn a chunk at a time, each chunk's jumps then its
-    # letters; one full draw on each stream reads the same uniforms
+    # letters, on the worker; one full draw on each stream reads the same
+    # uniforms, at the default chunk size and at twice it
     monkeypatch.setattr(laws, "CHUNK_WORDS", chunk)
     for nu, rho, n_letters in SAMPLE_CASES.values():
         for n_words in (1, chunk, chunk + 1, 3 * chunk + 1 if chunk > 1 else 300):
@@ -404,3 +406,52 @@ def test_sampling_in_chunks_equals_generator_choice(monkeypatch, chunk):
             want_x, want_points = choice_sample_arrays(nu, rho, n_letters, n_words, seed=7)
             assert np.array_equal(x, want_x) and np.array_equal(points, want_points), n_words
             assert x.dtype.itemsize == 1
+
+
+@pytest.mark.parametrize("end", ["exhausted", "closed", "caller-raised"])
+def test_sample_chunks_worker_ends_with_the_generator(monkeypatch, nu_ab, rho_default, end):
+    # one worker thread draws the next chunk while the caller holds one, and
+    # is joined when the generator ends, however it ends
+    monkeypatch.setattr(laws, "CHUNK_WORDS", 100)
+    before = threading.active_count()
+
+    def chunks():
+        return laws.sample_chunks(nu_ab, rho_default, 0, 1000, 7, lambda *_: None)
+
+    def consume():  # as the library's callers loop, holding no name for the generator
+        for i, _ in enumerate(chunks()):
+            assert threading.active_count() == before + 1
+            if i == 2 and end == "caller-raised":
+                raise KeyError(i)
+
+    if end == "closed":
+        gen = chunks()
+        next(gen), next(gen)
+        assert threading.active_count() == before + 1
+        gen.close()
+    elif end == "caller-raised":
+        with pytest.raises(KeyError):
+            consume()
+    else:
+        consume()
+    assert threading.active_count() == before
+
+
+def test_sample_chunks_refuses_the_chunk_in_flight_before_its_letters(monkeypatch, nu_ab):
+    # the last chunk's letters are refused on the worker once its jumps are
+    # drawn; the caller gets the error, with sample_arrays' message, when it
+    # asks for that chunk, and no letter of it is drawn
+    monkeypatch.setattr(laws, "CHUNK_WORDS", 100)
+    rho = renewal_from_atoms({2: 0.5, 5: 0.5}, 2.0)
+    _, points = sample_arrays(nu_ab, rho, 0, 300, seed=7)
+    through = points[[99, 199, 299]].tolist()  # letters through each chunk
+    assert 16 * through[2] > 24 * 300
+    sizes = []
+    choose = laws._choose
+    monkeypatch.setattr(laws, "_choose", lambda rng, p, size: sizes.append(size) or choose(rng, p, size))
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 16 * through[2] - 1)
+    before = threading.active_count()
+    with pytest.raises(SizeBudgetError, match=f"^{through[2]} letters needs {16 * through[2]} bytes"):
+        sample_arrays(nu_ab, rho, 0, 300, seed=7)
+    assert sizes == [100, through[0], 100, through[1] - through[0], 100]
+    assert threading.active_count() == before

@@ -269,10 +269,11 @@ def test_ergodic_gap_equals_per_length_encoding(case):
 
 
 @pytest.mark.parametrize("case", list(ERGODIC_CASES))
-@pytest.mark.parametrize("chunk", [7, laws.CHUNK_WORDS])
+@pytest.mark.parametrize("chunk", [7, laws.CHUNK_WORDS, 2 * laws.CHUNK_WORDS])
 def test_ergodic_gap_equals_per_length_encoding_across_chunks(monkeypatch, case, chunk):
-    # words counted a chunk at a time: a pair that straddles two chunks, and
-    # the periodic pair (Y_N, Y_1), count as in one pass over all the words
+    # words counted a chunk at a time, the next drawn on the worker: a pair
+    # that straddles two chunks, and the periodic pair (Y_N, Y_1), count as
+    # in one pass over all the words, at the default chunk size and twice it
     monkeypatch.setattr(laws, "CHUNK_WORDS", chunk)
     nu, rho, depths = ERGODIC_CASES[case]
     for N in (chunk - 1, chunk, chunk + 1, 3 * chunk + 1):
@@ -282,34 +283,40 @@ def test_ergodic_gap_equals_per_length_encoding_across_chunks(monkeypatch, case,
 
 
 def ergodic_checked_bytes(nu, rho, N, k, seed):
-    """ergodic_gap's two checks: before the draw, the reference, counts and
-    frequencies (8 bytes an entry), the tables by length (12 bytes a length)
-    and one chunk's words at 24 bytes each; and once the jumps are drawn,
-    that plus 16 bytes a letter of the chunk with the most letters, whose
-    letter count comes third."""
+    """ergodic_gap's two checks, for the two chunks in flight: before the
+    draw, the reference, counts and frequencies (8 bytes an entry), the
+    tables by length (12 bytes a length) and two chunks' words at 24 bytes
+    each; and once a chunk's jumps are drawn, that plus 16 bytes a letter of
+    the chunk and of the one before it, at the first chunk where those two
+    have the most letters, whose letter count comes third."""
     W = laws.CHUNK_WORDS
     total = sum(len(nu.alphabet) ** n for n in rho.support)
-    held = 8 * (2 * total**k + total) + 12 * (rho.max_jump + 1) + 24 * min(N, W)
+    held = 8 * (2 * total**k + total) + 12 * (rho.max_jump + 1) + 24 * min(N, 2 * W)
     _, points = sample_arrays(nu, rho, 0, N, seed)
-    letters = int(np.diff(points[np.r_[W - 1 : N : W, N - 1]], prepend=0).max())
-    return held, held + 16 * letters, letters
+    letters = np.diff(points[np.r_[W - 1 : N : W, N - 1]], prepend=0)
+    pairs = letters + np.r_[0, letters[:-1]]
+    i = int(pairs.argmax())
+    return held, held + 16 * int(pairs[i]), int(letters[i])
 
 
 def test_ergodic_gap_memory_independent_of_n(nu_ab):
-    # a chunk's words and letters are freed before the next chunk is drawn:
-    # ten times the words peak within 64 KiB, and within the checked bytes
+    # at most two chunks are alive, one drawn on the worker and one counted,
+    # so ten times the words are checked within 64 KiB of each other and
+    # peak within the fewer words' checked bytes.  How the two threads'
+    # allocations overlap moves the peak between runs, so the peaks are
+    # bounded rather than compared.
     rho = make_algebraic_renewal(2.0, 4)
     for k in (1, 2):
-        peaks = []
+        checked = [ergodic_checked_bytes(nu_ab, rho, N, k, seed=7)[1] for N in (100_000, 1_000_000)]
+        assert abs(checked[1] - checked[0]) <= 64 * 2**10, (k, checked)
         for N in (100_000, 1_000_000):
             tracemalloc.start()
             try:
                 ergodic_gap(nu_ab, rho, N, k, seed=7)
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peaks[-1] <= ergodic_checked_bytes(nu_ab, rho, N, k, seed=7)[1], (N, k)
-        assert peaks[1] - peaks[0] <= 64 * 2**10, (k, peaks)
+            assert peak <= min(checked), (N, k, peak, checked)
 
 
 @pytest.mark.parametrize("case", ["uniform-ab", "skewed-abc", "atoms-2-5"])
