@@ -21,11 +21,9 @@ from scipy.special import xlogy
 from .errors import InputError, check_budget
 from .interval import Interval, fp_slack
 from .laws import LetterLaw, ReferenceLaw, WordProcessLaw, mean_length
-from .psi import entropy_series, hidden_chain
+from .psi import PATTERN_CHUNK_BYTES, entropy_series, hidden_chain
 
 BRACKET_TOL = 1e-10
-# Bytes of the terms `entropy_rate` forms a block of rows at a time
-ROW_BLOCK_BYTES = 2**20
 
 
 def rel_entropy(mu: dict, lam: dict) -> float:
@@ -48,11 +46,11 @@ def entropy_rate(Q: WordProcessLaw) -> float:
     """Specific entropy per word: the stationary average of the row entropies
     (h(q) for i.i.d. words).  The row entropies are formed a block of rows
     at a time, so beside the table the call holds them and one block's
-    terms of at most ROW_BLOCK_BYTES (or one row), which are checked
+    terms of at most `psi.PATTERN_CHUNK_BYTES` (or one row), which are checked
     against the byte budget."""
     P = Q.transition
     k = len(P)
-    rows = max(1, ROW_BLOCK_BYTES // (8 * k))
+    rows = max(1, PATTERN_CHUNK_BYTES // (8 * k))
     check_budget(f"row entropies of {k} words", 8 * k + 8 * min(rows, k) * k)
     h = np.empty(k)
     for lo in range(0, k, rows):

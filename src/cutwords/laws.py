@@ -422,12 +422,12 @@ def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     drawn = 0
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = worker.submit(draw, 0, 0, 0)
-        for lo in range(CHUNK_WORDS, n_words, CHUNK_WORDS):
-            lens, x = pending.result()
-            drawn += len(x)
-            pending = worker.submit(draw, lo, len(x), drawn)
-            yield lens, x
-        yield pending.result()
+        for lo in range(CHUNK_WORDS, n_words + CHUNK_WORDS, CHUNK_WORDS):
+            ready = [pending.result()]  # emptied by the yield, so the caller can free the chunk
+            n = len(ready[0][1])
+            drawn += n
+            pending = worker.submit(draw, lo, n, drawn) if lo < n_words else None
+            yield ready.pop()
 
 
 def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):

@@ -32,6 +32,8 @@ RANK_TOL = 1e-12  # relative Gram-Schmidt residual below which a vector is in th
 
 # Bytes of one chunk of the pattern pass: as many frontier patterns as keep
 # their extensions by one letter, with temporaries, within it, at least one.
+# `entropy.entropy_rate` forms its row entropies a block of this many bytes
+# of terms at a time.
 PATTERN_CHUNK_BYTES = 2**20
 
 

@@ -5,9 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cutwords import errors
+from cutwords import errors, psi
 from cutwords.entropy import (
-    ROW_BLOCK_BYTES,
     entropy,
     entropy_rate,
     expected_log_nu,
@@ -67,7 +66,7 @@ def test_entropy_rate_holds_one_row_block(monkeypatch):
     # temporary; 2 kB for the arrays' headers and views
     Q = ReferenceLaw(make_algebraic_renewal(2.0, 10), LetterLaw.uniform("ab")).as_iid_process()
     k = len(Q.words)
-    rows = ROW_BLOCK_BYTES // (8 * k)
+    rows = psi.PATTERN_CHUNK_BYTES // (8 * k)
     need = 8 * k + 8 * rows * k
     assert k == 2046 and need < 8 * k * k // 16
     monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
