@@ -374,11 +374,13 @@ def resolve_config(args: argparse.Namespace) -> tuple:
     return rc, cfg
 
 
-def exit_code(run) -> int:
-    """Call run() and return this module's exit code for its outcome; an
-    error also prints an `error` line on stderr.  Scripts reuse it."""
+def main(argv=None) -> int:
+    """Run one subcommand and return its exit code; an error also prints
+    an `error` line on stderr."""
+    args = build_parser().parse_args(argv)
     try:
-        run()
+        rc, cfg = resolve_config(args)
+        print(COMMANDS[args.command][0](rc, cfg))
     except SizeBudgetError as exc:
         print(f"error (budget): {exc}", file=sys.stderr)
         return 2
@@ -386,16 +388,6 @@ def exit_code(run) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-
-    def run():
-        rc, cfg = resolve_config(args)
-        print(COMMANDS[args.command][0](rc, cfg))
-
-    return exit_code(run)
 
 
 if __name__ == "__main__":

@@ -323,7 +323,7 @@ def quenched_slope_series(nu_x: LetterLaw, rho: RenewalLaw, nbhd: Neighbourhood,
     return SlopeSeries(
         entries=tuple(entries),
         annealed=annealed,
-        discarded_mass=1.0 - kept,
+        discarded_mass=math.fsum(p for d, p in rho.probs.items() if d > Jmax),
         seed=seed,
         jmax=Jmax,
     )

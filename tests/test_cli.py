@@ -3,6 +3,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -12,6 +14,8 @@ from cutwords import cli, errors
 from cutwords.cli import DEFAULT_SEED, build_parser, main
 from cutwords.corelemma import bernoulli_omega, s_n_eval
 from cutwords.laws import LetterLaw, ReferenceLaw, make_algebraic_renewal
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 BASE_CFG = {
     "letter_law": {"alphabet": "ab", "probs": [0.5, 0.5]},
@@ -459,11 +463,14 @@ def test_bad_count_names_parameter(cfg_path, capsys, argv, name):
 @pytest.mark.parametrize("argv, name", [
     (["--m", "8,12", "--trials", "0"], "trials"),
     (["--m", "10", "--trials", "20"], "M_list"),
-], ids=["trials-0", "one-M"])
+    # at target 0.3 and tol 0.1 no count of 2 or 4 letters lies in [0.4, 0.8]
+    (["--m", "2,4", "--trials", "20"], "typical set empty"),
+], ids=["trials-0", "one-M", "typical-set-empty"])
 def test_waiting_time_bad_input_exit_code(cfg_path, capsys, argv, name):
     code = run(["waiting-time", "--config", cfg_path, "--tol", "0.1"] + argv)
+    err = capsys.readouterr().err
     assert code == 1
-    assert name in capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
 
 
 def test_waiting_time_reruns_byte_identical(cfg_path, tmp_path):
@@ -503,6 +510,20 @@ COMMAND_OPTIONS = {
                   ("--n-max", "n_max")},
     "iproj": set(),
 }
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the config-schema block and every line of the command-line block, as written
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = re.search(r"Config schema.*?```json\n(.*?)```", text, re.S).group(1)
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("cutwords ")]
+    assert lines
+    (tmp_path / "cfg.json").write_text(cfg)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert run(shlex.split(line)[1:]) == 0, (line, capsys.readouterr().err)
 
 
 def test_cli_surface_pinned():

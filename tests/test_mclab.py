@@ -402,6 +402,18 @@ def test_slope_series_deterministic(nu_ab):
     assert doc["Jmax"] == 3 and len(doc["entries"]) == 2
 
 
+@pytest.mark.parametrize("cap", [4, 8])
+def test_slope_series_discarded_mass_is_the_atoms_beyond_jmax(nu_ab, cap):
+    # the sum of the atoms beyond Jmax: exactly 0 at the cap, exactly the
+    # last atom one below it
+    rho = make_algebraic_renewal(2.0, cap)
+    nbhd = Neighbourhood((Constraint(("b",), 0.5, 1.0),))
+    whole = quenched_slope_series(nu_ab, rho, nbhd, [2], Jmax=cap, seed=0)
+    assert whole.discarded_mass == 0.0
+    last = quenched_slope_series(nu_ab, rho, nbhd, [2], Jmax=cap - 1, seed=0)
+    assert last.discarded_mass == rho.prob(cap)
+
+
 def test_slope_series_rejects_pair_constraints(nu_ab):
     rho = make_algebraic_renewal(2.0, 4)
     nbhd = Neighbourhood((Constraint(("a", "b"), 0.0, 0.5),))
