@@ -5,10 +5,13 @@ S_N(omega) sums, over N-tuples of marked positions, the product of the
 power-law weights of consecutive gaps.  `s_n_levels` and its one-row
 caller `s_n_eval` evaluate log S_n for n = 1..N on given rows in mark
 space, with exact weights within blocks of marks and a sum of exponentials
-with positive weights between them.  The Monte Carlo `s_n_mean_check`
-runs an FFT chain over one shared kernel spectrum, its trial blocks sized
-in bytes to about a core's cache or to what the budget leaves, and spread
-over the usable cores the budget holds, each core with its own buffers.
+with positive weights between them; a block whose marks lie close together
+gathers its weights from tables made once per row for the integer offsets
+they take.  The Monte Carlo `s_n_mean_check` draws each trial's marks from
+raw Philox words into one-byte masks and runs an FFT chain over one shared
+kernel spectrum, its trial blocks sized in bytes to about a core's cache or
+to what the budget leaves, and spread over the usable cores the budget
+holds, each core with its own buffers.
 The fractional-moment bound on the a.s. decay rate is maximized by
 golden-section search, exact because the objective is concave.
 """
@@ -25,7 +28,7 @@ from scipy.special import gammainccinv, zeta
 
 from . import errors
 from .errors import InputError, check_budget
-from .laws import RenewalLaw, stream
+from .laws import CHOOSE_BLOCK, RenewalLaw, stream
 
 # Bytes of one mean-check block's marks, buffer, spectrum and level
 # temporaries, about one core's L2 cache: a block takes as many trials as
@@ -35,6 +38,11 @@ MEAN_CHECK_BLOCK_BYTES = 2**22
 # Marks per block of the mark-space kernel.  A row with at most this many
 # marks is one block of exact weights and needs no exponential sum.
 KERNEL_BLOCK = 64
+
+# Largest block reach, in positions, whose kernel weights come from the
+# per-row offset tables of `_row_levels`: they take at most 8 (reach + 1)
+# bytes a rate, about 1.3 MB at the 156 rates of alpha = 2, T = 2 * 10^5.
+TABLE_REACH = 16 * KERNEL_BLOCK
 
 
 def _worker_count() -> int:
@@ -63,19 +71,29 @@ def zeta_partial(s: float, T: int) -> float:
 
 
 def _draw_marks(p: float, seed: int, trial: int, out: np.ndarray) -> None:
-    """Fill the float row `out` with trial `trial`'s Bernoulli(p) marks."""
-    stream(seed, trial).random(out=out)
-    np.less(out, p, out=out, casting="unsafe")
+    """Write trial `trial`'s Bernoulli(p) marks into the row `out`, as
+    `Generator.random() < p` on `stream(seed, trial)` gives them, from the
+    stream's raw Philox words: that uniform is u = (x >> 11) 2^-53 of the
+    word x, and u < p exactly when x < ceil(p 2^53) 2^11, so no float is
+    made.  The words come in order, CHOOSE_BLOCK at a time, so one block of
+    them (64 KiB) is held meanwhile.  Needs 0 <= p <= 1."""
+    raw = stream(seed, trial).bit_generator.random_raw
+    cut = math.ceil(p * 2**53) << 11
+    for lo in range(0, len(out), CHOOSE_BLOCK):
+        part = out[lo : lo + CHOOSE_BLOCK]
+        np.less(raw(len(part)), cut, out=part)
 
 
 def bernoulli_omega(p: float, T: int, seed: int, trial: int = 0) -> np.ndarray:
-    """Deterministic Bernoulli(p) mark sequence omega_1..omega_T.
+    """Deterministic Bernoulli(p) mark sequence omega_1..omega_T, as floats.
 
     Counter-based keying by (seed, trial) makes trials independent of how
-    they are grouped into blocks.  Needs T >= 1.
+    they are grouped into blocks.  Needs T >= 1 and 0 <= p <= 1.
     """
     if T < 1:
         raise InputError(f"horizon T must be at least 1, got {T}")
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"p must lie in [0, 1], got {p}")
     check_budget(f"mark sequence of horizon {T}", 8 * T)
     out = np.empty(T)
     _draw_marks(p, seed, trial, out)
@@ -120,27 +138,49 @@ def _row_levels(x: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
     values carry one power-of-two scale, raised (exactly) whenever a value
     would reach 1.  Level t depends only on the levels below it, so it is
     the same for every N >= t.
+
+    A block's weights depend only on integer offsets between its marks and
+    up to the next block's first mark, at most its reach (that mark, or
+    its own last one, minus its first).  exp(-lam_r g) and g^-alpha are
+    made once for g = 0..K, K the largest reach capped at TABLE_REACH, and
+    the blocks within it gather theirs from these tables, the same floats
+    their own formulas give; blocks that reach further evaluate them.  The
+    tables shrink as the marks crowd, so a denser row holds no more.
     """
     B, m = KERNEL_BLOCK, len(x)
     levels = min(N, m)
     lam, w = _exp_sum(alpha, T) if m > B else (np.empty(0), np.empty(0))
     lam, w = np.append(lam, 0.0), np.append(w, 0.0)
     R = len(lam)
-    # per-level vectors, in and out tables and their temporary, the triangle's temporaries
+    firsts = x[::B]
+    reach = np.append(firsts[1:], x[-1:]) - firsts
+    K = min(int(reach.max(initial=-1)), TABLE_REACH)  # -1: no marks, no table
+    # per-level vectors, in and out tables and their temporary, the
+    # triangle's temporaries, and the offset tables
     check_budget(f"S_n kernel of {levels} levels and {R} exponentials",
-                 8 * ((levels + B) * (R + B) + 2 * B * R + 2 * B * B))
+                 8 * ((levels + B) * (R + B) + 2 * B * R + 2 * B * B + (K + 1) * (R + 1)))
+    decays = np.multiply.outer(np.arange(K + 1), -lam)
+    np.exp(decays, out=decays)  # exp(-lam g)
+    powers = np.arange(K + 1, dtype=float)
+    powers[:1] = np.inf  # no weight at offset 0
+    np.power(powers, -alpha, out=powers)  # g^-alpha
     z = np.zeros((levels, R + B))  # per level: the state, then the block's F
     scale = [-(1 << 30)] * levels  # log2 scales; the start value marks an empty level
-    for lo in range(0, m, B):
+    for lo, span in zip(range(0, m, B), reach):
         xb = x[lo : lo + B]
         b = len(xb)
-        nxt = x[lo + B] if lo + B < m else xb[-1]
+        nxt = xb[0] + span
         a = np.empty((b, R + b))  # weights to the block's marks: from the state, then exact
-        np.exp(np.multiply.outer(xb - xb[0], -lam), out=a[:, :R])
-        a[:, :R] *= w
-        d = np.subtract.outer(xb, xb, dtype=float)
-        np.power(np.where(d > 0, d, np.inf), -alpha, out=a[:, R:])
-        o = np.exp(np.multiply.outer(nxt - xb, -lam))  # from the block's marks to the next state
+        if span <= K:
+            np.multiply(decays[xb - xb[0]], w, out=a[:, :R])
+            np.take(powers, np.maximum(np.subtract.outer(xb, xb), 0), out=a[:, R:])
+            o = decays[nxt - xb]  # from the block's marks to the next state
+        else:
+            np.exp(np.multiply.outer(xb - xb[0], -lam), out=a[:, :R])
+            a[:, :R] *= w
+            d = np.subtract.outer(xb, xb, dtype=float)
+            np.power(np.where(d > 0, d, np.inf), -alpha, out=a[:, R:])
+            o = np.exp(np.multiply.outer(nxt - xb, -lam))
         decay = o[0]  # from the block's first mark, where its state sits
         states, cols, ins = z[:, :R], z[:, R : R + b], z[:, : R + b]
         prev = 0
@@ -204,34 +244,43 @@ def s_n_eval(omega: np.ndarray, alpha: float, N: int, T: int) -> float:
 
 def _block_levels(omega: np.ndarray, buf: np.ndarray, spec: np.ndarray, weights: np.ndarray,
                   kf: np.ndarray, out: np.ndarray) -> None:
-    """log S_n for n = 1..N of the mark rows omega into the N rows of `out`,
-    shape (N, rows), from the forward chain F_1 = omega * w,
+    """log S_n for n = 1..N of the one-byte mark rows omega into the N rows
+    of `out`, shape (N, rows), from the forward chain F_1 = omega * w,
     F_{t+1} = omega * (F_t conv k), one in-place FFT convolution a level in
     the rows' buffer `buf`, which is 0 outside positions 1..T between
     levels, and its spectrum `spec`; `weights` holds w on 1..T and `kf` its
-    spectrum.  Before each convolution each row is divided by its own S_t,
-    whose log joins the row's scale, so deep levels stay representable; the
-    round-off below 0 is clipped.  Beside its arguments it takes at most 25
-    bytes a row: the row sums and scales, a third float row (a sum's log,
-    its divisor or the mark counts) and a one-byte mask."""
+    spectrum.  Before each convolution each row's live positions 1..T are
+    divided by its own S_t, whose log joins the row's scale, so deep levels
+    stay representable; the round-off below 0 is clipped.  Beside its
+    arguments it takes at most 25 bytes a row: the row sums (which become
+    the divisors) and scales, a third float row (a sum's log or the mark
+    counts) and a one-byte mask."""
     rows, T = omega.shape
     f = buf[:, 1 : T + 1]
-    np.multiply(omega, weights, out=f)
+    # the masks and divisors apply to groups of rows of at most half a ufunc
+    # buffer: on the strided view f, a cast or a broadcast over rows shorter
+    # than the buffer takes three buffers of whole rows, past check_budget's
+    # allowance of two
+    step = max(1, np.getbufsize() // (2 * T))
+    groups = range(0, rows, step)
+    for lo in groups:
+        np.multiply(omega[lo : lo + step], weights, out=f[lo : lo + step])
     scale = np.zeros(rows)
     with np.errstate(divide="ignore"):
         for n, level in enumerate(out):
             if n:
                 scale += np.log(s)
-                # whole rows: the zero padding stays 0, and a contiguous
-                # buffer takes one ufunc buffer, where the view f takes three
-                buf /= np.where(s > 0.0, s, 1.0)[:, None]
+                s[~(s > 0.0)] = 1.0  # the divisors: an empty row stays 0
+                for lo in groups:
+                    np.divide(f[lo : lo + step], s[lo : lo + step, None], out=f[lo : lo + step])
                 np.fft.rfft(buf, out=spec)
                 spec *= kf
                 np.fft.irfft(spec, n=buf.shape[1], out=buf)
                 buf[:, 0] = 0.0
                 buf[:, T + 1 :] = 0.0
                 np.maximum(f, 0.0, out=f)
-                f *= omega
+                for lo in groups:
+                    np.multiply(f[lo : lo + step], omega[lo : lo + step], out=f[lo : lo + step])
             s = f.sum(axis=1)
             np.log(s, out=level)
             level += scale
@@ -320,18 +369,17 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     The kernel w(d) = d^-alpha on 1..T and its spectrum are made once and
     shared, as are the (N, trials) logs and a level's values with np.std's
     temporary.  Trials run in blocks on the FFT chain of `_block_levels`,
-    each block as many trials as keep its marks, buffer, spectrum and level
-    temporaries within MEAN_CHECK_BLOCK_BYTES and what the budget leaves
-    beside the shared arrays, and at least one (10 at T = 10^4, 1 from
-    T = 52 273 on).  With
-    W workers the calling thread takes blocks 0, W, 2W, ... and W - 1 pool
-    threads, alive only during the call, take the rest, each drawing its
-    blocks' marks into its own marks, buffer and spectrum, reused for every
-    level of every block, and writing each block's levels into its columns
-    of the shared logs.  One worker runs on the calling thread alone and
-    builds no pool.  The workers are cut to as many as the budget holds beside
-    the shared arrays, and the call is refused only when the shared arrays
-    and one trial's row exceed it.
+    each block as many trials as keep its one-byte marks, buffer, spectrum
+    and level temporaries within MEAN_CHECK_BLOCK_BYTES and what the budget
+    leaves beside the shared arrays, and at least one (12 at T = 10^4, 1
+    from T = 63 526 on).  With W workers the calling thread takes blocks
+    0, W, 2W, ... and W - 1 pool threads, alive only during the call, take
+    the rest, each drawing its blocks' marks into its own marks, buffer and
+    spectrum, reused for every level of every block, and writing each
+    block's levels into its columns of the shared logs.  One worker runs on
+    the calling thread alone and builds no pool.  The workers are cut to as
+    many as the budget holds beside the shared arrays, and the call is
+    refused only when the shared arrays and one trial's row exceed it.
     Per-trial RNG is keyed by (seed, trial index) and each trial's S_n
     depends only on its own marks, so the result does not depend on how
     trials are blocked or on the worker count.  Needs alpha > 0,
@@ -350,10 +398,11 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
     nfft = _fast_len(2 * T)
     # shared: the weights and spectrum, the (N, trials) logs, and one level's
-    # values with np.std's temporary; a row of each worker's marks, buffer and
-    # spectrum, and its 25 bytes of `_block_levels`' temporaries, rounded up
+    # values with np.std's temporary; a row of each worker's one-byte marks,
+    # buffer and spectrum, and its 25 bytes of `_block_levels`' temporaries,
+    # rounded up
     shared = 8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials
-    row = 8 * T + 8 * nfft + 16 * (nfft // 2 + 1) + 32
+    row = T + 8 * nfft + 16 * (nfft // 2 + 1) + 32
     size = max(1, min(trials, min(MEAN_CHECK_BLOCK_BYTES, errors.BUDGET_BYTES - shared) // row))
     need = size * row
     check_budget(f"S_n workspace of {size} rows at horizon {T}", shared + need)
@@ -363,7 +412,7 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     logs = np.empty((N, trials))
 
     def work(first: int) -> None:
-        omega, buf = np.empty((size, T)), np.zeros((size, nfft))
+        omega, buf = np.empty((size, T), bool), np.zeros((size, nfft))
         spec = np.empty((size, nfft // 2 + 1), complex)
         for lo in range(first * size, trials, workers * size):
             rows = min(size, trials - lo)

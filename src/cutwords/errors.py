@@ -19,7 +19,8 @@ def check_budget(what: str, nbytes: int) -> None:
     """Raise SizeBudgetError, stating the bytes needed, when `what` needs
     more than BUDGET_BYTES; every state space is checked here before it is
     allocated.  numpy's ufunc buffers, up to 16 * np.getbufsize() = 131 072
-    bytes an operation (0.05 % of BUDGET_BYTES), are left uncounted: a
-    fixed term for them would shift every exact byte threshold."""
+    bytes an operation (0.05 % of BUDGET_BYTES), and the 64 KiB block of raw
+    words in which `corelemma._draw_marks` draws marks, are left uncounted:
+    a fixed term for them would shift every exact byte threshold."""
     if nbytes > BUDGET_BYTES:
         raise SizeBudgetError(f"{what} needs {nbytes} bytes, over the budget of {BUDGET_BYTES}")

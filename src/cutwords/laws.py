@@ -395,17 +395,18 @@ def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     (`_choose` takes its uniforms in draw order).  The last chunk's letters
     run on to n_letters letters in all when its words end sooner.
 
-    The next chunk is drawn on one worker thread while the caller holds the
-    current one, so two chunks are in flight; the worker draws the chunks
-    one after another, each its jumps and then its letters, so the order
-    on each stream is that of one draw.  Once a chunk's jumps are drawn,
-    `check_letters(n, prev, drawn)` is called on the worker with its n
-    letters, the prev letters of the chunk before it (the one the caller
-    holds meanwhile) and the drawn letters of all chunks before it, before
-    its letters are drawn, to refuse them over the byte budget; the error
-    reaches the caller when it asks for that chunk.  The worker lives as
-    long as the generator: closing it, or an exception in the caller, waits
-    for the draw in flight.
+    When the words take more than one chunk, the next chunk is drawn on one
+    worker thread while the caller holds the current one, so two chunks are
+    in flight; the worker draws the chunks one after another, each its
+    jumps and then its letters, so the order on each stream is that of one
+    draw.  Once a chunk's jumps are drawn, `check_letters(n, prev, drawn)`
+    is called with its n letters, the prev letters of the chunk before it
+    (the one the caller holds meanwhile) and the drawn letters of all
+    chunks before it, before its letters are drawn, to refuse them over the
+    byte budget; the error reaches the caller when it asks for that chunk.
+    The worker lives as long as the generator: closing it, or an exception
+    in the caller, waits for the draw in flight.  Words that fit one chunk
+    are drawn on the caller, with no worker, since nothing can overlap.
     """
     jumps, letters = stream(seed, 1), stream(seed, 0)
     support = np.array(rho.support)
@@ -419,6 +420,9 @@ def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
         check_letters(n, prev, drawn)
         return lens, _choose(letters, p_letter, n)
 
+    if n_words <= CHUNK_WORDS:
+        yield draw(0, 0, 0)
+        return
     drawn = 0
     with ThreadPoolExecutor(max_workers=1) as worker:
         pending = worker.submit(draw, 0, 0, 0)

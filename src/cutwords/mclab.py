@@ -68,15 +68,15 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     The budget bounds total^k <= 2^24 and E^L <= total, so the codes and
     ids fit int32.
 
-    The next chunk is drawn on `sample_chunks`' worker thread while this
-    one is counted, so two chunks are in flight.  Checked before anything
-    is drawn: the reference, counts and frequencies (8 bytes an entry), the
-    int32 tables by length up to the longest (12 bytes a length while they
-    are built) and two chunks' words at `sample_arrays`' 24 bytes a jump
-    (each word's length, cut point, id and int32 temporaries); once a
-    chunk's jumps are drawn, the same bytes plus its letters and those of
-    the chunk being counted at 16 bytes each (a uniform, index and mask,
-    then the letter and its int32 code).
+    When the words take more than one chunk, the next chunk is drawn on
+    `sample_chunks`' worker thread while this one is counted, so two chunks
+    are in flight.  Checked before anything is drawn: the reference, counts
+    and frequencies (8 bytes an entry), the int32 tables by length up to the
+    longest (12 bytes a length while they are built) and two chunks' words
+    at `sample_arrays`' 24 bytes a jump (each word's length, cut point, id
+    and int32 temporaries); once a chunk's jumps are drawn, the same bytes
+    plus its letters and those of the chunk being counted at 16 bytes each
+    (a uniform, index and mask, then the letter and its int32 code).
     """
     if k not in (1, 2):
         raise InputError("pattern depth must be 1 or 2")

@@ -12,7 +12,7 @@ import pytest
 import scipy.fft
 from scipy.special import zeta
 
-from cutwords import corelemma, errors
+from cutwords import corelemma, errors, laws
 from cutwords.corelemma import (
     bernoulli_omega,
     conv_tail_check,
@@ -202,6 +202,63 @@ def test_deterministic_all_marks_p_one():
     assert v == pytest.approx(math.log(zeta_partial(2.0, T)), abs=1e-12)
 
 
+def test_marks_from_raw_words_equal_uniforms_below_p():
+    # x < ceil(p 2^53) 2^11 on a trial's raw Philox words marks exactly the
+    # positions where Generator.random() < p on its stream, in the float
+    # marks of bernoulli_omega and the one-byte marks of the mean check.
+    # Besides the fixed p, 50 random p: 25 of trial 0's own uniforms, where
+    # the test is a tie, and the next float above each
+    T = 2 * laws.CHOOSE_BLOCK + 1000  # three blocks of raw words
+    u = laws.stream(17, 0).random(T)
+    ps = [2.0**-53, 0.1, 0.5, 1.0 - 2.0**-53, 0.0, 1.0] + u[:25].tolist() \
+        + np.nextafter(u[:25], 1.0).tolist()
+    mask = np.empty(T, bool)
+    for trial in (0, 1):
+        uniforms = laws.stream(17, trial).random(T)
+        for p in ps:
+            want = uniforms < p
+            omega = bernoulli_omega(p, T, seed=17, trial=trial)
+            assert omega.dtype == float and np.array_equal(omega, want), p
+            corelemma._draw_marks(p, 17, trial, mask)
+            assert np.array_equal(mask, want), p
+    for p in (math.nan, -0.1, 1.5):
+        with pytest.raises(InputError, match=r"^p "):
+            bernoulli_omega(p, T, seed=17)
+
+
+def test_bernoulli_omega_holds_its_marks_and_one_block_of_words():
+    # the raw words come CHOOSE_BLOCK at a time, so at T = 10^5 the call
+    # holds its 8T bytes of marks, one 64 KiB block of words and under
+    # 16 kB of generator objects, not a row of T words
+    T = 100_000
+    tracemalloc.start()
+    try:
+        bernoulli_omega(0.3, T, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 8 * T <= 8 * laws.CHOOSE_BLOCK + 2**14, peak - 8 * T
+
+
+def test_mean_check_marks_are_one_byte_uniforms_below_p(monkeypatch):
+    # one worker passes the blocks in trial order; each trial's mask is
+    # Generator.random() < p on its own stream
+    T, p, seed, trials = 700, 0.3, 5, 45
+    real, seen = corelemma._block_levels, []
+
+    def recorded(omega, *args):
+        assert omega.dtype.itemsize == 1
+        seen.extend(omega.copy())
+        return real(omega, *args)
+
+    monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
+    monkeypatch.setattr(corelemma, "_block_levels", recorded)
+    s_n_mean_check(2.0, p, 2, T, trials, seed=seed)
+    assert len(seen) == trials
+    for trial, mask in enumerate(seen):
+        assert np.array_equal(mask, laws.stream(seed, trial).random(T) < p), trial
+
+
 def test_bernoulli_omega_keyed_by_trial():
     a = bernoulli_omega(0.3, 100, seed=1, trial=0)
     b = bernoulli_omega(0.3, 100, seed=1, trial=1)
@@ -295,11 +352,11 @@ def mean_check_bytes(T, N=0, trials=0):
     """The mean check's shared arrays in bytes: the kernel weights and
     spectrum and, for N levels of `trials` trials, the (N, trials) logs and
     one level's values with np.std's temporary; and one trial's row of a
-    worker's marks, buffer and spectrum and of `_block_levels`' temporaries
-    (32 bytes)."""
+    worker's one-byte marks, buffer and spectrum and of `_block_levels`'
+    temporaries (32 bytes)."""
     nfft = scipy.fft.next_fast_len(2 * T)
     return (8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials,
-            8 * T + 8 * nfft + 16 * (nfft // 2 + 1) + 32)
+            T + 8 * nfft + 16 * (nfft // 2 + 1) + 32)
 
 
 def block_rows(T):
@@ -328,7 +385,7 @@ def test_fast_len_equals_scipy():
 
 
 def test_mean_check_past_t_1e5_runs_one_row_blocks(monkeypatch):
-    # a row is 8 MB at T = 2 * 10^5, so a block holds one trial; a fixed
+    # a row is 6.6 MB at T = 2 * 10^5, so a block holds one trial; a fixed
     # 64-row block needed 516 801 040 bytes, over the budget.  The chain is
     # stubbed: only the blocking and the budget are under test here
     sizes = []
@@ -340,7 +397,7 @@ def test_mean_check_past_t_1e5_runs_one_row_blocks(monkeypatch):
     monkeypatch.setattr(corelemma, "_block_levels", one_level)
     res = s_n_mean_check(2.0, 0.1, 3, 200_000, 64, seed=1)
     assert sizes == [1] * 64 and res.trials == 64
-    assert block_rows(200_000) == 1 and block_rows(10_000) == 10
+    assert block_rows(200_000) == 1 and block_rows(10_000) == 12
 
 
 @pytest.mark.parametrize("trials", [3 * block_rows(2000) + 5, block_rows(2000) // 2 + 1])
@@ -393,7 +450,7 @@ def test_mean_check_one_worker_builds_no_pool(monkeypatch):
 
 
 def test_mean_check_workers_cut_to_budget(monkeypatch):
-    # at T = 10^4 a block is 10 rows, 4 MB a worker; a budget that holds the
+    # at T = 10^4 a block is 12 rows, 4 MB a worker; a budget that holds the
     # kernel and 10 workers, not 11, runs 10 of 16 cores instead of refusing.
     # Each worker has its own buffer; a pool thread that finds its block done
     # may take another worker's, so the buffers are counted, not the threads
@@ -449,18 +506,18 @@ def test_mean_check_budget_counts_its_results(monkeypatch):
 
     monkeypatch.setattr(corelemma, "_block_levels", no_blocks)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 5 * 2**20)
-    with pytest.raises(SizeBudgetError, match="workspace of 1 rows at horizon 10 needs 8000704 bytes"):
+    with pytest.raises(SizeBudgetError, match="workspace of 1 rows at horizon 10 needs 8000634 bytes"):
         s_n_mean_check(2.0, 0.2, 3, 10, 200_000, seed=1)
 
 
 def test_mean_check_block_shrinks_to_budget(monkeypatch):
-    # at T = 1000 a full block is 104 rows, 4.2 MB; under a 2 MiB budget
-    # the blocks shrink to the 51 rows that fit beside the shared arrays
+    # at T = 1000 a full block is 126 rows, 4.2 MB; under a 2 MiB budget
+    # the blocks shrink to the 62 rows that fit beside the shared arrays
     ref = s_n_mean_check(2.0, 0.2, 3, 1000, 200, seed=1)
     sizes = record_block_sizes(monkeypatch)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 2 * 2**20)
     assert s_n_mean_check(2.0, 0.2, 3, 1000, 200, seed=1) == ref
-    assert block_rows(1000) == 104 and max(sizes) == 51
+    assert block_rows(1000) == 126 and max(sizes) == 62
 
 
 def test_mean_check_bit_identical_across_block_sizes(monkeypatch):
@@ -479,7 +536,7 @@ def test_mean_check_bit_identical_across_block_sizes(monkeypatch):
 
 def test_mean_check_runs_where_a_64_row_block_was_refused(monkeypatch):
     # at T = 10^4 a fixed block of 64 rows needed the kernel and 25.6 MB;
-    # under a budget of the shared arrays and 63 rows the 10-row blocks
+    # under a budget of the shared arrays and 63 rows the 12-row blocks
     # still run, and down to one row smaller blocks do
     T, trials = 10_000, 64
     ref = s_n_mean_check(2.0, 0.1, 3, T, trials, seed=2)
@@ -566,16 +623,31 @@ def test_s_n_levels_starts_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
+def table_offsets(x):
+    """Offsets 0..K that `_row_levels` tabulates for the ascending mark
+    indices x: K + 1, K the largest block reach (the next block's first
+    mark, or the last block's last, minus the block's first) capped at
+    TABLE_REACH."""
+    firsts = list(x[:: corelemma.KERNEL_BLOCK]) + [x[-1]]
+    return min(max(np.diff(firsts)), corelemma.TABLE_REACH) + 1
+
+
 def test_s_n_levels_kernel_budget(monkeypatch):
     # checked before the kernel allocates: 40 levels, 155 exponentials at
-    # alpha = 2, T = 2 * 10^5, plus the one that carries the running sum
-    om = bernoulli_omega(0.01, 200_000, seed=3)[None, :]
-    need = 8 * ((40 + 64) * (156 + 64) + 2 * 64 * 156 + 2 * 64 * 64)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
-    with pytest.raises(SizeBudgetError, match=f"S_n kernel of 40 levels and 156 exponentials needs {need} bytes"):
-        s_n_levels(om, 2.0, 40, 200_000)
-    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
-    assert s_n_levels(om, 2.0, 40, 200_000).shape == (40, 1)
+    # alpha = 2, T = 2 * 10^5, plus the one that carries the running sum,
+    # and the offset tables of those 156 rates and of g^-alpha: offsets
+    # 0..TABLE_REACH at p = 0.01, where every block reaches further, and
+    # 0..915 at p = 0.1
+    rows = [bernoulli_omega(p, 200_000, seed=3)[None, :] for p in (0.01, 0.1)]
+    for om, offsets in zip(rows, (corelemma.TABLE_REACH + 1, 916)):
+        assert table_offsets(np.flatnonzero(om)) == offsets
+        need = 8 * ((40 + 64) * (156 + 64) + 2 * 64 * 156 + 2 * 64 * 64 + offsets * 157)
+        monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+        with pytest.raises(SizeBudgetError,
+                           match=f"S_n kernel of 40 levels and 156 exponentials needs {need} bytes"):
+            s_n_levels(om, 2.0, 40, 200_000)
+        monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+        assert s_n_levels(om, 2.0, 40, 200_000).shape == (40, 1)
 
 
 def test_s_n_levels_memory_independent_of_mark_count():
@@ -592,6 +664,65 @@ def test_s_n_levels_memory_independent_of_mark_count():
             tracemalloc.stop()
         beyond[p] = peak - 8 * int(np.count_nonzero(om))
     assert beyond[0.1] <= beyond[0.01]
+
+
+def block_formula_levels(x, alpha, N, T):
+    """`_row_levels` with every block's weights from its own formulas, the
+    kernel before the offset tables: the oracle of the gathered weights."""
+    B, m = corelemma.KERNEL_BLOCK, len(x)
+    levels = min(N, m)
+    lam, w = corelemma._exp_sum(alpha, T) if m > B else (np.empty(0), np.empty(0))
+    lam, w = np.append(lam, 0.0), np.append(w, 0.0)
+    R = len(lam)
+    z = np.zeros((levels, R + B))
+    scale = [-(1 << 30)] * levels
+    for lo in range(0, m, B):
+        xb = x[lo : lo + B]
+        b = len(xb)
+        nxt = x[lo + B] if lo + B < m else xb[-1]
+        a = np.empty((b, R + b))
+        np.exp(np.multiply.outer(xb - xb[0], -lam), out=a[:, :R])
+        a[:, :R] *= w
+        d = np.subtract.outer(xb, xb, dtype=float)
+        np.power(np.where(d > 0, d, np.inf), -alpha, out=a[:, R:])
+        o = np.exp(np.multiply.outer(nxt - xb, -lam))
+        decay = o[0]
+        states, cols, ins = z[:, :R], z[:, R : R + b], z[:, : R + b]
+        prev = 0
+        for t in range(levels):
+            raw = (xb + 1.0) ** -alpha if t == 0 else a @ ins[t - 1]
+            peak = raw.max()
+            if peak > 0.0:
+                top = prev + math.frexp(peak)[1]
+                if top > scale[t]:
+                    np.ldexp(states[t], scale[t] - top, out=states[t])
+                    scale[t] = top
+                np.ldexp(raw, prev - scale[t], out=cols[t])
+            else:
+                cols[t] = 0.0
+            prev = scale[t]
+        for state, col in zip(states, cols):
+            state *= decay
+            state += col @ o
+    return np.log(z[:, R - 1]) + np.array(scale) * math.log(2.0)
+
+
+def test_table_weights_equal_block_formulas():
+    # the gathered weights are the floats each block's own formulas give, so
+    # every level is bit for bit the oracle's: rows whose blocks all reach
+    # past TABLE_REACH (p <= 0.01), all within it (p >= 0.1), and a row of
+    # both, dense on its first half and sparse on its second
+    T, N = 200_000, 8
+    rows = {p: np.flatnonzero(bernoulli_omega(p, T, seed=3)) for p in (0.001, 0.01, 0.1, 0.3)}
+    dense, sparse = bernoulli_omega(0.3, T, seed=4), bernoulli_omega(0.01, T, seed=4)
+    rows["both"] = np.flatnonzero(np.concatenate((dense[: T // 2], sparse[T // 2 :])))
+    firsts = list(rows["both"][:: corelemma.KERNEL_BLOCK]) + [rows["both"][-1]]
+    reach = np.diff(firsts)
+    assert (reach <= corelemma.TABLE_REACH).any() and (reach > corelemma.TABLE_REACH).any()
+    for name, x in rows.items():
+        for alpha in (1.5, 2.0, 3.0):
+            got = corelemma._row_levels(x, alpha, N, T)
+            assert np.array_equal(got, block_formula_levels(x, alpha, N, T)), (name, alpha)
 
 
 def test_no_threads_left_by_import_or_mean_check(monkeypatch):

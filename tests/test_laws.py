@@ -437,6 +437,27 @@ def test_sample_chunks_worker_ends_with_the_generator(monkeypatch, nu_ab, rho_de
     assert threading.active_count() == before
 
 
+def test_sample_chunks_in_one_chunk_builds_no_pool(monkeypatch):
+    # words that fit one chunk are drawn on the caller; they equal a draw
+    # of the same words in chunks of 7 on the worker
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool was built for one chunk")
+
+    monkeypatch.setattr(laws, "ThreadPoolExecutor", NoPool)
+    one = {}
+    for case, (nu, rho, n_letters) in SAMPLE_CASES.items():
+        for n_words in (1, 9, laws.CHUNK_WORDS):
+            one[case, n_words] = sample_arrays(nu, rho, n_letters, n_words, seed=7)
+    monkeypatch.undo()
+    monkeypatch.setattr(laws, "CHUNK_WORDS", 7)
+    for (case, n_words), (x, points) in one.items():
+        nu, rho, n_letters = SAMPLE_CASES[case]
+        want_x, want_points = sample_arrays(nu, rho, n_letters, n_words, seed=7)
+        assert np.array_equal(x, want_x) and np.array_equal(points, want_points), (case, n_words)
+        assert x.dtype == want_x.dtype
+
+
 def test_sample_chunks_refuses_the_chunk_in_flight_before_its_letters(monkeypatch, nu_ab):
     # the last chunk's letters are refused on the worker once its jumps are
     # drawn; the caller gets the error, with sample_arrays' message, when it
