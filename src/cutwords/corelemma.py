@@ -28,7 +28,7 @@ from scipy.special import gammainccinv, zeta
 
 from . import errors
 from .errors import InputError, check_budget
-from .laws import CHOOSE_BLOCK, RenewalLaw, stream
+from .laws import CHOOSE_BLOCK, RenewalLaw, raw_threshold, stream
 
 # Bytes of one mean-check block's marks, buffer, spectrum and level
 # temporaries, about one core's L2 cache: a block takes as many trials as
@@ -73,12 +73,12 @@ def zeta_partial(s: float, T: int) -> float:
 def _draw_marks(p: float, seed: int, trial: int, out: np.ndarray) -> None:
     """Write trial `trial`'s Bernoulli(p) marks into the row `out`, as
     `Generator.random() < p` on `stream(seed, trial)` gives them, from the
-    stream's raw Philox words: that uniform is u = (x >> 11) 2^-53 of the
-    word x, and u < p exactly when x < ceil(p 2^53) 2^11, so no float is
-    made.  The words come in order, CHOOSE_BLOCK at a time, so one block of
-    them (64 KiB) is held meanwhile.  Needs 0 <= p <= 1."""
+    stream's raw Philox words: u < p exactly when the word is below
+    `raw_threshold(p)`, so no float is made.  The words come in order,
+    CHOOSE_BLOCK at a time, so one block of them (64 KiB) is held
+    meanwhile.  Needs 0 <= p <= 1."""
     raw = stream(seed, trial).bit_generator.random_raw
-    cut = math.ceil(p * 2**53) << 11
+    cut = raw_threshold(p)
     for lo in range(0, len(out), CHOOSE_BLOCK):
         part = out[lo : lo + CHOOSE_BLOCK]
         np.less(raw(len(part)), cut, out=part)

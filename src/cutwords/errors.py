@@ -20,7 +20,10 @@ def check_budget(what: str, nbytes: int) -> None:
     more than BUDGET_BYTES; every state space is checked here before it is
     allocated.  numpy's ufunc buffers, up to 16 * np.getbufsize() = 131 072
     bytes an operation (0.05 % of BUDGET_BYTES), and the 64 KiB block of raw
-    words in which `corelemma._draw_marks` draws marks, are left uncounted:
-    a fixed term for them would shift every exact byte threshold."""
+    Philox words that `laws._choose` and `corelemma._draw_marks` hold while
+    they draw, are left uncounted: a fixed term for them would shift every
+    exact byte threshold.  An elementwise operation on a strided view whose
+    rows are shorter than the buffer takes three buffers, not two, so code
+    that applies one keeps its row groups within half a buffer."""
     if nbytes > BUDGET_BYTES:
         raise SizeBudgetError(f"{what} needs {nbytes} bytes, over the budget of {BUDGET_BYTES}")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,13 +24,11 @@ STATIONARY_TOL = 1e-10
 # its rank-one temporary (8 each); the stored copy and a 1-byte mask come
 # after those two are freed.
 TABLE_ENTRY_BYTES = 24
-# Uniforms `_choose` draws at a time into one 64 KiB buffer: its draws run on
-# `sample_chunks`' worker thread, and glibc gives a thread its own malloc
-# arena, which keeps what is freed into it, so they allocate little beyond
-# their results.
+# Raw Philox words `_choose` and `corelemma._draw_marks` take at a time: one
+# 64 KiB block, held beside their results and left out of every byte budget
 CHOOSE_BLOCK = 2**13
-# Words a chunk of `sample_chunks`, so the two chunks in flight (one drawn on
-# its worker, one held by the caller) fit a core's L2 cache
+# Words a chunk of `sample_chunks`; its caller holds one chunk at a time, so
+# `mclab.ergodic_gap`'s memory follows this, not the number of words
 CHUNK_WORDS = 2**15
 
 # The ends of the quenched rate's tail exponents [1, inf], by JSON name.
@@ -367,22 +364,29 @@ def choice_cdf(p) -> np.ndarray:
     return cdf
 
 
+def raw_threshold(c: float) -> int:
+    """The least raw Philox word x from which `Generator.random` makes a
+    uniform u >= c: u = (x >> 11) 2^-53, so u >= c exactly when
+    x >= ceil(c 2^53) 2^11.  At c = 1 that is 2^64, which no word reaches.
+    Needs 0 <= c <= 1."""
+    return math.ceil(c * 2**53) << 11
+
+
 def _choose(rng, p, size: int) -> np.ndarray:
     """rng.choice(len(p), size, p=p) value for value, in the smallest
-    unsigned dtype: the same uniforms through the same table, the count
-    #{e : cdf[e] <= u} summed one comparison per table entry.  Its time
-    grows with the table; at the small alphabets and supports of this
-    package that beats a binary search per uniform.  The uniforms are drawn
-    in order, CHOOSE_BLOCK at a time into one buffer."""
-    cdf = choice_cdf(p)
-    idx = np.zeros(size, np.min_scalar_type(len(cdf) - 1))
-    u = np.empty(min(size, CHOOSE_BLOCK))
+    unsigned dtype: the raw words behind the same uniforms, through the
+    same table, the count #{e : cdf[e] <= u} summed one comparison per table
+    entry against its `raw_threshold`.  Its time grows with the table; at
+    the small alphabets and supports of this package that beats a binary
+    search per word.  The words are drawn in order, CHOOSE_BLOCK at a time."""
+    raw = rng.bit_generator.random_raw
+    cuts = [raw_threshold(c) for c in choice_cdf(p)[:-1]]  # u < 1 = cdf[-1]
+    idx = np.zeros(size, np.min_scalar_type(len(cuts)))
     for lo in range(0, size, CHOOSE_BLOCK):
         part = idx[lo : lo + CHOOSE_BLOCK]
-        block = u[: len(part)]
-        rng.random(out=block)
-        for c in cdf[:-1]:  # u < 1 = cdf[-1]
-            part += block >= c
+        block = raw(len(part))
+        for cut in cuts:
+            part += block >= cut
     return idx
 
 
@@ -392,46 +396,28 @@ def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     words' lengths (int64) and the indices of their letters, drawn on the
     jumps' and the letters' streams in the order one draw of all of them
     reads, so the values are the same however the words are chunked
-    (`_choose` takes its uniforms in draw order).  The last chunk's letters
+    (`_choose` takes its raw words in draw order).  The last chunk's letters
     run on to n_letters letters in all when its words end sooner.
 
-    When the words take more than one chunk, the next chunk is drawn on one
-    worker thread while the caller holds the current one, so two chunks are
-    in flight; the worker draws the chunks one after another, each its
-    jumps and then its letters, so the order on each stream is that of one
-    draw.  Once a chunk's jumps are drawn, `check_letters(n, prev, drawn)`
-    is called with its n letters, the prev letters of the chunk before it
-    (the one the caller holds meanwhile) and the drawn letters of all
-    chunks before it, before its letters are drawn, to refuse them over the
-    byte budget; the error reaches the caller when it asks for that chunk.
-    The worker lives as long as the generator: closing it, or an exception
-    in the caller, waits for the draw in flight.  Words that fit one chunk
-    are drawn on the caller, with no worker, since nothing can overlap.
+    Each chunk's jumps are drawn, then `check_letters(n, drawn)` is called
+    with its n letters and the drawn letters of all chunks before it, to
+    refuse them over the byte budget before they are drawn, then its
+    letters are drawn.  The generator keeps no chunk once it is yielded, so
+    a caller that lets go of one holds no chunk while the next is drawn.
     """
     jumps, letters = stream(seed, 1), stream(seed, 0)
     support = np.array(rho.support)
     p_jump, p_letter = [rho.probs[n] for n in rho.support], nu.prob_vector()
-
-    def draw(lo, prev, drawn):
+    drawn = 0
+    for lo in range(0, n_words, CHUNK_WORDS):
         lens = support[_choose(jumps, p_jump, min(CHUNK_WORDS, n_words - lo))]
         n = int(lens.sum())
         if lo + CHUNK_WORDS >= n_words:
             n = max(n, n_letters - drawn)
-        check_letters(n, prev, drawn)
-        return lens, _choose(letters, p_letter, n)
-
-    if n_words <= CHUNK_WORDS:
-        yield draw(0, 0, 0)
-        return
-    drawn = 0
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        pending = worker.submit(draw, 0, 0, 0)
-        for lo in range(CHUNK_WORDS, n_words + CHUNK_WORDS, CHUNK_WORDS):
-            ready = [pending.result()]  # emptied by the yield, so the caller can free the chunk
-            n = len(ready[0][1])
-            drawn += n
-            pending = worker.submit(draw, lo, n, drawn) if lo < n_words else None
-            yield ready.pop()
+        check_letters(n, drawn)
+        drawn += n
+        yield lens, _choose(letters, p_letter, n)
+        del lens
 
 
 def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, seed: int):
@@ -441,14 +427,13 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     smallest unsigned dtype, and the jumps are those of `Generator.choice`
     on the same two streams, value for value.  The letter sequence is
     auto-extended when n_letters is too short to host n_words jumps.  Every
-    chunk is kept until they are joined, so the two chunks in flight are
-    among the words and letters counted here.  The jumps are checked
-    against the byte budget before any is drawn, at 24 bytes each (a
-    value's chunked and joined copies, and a chunk's uniforms, indices and
-    masks), and before each chunk's letters are drawn, every letter up to
-    the chunk's last, as `sample_chunks` counts them, at 16 bytes each (an
-    upper bound on a chunk's uniforms, one-byte indices and comparison
-    masks, and each letter's chunked and joined copies).
+    chunk is kept until they are joined.  The jumps are checked against the
+    byte budget before any is drawn, at 24 bytes each (a value's chunked
+    and joined copies, and a chunk's indices and masks), and before each
+    chunk's letters are drawn, every letter up to the chunk's last, as
+    `sample_chunks` counts them, at 16 bytes each: a chunk's one-byte
+    indices and comparison masks and each letter's chunked and joined
+    copies take 4, and `letter_string`'s decode after them up to 12.
     """
     if n_words < 1:
         raise InputError(f"n_words must be >= 1, got {n_words}")
@@ -456,7 +441,7 @@ def sample_arrays(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
         raise InputError(f"n_letters must be >= 0, got {n_letters}")
     check_budget(f"{n_words} jumps", 24 * n_words)
 
-    def check_letters(n, prev, drawn):
+    def check_letters(n, drawn):
         check_budget(f"{drawn + n} letters", 16 * (drawn + n))
 
     lens, xs = [], []

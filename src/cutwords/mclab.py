@@ -68,15 +68,13 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     The budget bounds total^k <= 2^24 and E^L <= total, so the codes and
     ids fit int32.
 
-    When the words take more than one chunk, the next chunk is drawn on
-    `sample_chunks`' worker thread while this one is counted, so two chunks
-    are in flight.  Checked before anything is drawn: the reference, counts
-    and frequencies (8 bytes an entry), the int32 tables by length up to the
-    longest (12 bytes a length while they are built) and two chunks' words
-    at `sample_arrays`' 24 bytes a jump (each word's length, cut point, id
-    and int32 temporaries); once a chunk's jumps are drawn, the same bytes
-    plus its letters and those of the chunk being counted at 16 bytes each
-    (a uniform, index and mask, then the letter and its int32 code).
+    One chunk is in flight at a time.  Checked before anything is drawn:
+    the reference, counts and frequencies (8 bytes an entry), the int32
+    tables by length up to the longest (12 bytes a length while they are
+    built) and one chunk's words at `sample_arrays`' 24 bytes a jump (each
+    word's length, cut point, id and int32 temporaries); once a chunk's
+    jumps are drawn, the same bytes plus its letters at 8 bytes each (an
+    index and its comparison mask, then the letter's int32 code).
     """
     if k not in (1, 2):
         raise InputError("pattern depth must be 1 or 2")
@@ -86,11 +84,11 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     lengths = list(rho.support)
     offsets, total = _word_id_layout(E, lengths)
     what = f"ergodic gap of {N} words over {total}^{k} word patterns"
-    held = 8 * (2 * total**k + total) + 12 * (lengths[-1] + 1) + 24 * min(N, 2 * laws.CHUNK_WORDS)
+    held = 8 * (2 * total**k + total) + 12 * (lengths[-1] + 1) + 24 * min(N, laws.CHUNK_WORDS)
     check_budget(what, held)
 
-    def check_letters(n, prev, drawn):
-        check_budget(f"{what}, a chunk of {n} letters", held + 16 * (n + prev))
+    def check_letters(n, drawn):
+        check_budget(f"{what}, a chunk of {n} letters", held + 8 * n)
 
     modulus = E ** np.arange(lengths[-1] + 1, dtype=np.int32)
     offset = np.zeros_like(modulus)

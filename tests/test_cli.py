@@ -114,9 +114,9 @@ def test_deep_rate_fits_in_memory(tmp_path):
     (["simulate", "--n-letters", "0", "--n-words", "1000000000"], None, 24 * 10**9),
     # the 131 070 words up to length 16 make 131 070^2 pairs, whose counts and
     # frequencies with the reference, the tables by length and the words of
-    # the two chunks in flight at 24 bytes are checked before anything is drawn
+    # the one chunk in flight at 24 bytes are checked before anything is drawn
     (["ergodic", "--n-words", "1000000000", "--k", "2"], {"renewal_law": {"alpha": 2.0, "cap": 16}},
-     8 * (2 * 131_070**2 + 131_070) + 12 * 17 + 24 * 2 * 2**15),
+     8 * (2 * 131_070**2 + 131_070) + 12 * 17 + 24 * 2**15),
     # per word: a cut point and a word, each a tuple slot and an object
     (["simulate", "--n-letters", "0", "--n-words", "10000000"], None,
      10**7 * (16 + sys.getsizeof(4 * 10**7) + sys.getsizeof("a"))),

@@ -3,6 +3,7 @@ import json
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -378,6 +379,12 @@ SAMPLE_CASES = {
                    make_algebraic_renewal(2.0, 3), 0),
     "cap-100": (LetterLaw.uniform("ab"), make_algebraic_renewal(1.2, 100), 0),
     "cap-300": (LetterLaw.uniform("ab"), make_algebraic_renewal(1.2, 300), 0),
+    # the middle cdf entry rounds to 1.0, whose raw-word threshold is 2^64
+    "cdf-entry-one": (LetterLaw.from_probs("abc", [0.5, 0.5 - 1e-18, 1e-18]),
+                      renewal_from_atoms({1: 0.5, 2: 0.5 - 1e-18, 3: 1e-18}, 2.0), 0),
+    # 16 letters with the 16 atoms of the slope law's renewal law
+    "16-atoms": (LetterLaw.from_probs("abcdefghijklmnop", list(make_algebraic_renewal(2.0, 16).probs.values())),
+                 make_algebraic_renewal(2.0, 16), 0),
 }
 
 
@@ -397,8 +404,8 @@ def test_sampling_equals_generator_choice(case):
 @pytest.mark.parametrize("chunk", [1, 7, laws.CHUNK_WORDS, 2 * laws.CHUNK_WORDS])
 def test_sampling_in_chunks_equals_generator_choice(monkeypatch, chunk):
     # the words are drawn a chunk at a time, each chunk's jumps then its
-    # letters, on the worker; one full draw on each stream reads the same
-    # uniforms, at the default chunk size and at twice it
+    # letters; one full draw on each stream reads the same raw words, at
+    # the default chunk size and at twice it
     monkeypatch.setattr(laws, "CHUNK_WORDS", chunk)
     for nu, rho, n_letters in SAMPLE_CASES.values():
         for n_words in (1, chunk, chunk + 1, 3 * chunk + 1 if chunk > 1 else 300):
@@ -409,25 +416,33 @@ def test_sampling_in_chunks_equals_generator_choice(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("end", ["exhausted", "closed", "caller-raised"])
-def test_sample_chunks_worker_ends_with_the_generator(monkeypatch, nu_ab, rho_default, end):
-    # one worker thread draws the next chunk while the caller holds one, and
-    # is joined when the generator ends, however it ends
+def test_sample_chunks_starts_no_thread(monkeypatch, nu_ab, rho_default, end):
+    # every chunk is drawn on the caller, however the generator ends, and no
+    # chunk the caller has let go of is kept while the next is drawn
     monkeypatch.setattr(laws, "CHUNK_WORDS", 100)
     before = threading.active_count()
+    freed, choose = [], laws._choose
+
+    def draw(rng, p, size):
+        assert all(ref() is None for ref in freed)
+        return choose(rng, p, size)
+
+    monkeypatch.setattr(laws, "_choose", draw)
 
     def chunks():
         return laws.sample_chunks(nu_ab, rho_default, 0, 1000, 7, lambda *_: None)
 
     def consume():  # as the library's callers loop, holding no name for the generator
-        for i, _ in enumerate(chunks()):
-            assert threading.active_count() == before + 1
-            if i == 2 and end == "caller-raised":
-                raise KeyError(i)
+        for lens, x in chunks():
+            freed.extend((weakref.ref(lens), weakref.ref(x)))
+            del lens, x
+            assert threading.active_count() == before
+            if len(freed) == 6 and end == "caller-raised":
+                raise KeyError(len(freed))
 
     if end == "closed":
         gen = chunks()
         next(gen), next(gen)
-        assert threading.active_count() == before + 1
         gen.close()
     elif end == "caller-raised":
         with pytest.raises(KeyError):
@@ -437,31 +452,9 @@ def test_sample_chunks_worker_ends_with_the_generator(monkeypatch, nu_ab, rho_de
     assert threading.active_count() == before
 
 
-def test_sample_chunks_in_one_chunk_builds_no_pool(monkeypatch):
-    # words that fit one chunk are drawn on the caller; they equal a draw
-    # of the same words in chunks of 7 on the worker
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a pool was built for one chunk")
-
-    monkeypatch.setattr(laws, "ThreadPoolExecutor", NoPool)
-    one = {}
-    for case, (nu, rho, n_letters) in SAMPLE_CASES.items():
-        for n_words in (1, 9, laws.CHUNK_WORDS):
-            one[case, n_words] = sample_arrays(nu, rho, n_letters, n_words, seed=7)
-    monkeypatch.undo()
-    monkeypatch.setattr(laws, "CHUNK_WORDS", 7)
-    for (case, n_words), (x, points) in one.items():
-        nu, rho, n_letters = SAMPLE_CASES[case]
-        want_x, want_points = sample_arrays(nu, rho, n_letters, n_words, seed=7)
-        assert np.array_equal(x, want_x) and np.array_equal(points, want_points), (case, n_words)
-        assert x.dtype == want_x.dtype
-
-
 def test_sample_chunks_refuses_the_chunk_in_flight_before_its_letters(monkeypatch, nu_ab):
-    # the last chunk's letters are refused on the worker once its jumps are
-    # drawn; the caller gets the error, with sample_arrays' message, when it
-    # asks for that chunk, and no letter of it is drawn
+    # the last chunk's letters are refused once its jumps are drawn, with
+    # sample_arrays' message, and no letter of it is drawn
     monkeypatch.setattr(laws, "CHUNK_WORDS", 100)
     rho = renewal_from_atoms({2: 0.5, 5: 0.5}, 2.0)
     _, points = sample_arrays(nu_ab, rho, 0, 300, seed=7)

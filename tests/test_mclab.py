@@ -271,7 +271,7 @@ def test_ergodic_gap_equals_per_length_encoding(case):
 @pytest.mark.parametrize("case", list(ERGODIC_CASES))
 @pytest.mark.parametrize("chunk", [7, laws.CHUNK_WORDS, 2 * laws.CHUNK_WORDS])
 def test_ergodic_gap_equals_per_length_encoding_across_chunks(monkeypatch, case, chunk):
-    # words counted a chunk at a time, the next drawn on the worker: a pair
+    # words drawn and counted a chunk at a time: a pair
     # that straddles two chunks, and the periodic pair (Y_N, Y_1), count as
     # in one pass over all the words, at the default chunk size and twice it
     monkeypatch.setattr(laws, "CHUNK_WORDS", chunk)
@@ -283,29 +283,24 @@ def test_ergodic_gap_equals_per_length_encoding_across_chunks(monkeypatch, case,
 
 
 def ergodic_checked_bytes(nu, rho, N, k, seed):
-    """ergodic_gap's two checks, for the two chunks in flight: before the
+    """ergodic_gap's two checks, for the one chunk in flight: before the
     draw, the reference, counts and frequencies (8 bytes an entry), the
-    tables by length (12 bytes a length) and two chunks' words at 24 bytes
-    each; and once a chunk's jumps are drawn, that plus 16 bytes a letter of
-    the chunk and of the one before it, at the first chunk where those two
-    have the most letters, whose letter count comes third."""
+    tables by length (12 bytes a length) and one chunk's words at 24 bytes
+    each; and once a chunk's jumps are drawn, that plus 8 bytes a letter of
+    the chunk, at the first chunk with the most letters, whose letter count
+    comes third."""
     W = laws.CHUNK_WORDS
     total = sum(len(nu.alphabet) ** n for n in rho.support)
-    held = 8 * (2 * total**k + total) + 12 * (rho.max_jump + 1) + 24 * min(N, 2 * W)
+    held = 8 * (2 * total**k + total) + 12 * (rho.max_jump + 1) + 24 * min(N, W)
     _, points = sample_arrays(nu, rho, 0, N, seed)
     letters = np.diff(points[np.r_[W - 1 : N : W, N - 1]], prepend=0)
-    pairs = letters + np.r_[0, letters[:-1]]
-    i = int(pairs.argmax())
-    return held, held + 16 * int(pairs[i]), int(letters[i])
+    i = int(letters.argmax())
+    return held, held + 8 * int(letters[i]), int(letters[i])
 
 
 def test_ergodic_gap_memory_independent_of_n(nu_ab):
-    # at most two chunks are alive, one drawn on the worker and one counted,
-    # so ten times the words peak within the checked bytes and within 16
-    # bytes a word of one chunk (512 KiB) of the fewer words' peak.  That
-    # covers whether the worker's draw of a chunk (its lengths, indices and
-    # uniforms: about 400 kB over a draw in turn with the counting) overlaps
-    # the counting's peak, which moves the peak from run to run.
+    # one chunk is alive at a time, so ten times the words peak within the
+    # checked bytes and within 64 KiB of the fewer words' peak
     rho = make_algebraic_renewal(2.0, 4)
     for k in (1, 2):
         peaks = []
@@ -317,7 +312,7 @@ def test_ergodic_gap_memory_independent_of_n(nu_ab):
             finally:
                 tracemalloc.stop()
             assert peaks[-1] <= ergodic_checked_bytes(nu_ab, rho, N, k, seed=7)[1], (N, k)
-        assert peaks[1] - peaks[0] <= 16 * laws.CHUNK_WORDS, (k, peaks)
+        assert peaks[1] - peaks[0] <= 64 * 2**10, (k, peaks)
 
 
 @pytest.mark.parametrize("case", ["uniform-ab", "skewed-abc", "atoms-2-5"])
