@@ -380,13 +380,13 @@ def _choose(rng, p, size: int) -> np.ndarray:
     the small alphabets and supports of this package that beats a binary
     search per word.  The words are drawn in order, CHOOSE_BLOCK at a time."""
     raw = rng.bit_generator.random_raw
-    cuts = [raw_threshold(c) for c in choice_cdf(p)[:-1]]  # u < 1 = cdf[-1]
-    idx = np.zeros(size, np.min_scalar_type(len(cuts)))
+    thresholds = [raw_threshold(c) for c in choice_cdf(p)[:-1]]  # u < 1 = cdf[-1]
+    idx = np.zeros(size, np.min_scalar_type(len(thresholds)))
     for lo in range(0, size, CHOOSE_BLOCK):
         part = idx[lo : lo + CHOOSE_BLOCK]
         block = raw(len(part))
-        for cut in cuts:
-            part += block >= cut
+        for t in thresholds:
+            part += block >= t
     return idx
 
 

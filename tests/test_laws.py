@@ -383,7 +383,8 @@ SAMPLE_CASES = {
     "cdf-entry-one": (LetterLaw.from_probs("abc", [0.5, 0.5 - 1e-18, 1e-18]),
                       renewal_from_atoms({1: 0.5, 2: 0.5 - 1e-18, 3: 1e-18}, 2.0), 0),
     # 16 letters with the 16 atoms of the slope law's renewal law
-    "16-atoms": (LetterLaw.from_probs("abcdefghijklmnop", list(make_algebraic_renewal(2.0, 16).probs.values())),
+    "16-atoms": (LetterLaw.from_probs("abcdefghijklmnop",
+                                      make_algebraic_renewal(2.0, 16).probs.values()),
                  make_algebraic_renewal(2.0, 16), 0),
 }
 
