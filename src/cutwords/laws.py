@@ -365,8 +365,8 @@ def choice_cdf(p) -> np.ndarray:
 
 
 def raw_threshold(c: float) -> int:
-    """The least raw Philox word x from which `Generator.random` makes a
-    uniform u >= c: u = (x >> 11) 2^-53, so u >= c exactly when
+    """The least raw Philox word x whose `Generator.random` uniform is
+    >= c: u = (x >> 11) 2^-53, so u >= c exactly when
     x >= ceil(c 2^53) 2^11.  At c = 1 that is 2^64, which no word reaches.
     Needs 0 <= c <= 1."""
     return math.ceil(c * 2**53) << 11
@@ -402,8 +402,8 @@ def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     Each chunk's jumps are drawn, then `check_letters(n, drawn)` is called
     with its n letters and the drawn letters of all chunks before it, to
     refuse them over the byte budget before they are drawn, then its
-    letters are drawn.  The generator keeps no chunk once it is yielded, so
-    a caller that lets go of one holds no chunk while the next is drawn.
+    letters are drawn.  The generator lets go of a chunk before it draws
+    the next, so a caller that lets go of it too holds no chunk meanwhile.
     """
     jumps, letters = stream(seed, 1), stream(seed, 0)
     support = np.array(rho.support)
