@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv, zeta
 
 from . import errors
 from .errors import InputError, check_budget
@@ -100,6 +99,21 @@ def bernoulli_omega(p: float, T: int, seed: int, trial: int = 0) -> np.ndarray:
     return out
 
 
+def _gamma_tail_end(alpha: float, eps: float) -> float:
+    """An x with Q(alpha, x) <= eps < 1/2: the root of B(x) = eps, where
+    B(x) = x^(alpha-1) e^-x / (Gamma(alpha) (1 - (alpha-1)/x)) >= Q(alpha, x)
+    for x > alpha - 1 (as (1 + u/x)^(alpha-1) <= e^((alpha-1) u/x)), the last
+    factor dropped for alpha <= 1, found by fixed-point iteration of log B
+    from max(-log eps, alpha) while its steps shrink."""
+    c = -math.log(eps) - math.lgamma(alpha)
+    x, step = max(-math.log(eps), alpha), math.inf
+    while True:
+        nxt = c + (alpha - 1) * math.log(x) - math.log1p(-max(alpha - 1, 0.0) / x)
+        if not abs(nxt - x) < step:
+            return x
+        x, step = nxt, abs(nxt - x)
+
+
 def _exp_sum(alpha: float, T: int) -> tuple[np.ndarray, np.ndarray]:
     """Rates lam and weights w > 0 with sum_r w_r exp(-lam_r d) = d^-alpha
     to a relative error of at most 3 eps = 3 * 2^-53 in exact arithmetic,
@@ -111,13 +125,14 @@ def _exp_sum(alpha: float, T: int) -> tuple[np.ndarray, np.ndarray]:
     2014, Thm 5.1); h is the largest step that keeps this below eps for an
     a on a grid, and shrinks roughly like alpha^-1/2.  The nodes stop where
     the cut tails fall below eps: the left one, below (d e^s)^alpha /
-    Gamma(alpha + 1), at d = T, the right one, Q(alpha, d e^s), at d = 1.
+    Gamma(alpha + 1), at d = T, the right one, Q(alpha, d e^s), at d = 1,
+    by `_gamma_tail_end`.
     """
     eps, a = 2.0**-53, np.linspace(0.01, 1.56, 156)
     with np.errstate(over="ignore"):
         h = float(np.max(2 * np.pi * a / np.log1p(2 * np.cos(a) ** -alpha / eps)))
     lo = (math.log(eps) + math.lgamma(alpha + 1)) / alpha - math.log(T)
-    hi = math.log(gammainccinv(alpha, eps))
+    hi = math.log(_gamma_tail_end(alpha, eps))
     s = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
     return np.exp(s), h * np.exp(alpha * s - math.lgamma(alpha))
 
@@ -289,12 +304,21 @@ def _block_levels(omega: np.ndarray, buf: np.ndarray, spec: np.ndarray, weights:
         level[marks <= n] = -math.inf
 
 
+def _zeta_upper(s: float) -> float:
+    """zeta(s), s > 1, from above up to rounding: `zeta_partial` to N - 1 and
+    Euler-Maclaurin cut after its B_2 term, whose remainder for the completely
+    monotone n^-s has the sign of the B_4 term, <= 0 (Johansson 2015)."""
+    N = 1000
+    return zeta_partial(s, N - 1) + N ** (1 - s) / (s - 1) + N**-s / 2 + s * N ** (-s - 1) / 12
+
+
 def phi_bounds(alpha: float, p: float):
     """(lower, upper) bounds on the a.s. decay rate of S_N.
 
     Upper: alpha log(1/p) from the first-run strategy.  Lower: best
     fractional-moment bound -(1/beta)(log p + log zeta(alpha beta)) over
-    beta in (1/alpha, 1], found as the maximum of
+    beta in (1/alpha, 1], a bound still with zeta from above (`_zeta_upper`),
+    found as the maximum of
     h(u) = -u log p - u phi(alpha/u) over u = 1/beta in [1, alpha) by
     golden-section search (Kiefer 1953) to a width of 1e-12 in u.
 
@@ -314,7 +338,7 @@ def phi_bounds(alpha: float, p: float):
         return upper, upper
 
     def bound(u: float) -> float:
-        return -u * (math.log(p) + math.log(float(zeta(alpha / u))))
+        return -u * (math.log(p) + math.log(_zeta_upper(alpha / u)))
 
     g = (math.sqrt(5.0) - 1.0) / 2.0  # each step keeps this share of [a, b]
     a, b = 1.0, alpha

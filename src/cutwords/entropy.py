@@ -16,12 +16,11 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InputError, check_budget
 from .interval import Interval, fp_slack
 from .laws import LetterLaw, ReferenceLaw, WordProcessLaw, mean_length
-from .psi import PATTERN_CHUNK_BYTES, entropy_series, hidden_chain
+from .psi import PATTERN_CHUNK_BYTES, entropy_series, hidden_chain, log_floor, xlogx
 
 BRACKET_TOL = 1e-10
 
@@ -39,7 +38,7 @@ def rel_entropy(mu: dict, lam: dict) -> float:
 
 
 def entropy(mu: dict) -> float:
-    return float(-sum(xlogy(p, p) for p in mu.values()))
+    return float(-sum(xlogx(np.fromiter(mu.values(), float))))
 
 
 def entropy_rate(Q: WordProcessLaw) -> float:
@@ -55,7 +54,7 @@ def entropy_rate(Q: WordProcessLaw) -> float:
     h = np.empty(k)
     for lo in range(0, k, rows):
         block = P[lo : lo + rows]
-        xlogy(block, block).sum(axis=1, out=h[lo : lo + rows])
+        xlogx(block).sum(axis=1, out=h[lo : lo + rows])
     return float(-(Q.stationary @ h))
 
 
@@ -104,9 +103,8 @@ def spec_rel_entropy_terms(Q: WordProcessLaw, ref: ReferenceLaw):
     if np.isinf(log_q).any():  # every word of Q has positive stationary mass
         return math.inf, math.inf
     P = Q.transition
-    # the terms and the mask of P's positive entries
-    check_budget(f"relative entropy of {len(P)} words", 9 * P.size)
-    terms = np.log(P, out=np.zeros_like(P), where=P > 0.0)
+    check_budget(f"relative entropy of {len(P)} words", 8 * P.size)
+    terms = log_floor(P)  # finite at P = 0, where the product below is 0
     terms -= log_q
     terms *= P
     h_rel = float(Q.stationary @ terms.sum(axis=1))

@@ -410,7 +410,8 @@ def sample_chunks(nu: LetterLaw, rho: RenewalLaw, n_letters: int, n_words: int, 
     p_jump, p_letter = [rho.probs[n] for n in rho.support], nu.prob_vector()
     drawn = 0
     for lo in range(0, n_words, CHUNK_WORDS):
-        lens = support[_choose(jumps, p_jump, min(CHUNK_WORDS, n_words - lo))]
+        # its indices are below len(support), so "clip" skips the bounds check
+        lens = support.take(_choose(jumps, p_jump, min(CHUNK_WORDS, n_words - lo)), mode="clip")
         n = int(lens.sum())
         if lo + CHUNK_WORDS >= n_words:
             n = max(n, n_letters - drawn)

@@ -105,7 +105,7 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
         ends -= 1  # the last letter of each word
         ids = code[ends]
         del code, ends
-        ids %= modulus[lens]
+        np.fmod(ids, modulus[lens], out=ids)  # the remainder, as both are >= 0
         ids += offset[lens]
         if k == 2:
             first = ids[0] if first is None else first

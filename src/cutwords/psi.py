@@ -23,7 +23,6 @@ from itertools import groupby
 from operator import itemgetter
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InputError, check_budget
 from .laws import LetterLaw, WordProcessLaw, mean_length
@@ -35,6 +34,20 @@ RANK_TOL = 1e-12  # relative Gram-Schmidt residual below which a vector is in th
 # `entropy.entropy_rate` forms its row entropies a block of this many bytes
 # of terms at a time.
 PATTERN_CHUNK_BYTES = 2**20
+
+
+def log_floor(x) -> np.ndarray:
+    """log max(x, 5e-324), the least positive double, in a new array: log x
+    where x > 0 and -744.44 at 0, where its product with x is 0."""
+    out = np.maximum(x, 5e-324)
+    return np.log(out, out=out)
+
+
+def xlogx(x) -> np.ndarray:
+    """x log x elementwise for x >= 0, exactly 0 at 0, with no mask."""
+    out = log_floor(x)
+    out *= x
+    return out
 
 
 @dataclass(frozen=True)
@@ -284,11 +297,11 @@ def entropy_series(chain: HiddenChain, L: int):
         for _, _, _, beta, p in chunks:
             masses.append(p)
             if len(beta):
-                terms = xlogy(beta, beta)
+                terms = xlogx(beta)
                 terms[0] += total
                 total = terms.sum(axis=0)
         p = np.concatenate(masses)
-        h.append(float(-xlogy(p, p).sum()))
+        h.append(float(-xlogx(p).sum()))
         h_given_start.append(-total[starts])
     cond = [float(init @ (h_given_start[t + 1] - h_given_start[t])) for t in range(L + 1)]
     return h, cond

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.fft
-from scipy.special import zeta
+from scipy.special import gammaincc, gammainccinv, zeta
 
 from cutwords import corelemma, errors, laws
 from cutwords.corelemma import (
@@ -57,6 +57,27 @@ def test_zeta_partial_correctly_rounded(s, T):
     # numpy's pairwise sum is one ulp off at both points
     terms = np.arange(1, T + 1, dtype=float) ** (-s)
     assert zeta_partial(s, T) == correctly_rounded_sum(terms.tolist())
+
+
+def test_zeta_upper_against_scipy():
+    # scipy's zeta is itself up to 3.8 eps off 30-digit values on this range,
+    # and _zeta_upper up to 3.2 eps (its B_4 remainder and rounding), so the
+    # two are held to 9 eps, and _zeta_upper's rounding to 4 eps below
+    eps = np.finfo(float).eps
+    for s in np.concatenate((1 + np.logspace(-8, 0, 300), np.linspace(2, 60, 233))):
+        want, got = float(zeta(s)), corelemma._zeta_upper(float(s))
+        assert abs(got - want) <= 2e-15 * want, s
+        assert got >= want * (1 - 4 * eps), s
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 12.0, 40.0])
+def test_gamma_tail_end_bounds_the_tail(alpha):
+    # at or beyond Q's own eps point, and so little beyond it that the
+    # nodes of _exp_sum reach at most one further
+    eps = 2.0**-53
+    x = corelemma._gamma_tail_end(alpha, eps)
+    assert gammaincc(alpha, x) <= eps
+    assert 0.0 <= math.log(x) - math.log(gammainccinv(alpha, eps)) <= 5e-4
 
 
 def test_s_n_examples():
@@ -294,6 +315,15 @@ def test_phi_bounds_equal_bounded_brent(alpha):
         lo, hi = phi_bounds(alpha, p)
         assert hi == upper
         assert lo == pytest.approx(min(max(-res.fun, -neg_bound(1.0), 0.0), upper), abs=1e-12), p
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.5, 2.0, 3.0, 6.0])
+def test_phi_bounds_lower_side_as_with_scipy_zeta(monkeypatch, alpha):
+    # zeta taken from above moves the lower side at rounding level only
+    ps = (0.01, 0.1, 0.3, 0.5, 0.9, 0.99)
+    got = [phi_bounds(alpha, p)[0] for p in ps]
+    monkeypatch.setattr(corelemma, "_zeta_upper", lambda s: float(zeta(s)))
+    assert got == pytest.approx([phi_bounds(alpha, p)[0] for p in ps], abs=1e-13, rel=0)
 
 
 def test_phi_bounds_at_extreme_alpha():

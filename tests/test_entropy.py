@@ -16,6 +16,7 @@ from cutwords.entropy import (
     psi_bracket_series,
     rel_entropy,
     spec_rel_entropy,
+    spec_rel_entropy_terms,
 )
 from cutwords.errors import InputError, SizeBudgetError
 from cutwords.laws import (
@@ -93,6 +94,43 @@ def test_spec_rel_entropy_reference_zero(ref_default):
 def test_spec_rel_entropy_unsupported_word(ref_default):
     Q = iid_law({"aaaaa": 1.0})  # length beyond the renewal cap
     assert math.isinf(spec_rel_entropy(Q, ref_default))
+
+
+def test_spec_rel_entropy_terms_equal_masked_log_form(ref_default):
+    # the values of the np.log(P, where=P > 0) form, bit for bit, on laws
+    # with and without zero transitions
+    P = np.array([[0.0, 0.5, 0.5, 0.0], [1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25],
+                  [0.5, 0.0, 0.0, 0.5]])
+    laws = [markov_law(("a", "ab", "bba", "b"), P), markov_law(("a", "b"), np.eye(2)[::-1]),
+            iid_law({"a": 0.2, "ba": 0.3, "abab": 0.5}), ref_default.as_iid_process()]
+    for Q in laws:
+        log_q = np.array([ref_default.log_word_prob(w) for w in Q.words])
+        terms = np.log(Q.transition, out=np.zeros_like(Q.transition), where=Q.transition > 0.0)
+        terms = (terms - log_q) * Q.transition
+        h_rel = max(float(Q.stationary @ terms.sum(axis=1)), 0.0)
+        size = max(float(Q.stationary @ np.abs(terms).sum(axis=1)),
+                   -float(Q.stationary @ (Q.transition @ log_q)) / 16.0)
+        assert spec_rel_entropy_terms(Q, ref_default) == (h_rel, size)
+
+
+def test_spec_rel_entropy_terms_budget_is_what_it_allocates(monkeypatch):
+    # one array of terms, 8 bytes a transition; beside it one ufunc buffer
+    # of the row sums (uncounted, see errors.check_budget), the log q
+    # vector and row sums of 510 words, and 2 kB for headers and views
+    Q = ReferenceLaw(make_algebraic_renewal(2.0, 8), LetterLaw.uniform("ab")).as_iid_process()
+    ref = ReferenceLaw(make_algebraic_renewal(1.5, 8), LetterLaw.uniform("ab"))
+    need = 8 * len(Q.words) ** 2
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
+    with pytest.raises(SizeBudgetError, match=f"relative entropy of 510 words needs {need} bytes"):
+        spec_rel_entropy_terms(Q, ref)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    tracemalloc.start()
+    try:
+        spec_rel_entropy_terms(Q, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need <= peak <= need + 16 * np.getbufsize() + 2 * 8 * 510 + 2048, peak - need
 
 
 def test_closed_form_example():

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from cutwords import errors, psi
 from cutwords.errors import SizeBudgetError
@@ -81,6 +82,16 @@ def r_nu_test(Q, nu, L_max, tol=1e-9):
             target = math.prod(nu.prob(c) for c in pat)
             worst = max(worst, abs(sub.get(pat, 0.0) - target))
     return worst <= tol, worst
+
+
+def test_xlogx_against_xlogy():
+    assert psi.xlogx(np.zeros(3)).tolist() == [0.0, 0.0, 0.0]
+    rng = np.random.default_rng(5)
+    for scale in (1.0, 1e-300):
+        x = rng.random((64, 33)) * scale
+        x[rng.random(x.shape) < 0.3] = 0.0
+        want = xlogy(x, x)
+        assert (np.abs(psi.xlogx(x) - want) <= 2 * np.spacing(np.abs(want))).all()
 
 
 def test_hidden_chain_init_is_stationary():
