@@ -184,10 +184,23 @@ def test_no_heavy_imports(path):
     assert heavy_imports(path.read_text()) == []
 
 
-def test_import_leaves_out_scipy():
-    # the static guard's counterpart at run time, in a fresh interpreter
+def scipy_loaded_by_import() -> list:
+    """The scipy modules that `import cutwords` loads, in a fresh interpreter."""
     code = ("import sys, cutwords\n"
             "print(*sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_import_leaves_out_scipy():
+    # the static guard's counterpart at run time
+    assert scipy_loaded_by_import() == []
+
+
+def test_import_leaves_out_scipy_optimize():
+    assert "scipy.optimize" not in scipy_loaded_by_import()
+
+
+def test_import_leaves_out_scipy_fft():
+    assert "scipy.fft" not in scipy_loaded_by_import()
