@@ -148,11 +148,14 @@ def _row_levels(x: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
     weights are exact, a lower triangle; earlier blocks reach it through
     one state per level, sum_u F_t(u) exp(-lam_r (c - u)) over their marks
     u (`_exp_sum`, c the block's first mark), which then decays to the next
-    block's first mark and takes in this block's F_t.  A last rate 0 with
-    weight 0 makes the state's last entry the running S_t.  Each level's
-    values carry one power-of-two scale, raised (exactly) whenever a value
-    would reach 1.  Level t depends only on the levels below it, so it is
-    the same for every N >= t.
+    block's first mark and takes in this block's F_t: every level at once,
+    by one broadcast and one stacked matrix product, whose vector-matrix
+    product for a level does not depend on how many levels there are.  A
+    last rate 0 with weight 0 makes the state's last entry the running S_t.
+    Each level's values, its state and its block's F_t alike, carry one
+    power-of-two scale, raised (exactly) whenever a value would reach 1.
+    Level t depends only on the levels below it, so it is the same for
+    every N >= t.
 
     A block's weights depend only on integer offsets between its marks and
     up to the next block's first mark, at most its reach (that mark, or
@@ -170,10 +173,11 @@ def _row_levels(x: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
     firsts = x[::B]
     reach = np.append(firsts[1:], x[-1:]) - firsts
     K = min(int(reach.max(initial=-1)), TABLE_REACH)  # -1: no marks, no table
-    # per-level vectors, in and out tables and their temporary, the
-    # triangle's temporaries, and the offset tables
+    # per-level vectors and their product with the out table, in and out
+    # tables and their temporary, the triangle's temporaries, and the
+    # offset tables
     check_budget(f"S_n kernel of {levels} levels and {R} exponentials",
-                 8 * ((levels + B) * (R + B) + 2 * B * R + 2 * B * B + (K + 1) * (R + 1)))
+                 8 * ((levels + B) * (R + B) + (levels + 2 * B) * R + 2 * B * B + (K + 1) * (R + 1)))
     decays = np.multiply.outer(np.arange(K + 1), -lam)
     np.exp(decays, out=decays)  # exp(-lam g)
     powers = np.arange(K + 1, dtype=float)
@@ -211,9 +215,8 @@ def _row_levels(x: np.ndarray, alpha: float, N: int, T: int) -> np.ndarray:
             else:
                 cols[t] = 0.0
             prev = scale[t]
-        for state, col in zip(states, cols):
-            state *= decay
-            state += col @ o
+        states *= decay
+        states += np.matmul(cols[:, None], o)[:, 0]
     return np.log(z[:, R - 1]) + np.array(scale) * math.log(2.0)
 
 
@@ -259,49 +262,41 @@ def s_n_eval(omega: np.ndarray, alpha: float, N: int, T: int) -> float:
 
 def _block_levels(omega: np.ndarray, buf: np.ndarray, spec: np.ndarray, weights: np.ndarray,
                   kf: np.ndarray, out: np.ndarray) -> None:
-    """log S_n for n = 1..N of the one-byte mark rows omega into the N rows
-    of `out`, shape (N, rows), from the forward chain F_1 = omega * w,
+    """S_n for n = 1..N of the one-byte mark rows omega into the N rows of
+    `out`, shape (N, rows), from the forward chain F_1 = omega * w,
     F_{t+1} = omega * (F_t conv k), one in-place FFT convolution a level in
     the rows' buffer `buf`, which is 0 outside positions 1..T between
     levels, and its spectrum `spec`; `weights` holds w on 1..T and `kf` its
-    spectrum.  Before each convolution each row's live positions 1..T are
-    divided by its own S_t, whose log joins the row's scale, so deep levels
-    stay representable; the round-off below 0 is clipped.  Beside its
-    arguments it takes at most 25 bytes a row: the row sums (which become
-    the divisors) and scales, a third float row (a sum's log or the mark
-    counts) and a one-byte mask."""
+    spectrum.  Each level's row sums go straight into `out`; the round-off
+    below 0 is clipped, and a row with at most n marks gets exactly 0 at
+    level n + 1 and above.  As every weight is at most 1, S_n <= m^n for a
+    row of m marks, so a level can overflow only where m^n passes the
+    largest double, 1.8e308; one below 2.2e-308 keeps only its absolute
+    accuracy.  Beside its arguments it takes at most 9 bytes a row: the
+    mark counts and a one-byte mask."""
     rows, T = omega.shape
     f = buf[:, 1 : T + 1]
-    # the masks and divisors apply to groups of rows of at most half a ufunc
-    # buffer: on the strided view f, a cast or a broadcast over rows shorter
-    # than the buffer takes three buffers of whole rows, past check_budget's
-    # allowance of two
+    # the masks apply to groups of rows of at most half a ufunc buffer: on
+    # the strided view f, a cast over rows shorter than the buffer takes
+    # three buffers of whole rows, past check_budget's allowance of two
     step = max(1, np.getbufsize() // (2 * T))
     groups = range(0, rows, step)
     for lo in groups:
         np.multiply(omega[lo : lo + step], weights, out=f[lo : lo + step])
-    scale = np.zeros(rows)
-    with np.errstate(divide="ignore"):
-        for n, level in enumerate(out):
-            if n:
-                scale += np.log(s)
-                s[~(s > 0.0)] = 1.0  # the divisors: an empty row stays 0
-                for lo in groups:
-                    np.divide(f[lo : lo + step], s[lo : lo + step, None], out=f[lo : lo + step])
-                np.fft.rfft(buf, out=spec)
-                spec *= kf
-                np.fft.irfft(spec, n=buf.shape[1], out=buf)
-                buf[:, 0] = 0.0
-                buf[:, T + 1 :] = 0.0
-                np.maximum(f, 0.0, out=f)
-                for lo in groups:
-                    np.multiply(f[lo : lo + step], omega[lo : lo + step], out=f[lo : lo + step])
-            s = f.sum(axis=1)
-            np.log(s, out=level)
-            level += scale
+    for n, level in enumerate(out):
+        if n:
+            np.fft.rfft(buf, out=spec)
+            spec *= kf
+            np.fft.irfft(spec, n=buf.shape[1], out=buf)
+            buf[:, 0] = 0.0
+            buf[:, T + 1 :] = 0.0
+            np.maximum(f, 0.0, out=f)
+            for lo in groups:
+                np.multiply(f[lo : lo + step], omega[lo : lo + step], out=f[lo : lo + step])
+        f.sum(axis=1, out=level)
     marks = np.count_nonzero(omega, axis=1)
     for n, level in enumerate(out):
-        level[marks <= n] = -math.inf
+        level[marks <= n] = 0.0
 
 
 def _zeta_upper(s: float) -> float:
@@ -391,8 +386,8 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     T = 10^4 and alpha = 2, far inside the check's interval).
 
     The kernel w(d) = d^-alpha on 1..T and its spectrum are made once and
-    shared, as are the (N, trials) logs and a level's values with np.std's
-    temporary.  Trials run in blocks on the FFT chain of `_block_levels`,
+    shared, as are the (N, trials) values of S_n and np.std's temporary of
+    a level.  Trials run in blocks on the FFT chain of `_block_levels`,
     each block as many trials as keep its one-byte marks, buffer, spectrum
     and level temporaries within MEAN_CHECK_BLOCK_BYTES and what the budget
     leaves beside the shared arrays, and at least one (12 at T = 10^4, 1
@@ -400,7 +395,7 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     0, W, 2W, ... and W - 1 pool threads, alive only during the call, take
     the rest, each drawing its blocks' marks into its own marks, buffer and
     spectrum, reused for every level of every block, and writing each
-    block's levels into its columns of the shared logs.  One worker runs on
+    block's levels into its columns of the shared values.  One worker runs on
     the calling thread alone and builds no pool.  The workers are cut to as
     many as the budget holds beside the shared arrays, and the call is
     refused only when the shared arrays and one trial's row exceed it.
@@ -421,19 +416,18 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
     # Circular wraparound with nfft >= 2T only aliases onto index 0, which
     # stays 0 (omega_0 = 0), so outputs at 1..T stay exact.
     nfft = _fast_len(2 * T)
-    # shared: the weights and spectrum, the (N, trials) logs, and one level's
-    # values with np.std's temporary; a row of each worker's one-byte marks,
-    # buffer and spectrum, and its 25 bytes of `_block_levels`' temporaries,
-    # rounded up
-    shared = 8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials
-    row = T + 8 * nfft + 16 * (nfft // 2 + 1) + 32
+    # shared: the weights and spectrum, the (N, trials) values, and np.std's
+    # temporary of a level; a row of each worker's one-byte marks, buffer and
+    # spectrum, and its 9 bytes of `_block_levels`' temporaries, rounded up
+    shared = 8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 8 * trials
+    row = T + 8 * nfft + 16 * (nfft // 2 + 1) + 16
     size = max(1, min(trials, min(MEAN_CHECK_BLOCK_BYTES, errors.BUDGET_BYTES - shared) // row))
     need = size * row
     check_budget(f"S_n workspace of {size} rows at horizon {T}", shared + need)
     workers = min(_worker_count(), -(-trials // size), (errors.BUDGET_BYTES - shared) // need)
     weights = np.arange(1, T + 1, dtype=float) ** (-alpha)
     kf = np.fft.rfft(np.concatenate(([0.0], weights)), n=nfft)
-    logs = np.empty((N, trials))
+    sums = np.empty((N, trials))
 
     def work(first: int) -> None:
         omega, buf = np.empty((size, T), bool), np.zeros((size, nfft))
@@ -442,7 +436,7 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
             rows = min(size, trials - lo)
             for i in range(rows):
                 _draw_marks(p, seed, lo + i, omega[i])
-            _block_levels(omega[:rows], buf[:rows], spec[:rows], weights, kf, logs[:, lo : lo + rows])
+            _block_levels(omega[:rows], buf[:rows], spec[:rows], weights, kf, sums[:, lo : lo + rows])
 
     if workers == 1:
         work(0)
@@ -455,8 +449,7 @@ def s_n_mean_check(alpha: float, p: float, N: int, T: int, trials: int, seed: in
 
     zt = zeta_partial(alpha, T)
     levels = []
-    for n in range(1, N + 1):
-        v = np.exp(logs[n - 1])
+    for n, v in enumerate(sums, 1):
         mean = math.fsum(v) / trials
         sd = float(np.std(v, ddof=1))
         half = 1.96 * sd / math.sqrt(trials)
@@ -469,10 +462,14 @@ def conv_tail_check(rho: RenewalLaw, alpha: float, c_rho: float, m_max: int, n_m
     bound (C v 1) m^(alpha+1) n^(-alpha), by exact iterated summation.
 
     Verifies the single-step premise rho(n) <= C n^(-alpha) first and
-    names the violating atom on failure.
+    names the violating atom on failure.  Checked before anything is
+    allocated: 64 bytes a position 0..n_max, the peak by tracemalloc from
+    m = 3 on (the pmf, the bound's powers, the last convolution's full
+    output, the ratios, and np.convolve's output and reversed copy).
     """
     if m_max < 1 or n_max < 1:
         raise InputError(f"m_max and n_max must be >= 1, got m_max={m_max}, n_max={n_max}")
+    check_budget(f"convolution tail check to n = {n_max}", 64 * (n_max + 1))
     for n in rho.support:
         if rho.probs[n] > c_rho * n ** (-alpha) * (1.0 + 1e-12):
             raise InputError(
@@ -483,8 +480,7 @@ def conv_tail_check(rho: RenewalLaw, alpha: float, c_rho: float, m_max: int, n_m
     for n, q in rho.probs.items():
         if n <= n_max:
             pmf[n] = q
-    ns = np.arange(1, n_max + 1, dtype=float)
-    bound_pow = ns ** (-alpha)
+    bound_pow = np.arange(1, n_max + 1, dtype=float) ** (-alpha)
     worst = 0.0
     worst_at = (1, 1)
     conv = pmf.copy()

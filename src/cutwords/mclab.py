@@ -63,8 +63,9 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     word of length n ending at j, whose letters are all in the chunk, has
     the value code[j] mod E^n.  One gather at the cut points and one integer
     division by E^n give the chunk's ids, once each length's offset is
-    added.  At k = 2 the last id of a chunk pairs with the first of the
-    next, and the last of all with the first (the periodic pair (Y_N, Y_1)).
+    added; on a one-letter alphabet every code is 0, so no letter is read.
+    At k = 2 the last id of a chunk pairs with the first of the next, and
+    the last of all with the first (the periodic pair (Y_N, Y_1)).
     The budget bounds total^k <= 2^24 and E^L <= total, so the codes and
     ids fit int32.
 
@@ -97,7 +98,7 @@ def ergodic_gap(nu: LetterLaw, rho: RenewalLaw, N: int, k: int, seed: int) -> fl
     first, last = None, np.zeros(0, dtype=np.int32)
     for lens, x in sample_chunks(nu, rho, 0, N, seed, check_letters):
         code = np.zeros(len(x), dtype=np.int32)
-        for t in range(lengths[-1] - 1, -1, -1):
+        for t in range(lengths[-1] - 1 if E > 1 else -1, -1, -1):  # one letter: every code is 0
             code *= E
             code[t:] += x[: max(len(x) - t, 0)]
         del x

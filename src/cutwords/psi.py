@@ -17,9 +17,8 @@ no fixed depth, whether the letters are i.i.d. with a given law.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import count, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -320,24 +319,33 @@ def letter_typical(Q: WordProcessLaw, nu: LetterLaw):
     1992).  Returns (verdict, residual), the residual being the largest
     |Psi_Q(w) - nu(w)| / (Psi_Q(w) + nu(w)) over the kept words, which
     does not shrink with the depth of w; typical iff it is <= 64 eps.
+
+    The kept vectors and their basis fill two (n + 1)^2 arrays, checked
+    against the byte budget before the search.  The queue is the (kept
+    word, letter) pairs in order, so a count; a kept v's successor by e is
+    ((emit = e) v[:n]) trans beside v[n] nu(e).  A full basis ends the
+    search.
     """
     chain = hidden_chain(Q, alphabet=nu.alphabet.symbols)
-    n = chain.n_states
-    maps = np.zeros((len(chain.alphabet), n + 1, n + 1))
-    for e, c in enumerate(chain.alphabet):
-        maps[e, :n, :n] = (chain.emit == e)[:, None] * chain.trans
-        maps[e, n, n] = nu.prob(c)
-    basis = np.empty((0, n + 1))
-    residual = 0.0
-    queue = deque([np.append(chain.init, -1.0)])
-    while queue:
-        v = queue.popleft()
-        r = v - basis.T @ (basis @ v)
-        r -= basis.T @ (basis @ r)  # second pass restores orthogonality
+    n, k = chain.n_states, len(chain.alphabet)
+    # the kept vectors and the basis, and eight vectors of temporaries
+    check_budget(f"letter-typicality search over {n} states", 8 * (n + 1) * (2 * n + 10))
+    nus = [nu.prob(c) for c in chain.alphabet]
+    kept, basis = np.empty((2, n + 1, n + 1))
+    size, residual = 0, 0.0
+    v = np.append(chain.init, -1.0)
+    for pair in count():
+        b = basis[:size]
+        r = v - b.T @ (b @ v)
+        r -= b.T @ (b @ r)  # second pass restores orthogonality
         norm = np.linalg.norm(r)
-        if norm <= RANK_TOL * np.linalg.norm(v):
-            continue
-        basis = np.vstack([basis, r / norm])
-        residual = max(residual, abs(v.sum()) / np.abs(v).sum())
-        queue.extend(v @ maps)
+        if not norm <= RANK_TOL * np.linalg.norm(v):
+            np.divide(r, norm, out=basis[size])
+            kept[size] = v
+            size += 1
+            residual = max(residual, abs(v.sum()) / np.abs(v).sum())
+        if pair == k * size or size > n:
+            break
+        i, e = divmod(pair, k)
+        v = np.append(((chain.emit == e) * kept[i, :n]) @ chain.trans, kept[i, n] * nus[e])
     return bool(residual <= 64.0 * sys.float_info.epsilon), float(residual)

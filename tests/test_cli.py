@@ -123,8 +123,17 @@ def test_deep_rate_fits_in_memory(tmp_path):
     # 648 bytes a Generator, 28 a cell of the first scan block (trials x 5M)
     (["waiting-time", "--m", "10,20", "--trials", "20000000", "--tol", "0.034"], None,
      648 * 2 * 10**7 + 28 * (5 * 20 * 2 * 10**7 + 2**16)),
+    # 64 bytes a position 0..n_max: the pmf, the bound, the convolutions and ratios
+    (["conv-tail", "--alpha", "2.0", "--cap", "4", "--m-max", "2", "--n-max", "1000000000"], None,
+     64 * (10**9 + 1)),
+    # 176 bytes an atom of the law's weights and dict, from --cap or a config law
+    (["conv-tail", "--alpha", "2.0", "--cap", "100000000", "--m-max", "2", "--n-max", "10"], None,
+     176 * 10**8),
+    (["simulate", "--n-letters", "0", "--n-words", "10"], {"renewal_law": {"alpha": 2.0, "cap": 10**8}},
+     176 * 10**8),
 ], ids=["psi-long-word", "core-lemma-horizon", "quench-slopes-medium", "simulate-words",
-        "ergodic-pair-table", "simulate-word-objects", "waiting-time-generators"])
+        "ergodic-pair-table", "simulate-word-objects", "waiting-time-generators",
+        "conv-tail-positions", "conv-tail-cap", "config-law-cap"])
 def test_budget_checked_before_allocation(tmp_path, argv, law, need):
     # Each of these allocated past 1.5 GiB of address space and died with a
     # numpy ArrayMemoryError or a MemoryError; the byte budget must stop it

@@ -337,7 +337,8 @@ def test_phi_bounds_at_extreme_alpha():
 
 def test_mean_check_small_run_and_row_independence():
     # a batch, including a row with fewer marks than N, gives each row's
-    # own levels, exactly -inf above the short row's mark count
+    # own levels, exactly -inf above the short row's mark count in mark
+    # space
     T, N = 600, 4
     rows = np.stack([bernoulli_omega(0.2, T, seed=3, trial=t) for t in range(3)])
     rows[1] = 0.0
@@ -349,12 +350,25 @@ def test_mean_check_small_run_and_row_independence():
             assert logs[n - 1, i] == s_n_eval(rows[i], 2.0, n, T)
     assert (logs[2:, 1] == -math.inf).all()
     assert logs[1, 1] == pytest.approx(math.log(10.0**-2 * 390.0**-2), rel=1e-12)
-    # the blocked mean check equals the trial-by-trial mean
+    # the FFT chain gives the same S_n, and the short row exactly 0 above
+    # its mark count
+    nfft = corelemma._fast_len(2 * T)
+    weights = np.arange(1, T + 1, dtype=float) ** -2.0
+    kf = np.fft.rfft(np.concatenate(([0.0], weights)), n=nfft)
+    sums = np.empty((N, 3))
+    corelemma._block_levels(rows.astype(bool), np.zeros((3, nfft)),
+                            np.empty((3, nfft // 2 + 1), complex), weights, kf, sums)
+    assert (sums[2:, 1] == 0.0).all()
+    assert sums[logs > -math.inf] == pytest.approx(np.exp(logs[logs > -math.inf]), rel=1e-12)
+    # the blocked mean check's mean and half-width are those of the
+    # trial-by-trial values
     r1 = s_n_mean_check(2.0, 0.2, 2, 2000, 600, seed=3)
     per_trial = [[math.exp(s_n_eval(bernoulli_omega(0.2, 2000, 3, trial=t), 2.0, n, 2000))
                   for t in range(600)] for n in (1, 2)]
     for lv, vals in zip(r1.levels, per_trial):
         assert lv.mc_mean == pytest.approx(math.fsum(vals) / 600, rel=1e-12)
+        half = 1.96 * float(np.std(vals, ddof=1)) / math.sqrt(600)
+        assert lv.ci_half_width == pytest.approx(half, rel=1e-12)
     assert r1.ok
 
 
@@ -380,13 +394,13 @@ def test_mean_check_rejects_bad_input(monkeypatch, kwargs, name):
 
 def mean_check_bytes(T, N=0, trials=0):
     """The mean check's shared arrays in bytes: the kernel weights and
-    spectrum and, for N levels of `trials` trials, the (N, trials) logs and
-    one level's values with np.std's temporary; and one trial's row of a
-    worker's one-byte marks, buffer and spectrum and of `_block_levels`'
-    temporaries (32 bytes)."""
+    spectrum and, for N levels of `trials` trials, the (N, trials) values
+    and np.std's temporary of a level; and one trial's row of a worker's
+    one-byte marks, buffer and spectrum and of `_block_levels`' temporaries
+    (9 bytes, rounded up to 16)."""
     nfft = scipy.fft.next_fast_len(2 * T)
-    return (8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 16 * trials,
-            T + 8 * nfft + 16 * (nfft // 2 + 1) + 32)
+    return (8 * T + 16 * (nfft // 2 + 1) + 8 * N * trials + 8 * trials,
+            T + 8 * nfft + 16 * (nfft // 2 + 1) + 16)
 
 
 def block_rows(T):
@@ -529,14 +543,14 @@ def test_only_a_workspace_over_budget_raises(monkeypatch):
 
 
 def test_mean_check_budget_counts_its_results(monkeypatch):
-    # at T = 10 the 200 000 trials' (3, trials) logs and the level loop's
-    # two rows take 8 MB, refused under a 5 MiB budget before any block runs
+    # at T = 10 the 200 000 trials' (3, trials) values and np.std's row
+    # take 6.4 MB, refused under a 5 MiB budget before any block runs
     def no_blocks(*args):
         raise AssertionError("a block ran")
 
     monkeypatch.setattr(corelemma, "_block_levels", no_blocks)
     monkeypatch.setattr(errors, "BUDGET_BYTES", 5 * 2**20)
-    with pytest.raises(SizeBudgetError, match="workspace of 1 rows at horizon 10 needs 8000634 bytes"):
+    with pytest.raises(SizeBudgetError, match="workspace of 1 rows at horizon 10 needs 6400618 bytes"):
         s_n_mean_check(2.0, 0.2, 3, 10, 200_000, seed=1)
 
 
@@ -582,10 +596,10 @@ def test_mean_check_runs_where_a_64_row_block_was_refused(monkeypatch):
 
 def test_workspace_budget_is_what_it_allocates(monkeypatch):
     # at the first block's start a one-worker call holds the kernel, the
-    # (N, trials) logs and the worker's arrays, and at the first level's
-    # np.std the kernel, the logs and the level's two rows of trials floats,
-    # each besides a few kB of Python objects; the budget message states
-    # the shared arrays and one row
+    # (N, trials) values and the worker's arrays, and at the first level's
+    # np.std the kernel, the values and np.std's row of trials floats, each
+    # besides a few kB of Python objects; the budget message states the
+    # shared arrays and one row
     real_levels, real_std, held, level = corelemma._block_levels, np.std, [], []
 
     def measured_levels(*args):
@@ -617,17 +631,17 @@ def test_workspace_budget_is_what_it_allocates(monkeypatch):
             s_n_mean_check(2.0, 0.2, N, T, trials, seed=1)
         finally:
             tracemalloc.stop()
-        # the level's rows and the block's temporaries come later
-        assert 0 <= held[0] - (need - 16 * trials - 32 * rows) < 8192
+        # np.std's row and the block's temporaries come later
+        assert 0 <= held[0] - (need - 8 * trials - 16 * rows) < 8192
         assert 0 <= level[0] - shared < 8192
 
 
 @pytest.mark.parametrize("T, trials", [(10, 5000), (1001, 64)])
 def test_mean_check_peak_within_its_checked_bytes(monkeypatch, T, trials):
-    # at T = 10 one block holds all 5000 trials, and its row sums, scales,
-    # mark counts and masks took 324 072 bytes past a check that left them
-    # out.  Counted, a one-worker call under a budget of exactly its checked
-    # bytes exceeds them by at most numpy's ufunc buffers (130 288 bytes for
+    # at T = 10 one block holds all 5000 trials, whose per-row temporaries
+    # once took 324 072 bytes past a check that left them out.  Counted, a
+    # one-worker call under a budget of exactly its checked bytes exceeds
+    # them by at most numpy's ufunc buffers (130 288 bytes for
     # the spectrum product at T = 1001) and under 1 kB of Python objects: it
     # builds no thread pool, whose queue and locks took 2.4 kB more
     monkeypatch.setattr(corelemma, "_worker_count", lambda: 1)
@@ -665,13 +679,13 @@ def table_offsets(x):
 def test_s_n_levels_kernel_budget(monkeypatch):
     # checked before the kernel allocates: 40 levels, 155 exponentials at
     # alpha = 2, T = 2 * 10^5, plus the one that carries the running sum,
-    # and the offset tables of those 156 rates and of g^-alpha: offsets
-    # 0..TABLE_REACH at p = 0.01, where every block reaches further, and
-    # 0..915 at p = 0.1
+    # the levels' (40, 156) product with the out table, and the offset
+    # tables of those 156 rates and of g^-alpha: offsets 0..TABLE_REACH at
+    # p = 0.01, where every block reaches further, and 0..915 at p = 0.1
     rows = [bernoulli_omega(p, 200_000, seed=3)[None, :] for p in (0.01, 0.1)]
     for om, offsets in zip(rows, (corelemma.TABLE_REACH + 1, 916)):
         assert table_offsets(np.flatnonzero(om)) == offsets
-        need = 8 * ((40 + 64) * (156 + 64) + 2 * 64 * 156 + 2 * 64 * 64 + offsets * 157)
+        need = 8 * ((40 + 64) * (156 + 64) + (40 + 2 * 64) * 156 + 2 * 64 * 64 + offsets * 157)
         monkeypatch.setattr(errors, "BUDGET_BYTES", need - 1)
         with pytest.raises(SizeBudgetError,
                            match=f"S_n kernel of 40 levels and 156 exponentials needs {need} bytes"):

@@ -204,17 +204,19 @@ def test_ergodic_gap_deterministic_law():
 
 def test_ergodic_gap_one_letter_counts_lengths():
     # on one letter a word is its length: the gap is the largest distance of
-    # the length (k = 1) or length-pair (k = 2, periodic) frequencies from rho
+    # the length (k = 1) or length-pair (k = 2, periodic) frequencies from
+    # rho, whatever the longest word, and across chunks
     nu = LetterLaw.uniform("a")
-    rho = renewal_from_atoms({1: 0.5, 500: 0.5}, 2.0)
-    N = 2000
-    _, points = sample_arrays(nu, rho, 0, N, seed=4)
-    lens = np.diff(points, prepend=0).tolist()
-    for k in (1, 2):
-        seen = Counter(zip(*(lens[i:] + lens[:i] for i in range(k))))
-        oracle = max(abs(seen[cell] / N - math.prod(rho.prob(n) for n in cell))
-                     for cell in itertools.product(rho.support, repeat=k))
-        assert ergodic_gap(nu, rho, N, k, seed=4) == oracle, k
+    for atoms, N in (({1: 0.5, 50: 0.5}, 2000), ({1: 0.5, 500: 0.5}, 2000),
+                     ({2: 0.3, 7: 0.3, 500: 0.4}, 2000), ({1: 0.5, 2: 0.5}, laws.CHUNK_WORDS + 5)):
+        rho = renewal_from_atoms(atoms, 2.0)
+        _, points = sample_arrays(nu, rho, 0, N, seed=4)
+        lens = np.diff(points, prepend=0).tolist()
+        for k in (1, 2):
+            seen = Counter(zip(*(lens[i:] + lens[:i] for i in range(k))))
+            oracle = max(abs(seen[cell] / N - math.prod(rho.prob(n) for n in cell))
+                         for cell in itertools.product(rho.support, repeat=k))
+            assert ergodic_gap(nu, rho, N, k, seed=4) == oracle, (atoms, k)
 
 
 def per_length_ergodic_gap(nu, rho, N, k, seed):

@@ -336,6 +336,40 @@ def test_letter_typical_matches_oracle_on_alternating_word(nu_ab):
     assert residual == pytest.approx(1.0)
 
 
+def test_letter_typical_checks_its_search_bytes(monkeypatch):
+    # the 126 words of length 1..6 over ab, Markov with Dirichlet rows: a
+    # chain of 642 states, which a budget of 8 * 642^2 + 1000 bytes holds.
+    # The search's kept vectors and basis, two 643^2 arrays, and a vector's
+    # temporaries are refused before they are allocated (unchecked, the
+    # search once peaked at 19.97 MB); under exactly their bytes the search
+    # runs within them beside the chain
+    words = tuple("".join(w) for n in range(1, 7) for w in itertools.product("ab", repeat=n))
+    Q = markov_law(words, np.random.default_rng(1).dirichlet(np.ones(126), size=126))
+    nu = LetterLaw.uniform("ab")
+    need = 8 * 643 * (2 * 642 + 10)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", 8 * 642**2 + 1000)
+    with pytest.raises(SizeBudgetError, match=f"search over 642 states needs {need} bytes"):
+        letter_typical(Q, nu)
+    real, held = psi.hidden_chain, []
+
+    def measured_chain(*args, **kwargs):
+        chain = real(*args, **kwargs)
+        held.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return chain
+
+    monkeypatch.setattr(psi, "hidden_chain", measured_chain)
+    monkeypatch.setattr(errors, "BUDGET_BYTES", need)
+    tracemalloc.start()
+    try:
+        ok, residual = letter_typical(Q, nu)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok and residual > 0.1
+    assert peak - held[0] <= need
+
+
 def test_pattern_budget_counts_live_patterns():
     # two live patterns at every depth: the byte budget never binds
     Q = iid_law({"ab": 1.0})
